@@ -47,7 +47,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="bench_out", help="repositories and report directory")
     parser.add_argument("--runs", type=int, default=5, help="timed runs per configuration")
-    parser.add_argument("--parallel", action="store_true", help="run configurations in threads")
     args = parser.parse_args()
 
     outdir = Path(args.outdir)
@@ -58,7 +57,7 @@ def main() -> int:
         if not (repo / "manifest.json").exists():
             print(f"generating {name} (seed {params.seed}, {params.versions} versions) ...")
             generate(params, repo)
-        rows = run(repo, runs=args.runs, parallel=args.parallel)
+        rows = run(repo, runs=args.runs)
         all_rows.extend(rows)
         summarize(name, rows)
     report = outdir / "report.csv"

@@ -15,7 +15,6 @@ import io
 import math
 import random
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -243,11 +242,7 @@ def _hash_table(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def run(
-    repo_dir: str | Path,
-    runs: int = 3,
-    parallel: bool = False,
-) -> list[BenchRow]:
+def run(repo_dir: str | Path, runs: int = 3) -> list[BenchRow]:
     """Time every encoding x evaluator x query configuration on one repository.
 
     All configurations must produce the same result for a given query; a
@@ -256,7 +251,7 @@ def run(
     """
     if runs < 3:
         raise BenchError("runs must be >= 3 for a stable median")
-    scenario = Path(repo_dir).name + ("+parallel" if parallel else "")
+    scenario = Path(repo_dir).name
     parsed = {qid: (parse_query(text), domain) for qid, (text, domain) in QUERIES.items()}
     rows: list[BenchRow] = []
     for encoding in ENCODING_NAMES:
@@ -265,8 +260,7 @@ def run(
         build_ms = (perf_counter() - start) * 1000.0
         stats = store.stats()
 
-        def measure(config: tuple[str, str]) -> BenchRow:
-            evaluator_name, qid = config
+        def measure(evaluator_name: str, qid: str) -> BenchRow:
             evaluate = EVALUATORS[evaluator_name]
             query, domain = parsed[qid]
             latencies = []
@@ -287,12 +281,7 @@ def run(
                 result_hash=_hash_table(format_results(table, "tsv")),
             )
 
-        configs = [(name, qid) for name in EVALUATORS for qid in parsed]
-        if parallel:
-            with ThreadPoolExecutor() as pool:
-                rows.extend(pool.map(measure, configs))
-        else:
-            rows.extend(measure(c) for c in configs)
+        rows.extend(measure(name, qid) for name in EVALUATORS for qid in parsed)
     _check_hashes(rows)
     return rows
 

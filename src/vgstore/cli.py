@@ -138,11 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("bench", "time the canonical queries under every configuration")
     p.add_argument("--out", default=None, help="CSV report path (default: stdout)")
     p.add_argument("--runs", type=int, default=3, help="timed runs per configuration")
-    p.add_argument(
-        "--parallel",
-        action="store_true",
-        help="run query configurations in worker threads (timings labeled)",
-    )
 
     return parser
 
@@ -273,7 +268,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_bench(args) -> int:
     with _locked(args.repo):
-        rows = bench_mod.run(args.repo, runs=args.runs, parallel=args.parallel)
+        rows = bench_mod.run(args.repo, runs=args.runs)
     if args.out is None:
         sys.stdout.write(bench_mod.report_text(rows))
     else:

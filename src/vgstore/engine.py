@@ -12,6 +12,12 @@ materializes every candidate version, evaluates the query with the version
 variables fixed, and unions the row multisets.  Agreement between the two is
 the core correctness check of the whole package; divergence is a bug.
 
+Both evaluators extend rows through the one join step, _join, over a
+store.TripleIndex (the store's own, or one built per checked-out version).
+They differ only in how a matched triple's leaf changes a row's version
+annotation: a contains test for a constant version, an intersection for a
+version variable, and no change at all in a checkout.
+
 Both produce a SolutionTable whose rows are sorted by the tuple of term
 serializations, so equal results are byte-equal after formatting.
 """
@@ -36,8 +42,8 @@ from .sparql import (
     TriplePattern,
     Var,
 )
-from .store import AnnotatedStore
-from .versionsets import set_class
+from .store import AnnotatedStore, TripleIndex
+from .versionsets import VersionSet, set_class
 from .terms import (
     XSD_INTEGER,
     Dictionary,
@@ -66,6 +72,13 @@ def _check_domain(version_domain: str) -> None:
 
 
 # --- shared pieces -------------------------------------------------------
+
+# A row is its data bindings plus its version annotation: the version set each
+# version variable still holds in, or {} in a checkout.
+_Row = tuple[dict[str, TermId], dict[str, object]]
+_Combine = Callable[[dict[str, object], object], dict[str, object] | None]
+
+_EMPTY_INDEX = TripleIndex()
 
 
 def _unify(
@@ -101,6 +114,79 @@ def _slot_id(slot, key: str, env: dict[str, TermId], const_ids: dict[str, TermId
     if isinstance(slot, Var):
         return env.get(slot.name)
     return const_ids[key]
+
+
+def _join(
+    rows: list[_Row],
+    pattern: TriplePattern,
+    dictionary: Dictionary,
+    match: Callable,
+    combine: _Combine,
+) -> list[_Row]:
+    """Extend each row by every triple `match` finds for the pattern.
+
+    combine(annotation, leaf) gives the extended row's version annotation,
+    or None when the matched triple holds in none of the row's versions.
+    """
+    const_ids = _constant_ids(pattern, dictionary)
+    if const_ids is None:
+        return []
+    out: list[_Row] = []
+    for env, ann in rows:
+        s = _slot_id(pattern.s, "s", env, const_ids)
+        p = _slot_id(pattern.p, "p", env, const_ids)
+        o = _slot_id(pattern.o, "o", env, const_ids)
+        for triple, leaf in match(s, p, o):
+            bind = _unify(pattern, triple, env)
+            if bind is None:
+                continue
+            new_ann = combine(ann, leaf)
+            if new_ann is not None:
+                out.append(({**env, **bind} if bind else env, new_ann))
+    return out
+
+
+def _keep(ann: dict[str, object], leaf: object) -> dict[str, object]:
+    """A checkout graph is one version, so every match keeps the row as it is."""
+    return ann
+
+
+def _at_version(seq: int) -> _Combine:
+    """A constant version keeps the row when the triple holds in it."""
+    return lambda ann, vset: ann if vset.contains(seq) else None
+
+
+def _over_var(name: str, domain: VersionSet | None) -> _Combine:
+    """A version variable narrows to the triple's versions, within the domain."""
+
+    def combine(ann: dict[str, object], vset: VersionSet) -> dict[str, object] | None:
+        previous = ann.get(name)
+        if previous is not None:
+            vset = previous.intersect(vset)
+        elif domain is not None:
+            vset = vset.intersect(domain)
+        if vset.cardinality() == 0:
+            return None
+        return {**ann, name: vset}
+
+    return combine
+
+
+def _graph_version(block: GraphBlock, n_versions: int) -> int | None:
+    """The version a constant GRAPH name denotes, or None if there is none."""
+    seq = parse_version_iri(block.name.text)
+    return seq if seq is not None and 0 <= seq < n_versions else None
+
+
+def _lookup(env: dict[str, TermId], dictionary: Dictionary) -> Callable[[str], Term | None]:
+    return lambda name: dictionary.resolve(env[name]) if name in env else None
+
+
+def _filter(
+    rows: list[_Row], expr: Expr, dictionary: Dictionary, ishead: Callable[[str], bool]
+) -> list[_Row]:
+    """The rows on which expr is true; ishead(name) answers isHead(?name)."""
+    return [row for row in rows if _eval_expr(expr, _lookup(row[0], dictionary), ishead) is True]
 
 
 def _eval_expr(
@@ -240,116 +326,39 @@ def _finish(rows: Iterator[dict[str, Term]], query: Query) -> SolutionTable:
 
 # --- annotated evaluation ------------------------------------------------
 
-_AnnRow = tuple[dict[str, TermId], dict[str, object]]
-
-
-def _restrict(vset, allowed: set[int]):
-    return type(vset).from_iterable(m for m in vset if m in allowed)
-
-
-def _ann_bind_domain(
-    store: AnnotatedStore,
-    rows: list[_AnnRow],
-    name: str,
-    domain_heads: set[int] | None,
-) -> list[_AnnRow]:
-    """An empty GRAPH ?v {} block ranges ?v over the whole version domain."""
-    members = sorted(domain_heads) if domain_heads is not None else range(store.n_versions)
-    full = set_class(store.encoding).from_iterable(members)
-    out: list[_AnnRow] = []
-    for env, vsets in rows:
-        previous = vsets.get(name)
-        new_set = previous.intersect(full) if previous is not None else full
-        if new_set.cardinality() == 0:
-            continue
-        out.append((env, {**vsets, name: new_set}))
-    return out
-
-
-def _ann_step(
-    store: AnnotatedStore,
-    rows: list[_AnnRow],
-    pattern: TriplePattern,
-    ctx: tuple[str, object],
-    domain_heads: set[int] | None,
-) -> list[_AnnRow]:
-    const_ids = _constant_ids(pattern, store.dictionary)
-    if const_ids is None:
-        return []
-    if ctx[0] == "const" and ctx[1] is None:
-        return []
-    out: list[_AnnRow] = []
-    for env, vsets in rows:
-        s = _slot_id(pattern.s, "s", env, const_ids)
-        p = _slot_id(pattern.p, "p", env, const_ids)
-        o = _slot_id(pattern.o, "o", env, const_ids)
-        for triple, vset in store.match(s, p, o):
-            bind = _unify(pattern, triple, env)
-            if bind is None:
-                continue
-            if ctx[0] == "const":
-                if not vset.contains(ctx[1]):
-                    continue
-                new_vsets = vsets
-            else:
-                name = ctx[1]
-                previous = vsets.get(name)
-                if previous is not None:
-                    new_set = previous.intersect(vset)
-                else:
-                    new_set = _restrict(vset, domain_heads) if domain_heads is not None else vset
-                if new_set.cardinality() == 0:
-                    continue
-                new_vsets = {**vsets, name: new_set}
-            out.append(({**env, **bind} if bind else env, new_vsets))
-    return out
-
 
 def _ann_filter(
-    rows: list[_AnnRow],
+    rows: list[_Row],
     expr: Expr,
-    heads: set[int],
+    parts: dict[bool, VersionSet],
     dictionary: Dictionary,
-) -> list[_AnnRow]:
+) -> list[_Row]:
     """Filter annotated rows, partitioning version sets around isHead().
 
     A row whose set mixes head and non-head versions cannot answer an
     isHead test as a whole, so it splits into at most 2^k sub-rows, one per
-    truth assignment of the k isHead variables.  The parts are disjoint, so
-    the later expansion sees each (binding, version) pair exactly once.
+    truth assignment of the k isHead variables; parts[flag] holds the
+    versions whose isHead is flag.  The sub-rows are disjoint, so the later
+    expansion sees each (binding, version) pair exactly once.
     """
     head_names = sorted(_ishead_vars(expr))
-    out: list[_AnnRow] = []
+    if not head_names:
+        return _filter(rows, expr, dictionary, {}.__getitem__)
+    truths = product((True, False), repeat=len(head_names))
+    assigns = [dict(zip(head_names, bits)) for bits in truths]
+    out: list[_Row] = []
     for env, vsets in rows:
-        def lookup(name: str, _env=env) -> Term | None:
-            tid = _env.get(name)
-            return dictionary.resolve(tid) if tid is not None else None
-
-        if not head_names:
-            if _eval_expr(expr, lookup, lambda name: False) is True:
-                out.append((env, vsets))
-            continue
-        for bits in product((True, False), repeat=len(head_names)):
-            assign = dict(zip(head_names, bits))
-            restricted: dict[str, object] = {}
-            viable = True
-            for name, flag in assign.items():
-                vset = vsets[name]
-                part = type(vset).from_iterable(
-                    m for m in vset if (m in heads) == flag
-                )
-                if part.cardinality() == 0:
-                    viable = False
-                    break
-                restricted[name] = part
-            if not viable:
+        lookup = _lookup(env, dictionary)
+        for assign in assigns:
+            if _eval_expr(expr, lookup, assign.__getitem__) is not True:
                 continue
-            if _eval_expr(expr, lookup, lambda name, _a=assign: _a[name]) is True:
-                out.append((env, {**vsets, **restricted}))
+            split = {name: vsets[name].intersect(parts[flag]) for name, flag in assign.items()}
+            if all(part.cardinality() for part in split.values()):
+                out.append((env, {**vsets, **split}))
     return out
 
 
-def _expand(rows: list[_AnnRow], dictionary: Dictionary) -> Iterator[dict[str, Term]]:
+def _expand(rows: list[_Row], dictionary: Dictionary) -> Iterator[dict[str, Term]]:
     """Bind each version variable to every member of its set."""
     for env, vsets in rows:
         data = {name: dictionary.resolve(tid) for name, tid in env.items()}
@@ -373,112 +382,49 @@ def eval_annotated(
 ) -> SolutionTable:
     """Evaluate over version-annotated triples without materializing versions."""
     _check_domain(version_domain)
+    dictionary = store.dictionary
     heads = dag.heads()
-    domain_heads = heads if version_domain == "heads" else None
+    set_cls = set_class(store.encoding)
+    head_set = set_cls.from_iterable(heads)
+    parts = {
+        True: head_set,
+        False: set_cls.from_iterable(v for v in range(store.n_versions) if v not in heads),
+    }
+    domain = head_set if version_domain == "heads" else None
+
+    def at(seq: int | None) -> tuple[Callable, _Combine]:
+        if seq is None:
+            return _EMPTY_INDEX.match, _keep
+        return store.match, _at_version(seq)
+
     main_head = dag.branches.get("main")
-    rows: list[_AnnRow] = [({}, {})]
+    rows: list[_Row] = [({}, {})]
     for element in query.where:
         if not rows:
             break
         if isinstance(element, TriplePattern):
-            rows = _ann_step(store, rows, element, ("const", main_head), None)
+            rows = _join(rows, element, dictionary, *at(main_head))
         elif isinstance(element, GraphBlock):
-            if isinstance(element.name, Var):
-                ctx: tuple[str, object] = ("var", element.name.name)
-                if not element.patterns:
-                    rows = _ann_bind_domain(store, rows, ctx[1], domain_heads)
-                    continue
+            if not isinstance(element.name, Var):
+                match, combine = at(_graph_version(element, store.n_versions))
+            elif element.patterns:
+                match, combine = store.match, _over_var(element.name.name, domain)
             else:
-                seq = parse_version_iri(element.name.text)
-                if seq is not None and not (0 <= seq < store.n_versions):
-                    seq = None
-                ctx = ("const", seq)
+                # an empty GRAPH ?v {} block ranges ?v over the whole domain
+                full = set_cls.from_iterable(range(store.n_versions)) if domain is None else domain
+                widen = _over_var(element.name.name, None)
+                rows = [(env, a) for env, ann in rows if (a := widen(ann, full)) is not None]
+                continue
             for pattern in element.patterns:
-                rows = _ann_step(
-                    store, rows, pattern, ctx,
-                    domain_heads if ctx[0] == "var" else None,
-                )
+                rows = _join(rows, pattern, dictionary, match, combine)
                 if not rows:
                     break
         else:
-            rows = _ann_filter(rows, element.expr, heads, store.dictionary)
-    return _finish(_expand(rows, store.dictionary), query)
+            rows = _ann_filter(rows, element.expr, parts, dictionary)
+    return _finish(_expand(rows, dictionary), query)
 
 
 # --- checkout evaluation -------------------------------------------------
-
-
-class _PlainGraph:
-    """One materialized version, indexed the same three ways as the store."""
-
-    def __init__(self, triples: set[Triple]):
-        self._spo: dict[int, dict[int, dict[int, bool]]] = {}
-        self._pos: dict[int, dict[int, dict[int, bool]]] = {}
-        self._osp: dict[int, dict[int, dict[int, bool]]] = {}
-        for t in triples:
-            self._spo.setdefault(t.s, {}).setdefault(t.p, {})[t.o] = True
-            self._pos.setdefault(t.p, {}).setdefault(t.o, {})[t.s] = True
-            self._osp.setdefault(t.o, {}).setdefault(t.s, {})[t.p] = True
-
-    def match(
-        self, s: TermId | None, p: TermId | None, o: TermId | None
-    ) -> Iterator[Triple]:
-        if s is not None:
-            level2 = self._spo.get(s, {})
-            if p is not None:
-                candidates = [(p, level2[p])] if p in level2 else []
-            else:
-                candidates = list(level2.items())
-            for pp, level3 in candidates:
-                if o is not None:
-                    if o in level3:
-                        yield Triple(s, pp, o)
-                else:
-                    for oo in level3:
-                        yield Triple(s, pp, oo)
-        elif p is not None:
-            level2 = self._pos.get(p, {})
-            if o is not None:
-                candidates = [(o, level2[o])] if o in level2 else []
-            else:
-                candidates = list(level2.items())
-            for oo, level3 in candidates:
-                for ss in level3:
-                    yield Triple(ss, p, oo)
-        elif o is not None:
-            for ss, level3 in self._osp.get(o, {}).items():
-                for pp in level3:
-                    yield Triple(ss, pp, o)
-        else:
-            for ss, level2 in self._spo.items():
-                for pp, level3 in level2.items():
-                    for oo in level3:
-                        yield Triple(ss, pp, oo)
-
-
-_EMPTY_GRAPH = _PlainGraph(set())
-
-
-def _plain_step(
-    rows: list[dict[str, TermId]],
-    pattern: TriplePattern,
-    graph: _PlainGraph,
-    dictionary: Dictionary,
-) -> list[dict[str, TermId]]:
-    const_ids = _constant_ids(pattern, dictionary)
-    if const_ids is None:
-        return []
-    out: list[dict[str, TermId]] = []
-    for env in rows:
-        s = _slot_id(pattern.s, "s", env, const_ids)
-        p = _slot_id(pattern.p, "p", env, const_ids)
-        o = _slot_id(pattern.o, "o", env, const_ids)
-        for triple in graph.match(s, p, o):
-            bind = _unify(pattern, triple, env)
-            if bind is None:
-                continue
-            out.append({**env, **bind} if bind else env)
-    return out
 
 
 def eval_checkout(
@@ -497,54 +443,40 @@ def eval_checkout(
     heads = dag.heads()
     domain = sorted(heads) if version_domain == "heads" else list(range(store.n_versions))
     version_names = sorted(query.version_vars())
-    graphs: dict[int, _PlainGraph] = {}
+    graphs: dict[int, TripleIndex] = {}
 
-    def graph_at(seq: int) -> _PlainGraph:
+    def graph_at(seq: int | None) -> TripleIndex:
+        if seq is None:
+            return _EMPTY_INDEX
         g = graphs.get(seq)
         if g is None:
-            g = _PlainGraph(store.materialize(seq))
-            graphs[seq] = g
+            g = graphs[seq] = TripleIndex()
+            for t in store.materialize(seq):
+                g.add(t, True)
         return g
 
     main_head = dag.branches.get("main")
     collected: list[dict[str, Term]] = []
     for combo in product(domain, repeat=len(version_names)):
         assign = dict(zip(version_names, combo))
-        rows: list[dict[str, TermId]] = [{}]
+        rows: list[_Row] = [({}, {})]
         for element in query.where:
             if not rows:
                 break
             if isinstance(element, TriplePattern):
-                g = graph_at(main_head) if main_head is not None else _EMPTY_GRAPH
-                rows = _plain_step(rows, element, g, dictionary)
+                rows = _join(rows, element, dictionary, graph_at(main_head).match, _keep)
             elif isinstance(element, GraphBlock):
                 if isinstance(element.name, Var):
                     g = graph_at(assign[element.name.name])
                 else:
-                    seq = parse_version_iri(element.name.text)
-                    if seq is not None and 0 <= seq < store.n_versions:
-                        g = graph_at(seq)
-                    else:
-                        g = _EMPTY_GRAPH
+                    g = graph_at(_graph_version(element, store.n_versions))
                 for pattern in element.patterns:
-                    rows = _plain_step(rows, pattern, g, dictionary)
+                    rows = _join(rows, pattern, dictionary, g.match, _keep)
                     if not rows:
                         break
             else:
-                expr = element.expr
-                kept = []
-                for env in rows:
-                    def lookup(name: str, _env=env) -> Term | None:
-                        tid = _env.get(name)
-                        return dictionary.resolve(tid) if tid is not None else None
-
-                    verdict = _eval_expr(
-                        expr, lookup, lambda name, _a=assign: _a[name] in heads
-                    )
-                    if verdict is True:
-                        kept.append(env)
-                rows = kept
-        for env in rows:
+                rows = _filter(rows, element.expr, dictionary, lambda name: assign[name] in heads)
+        for env, _ in rows:
             row = {name: dictionary.resolve(tid) for name, tid in env.items()}
             for name, seq in assign.items():
                 row[name] = Iri(version_iri(seq))

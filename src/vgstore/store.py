@@ -3,9 +3,13 @@
 Instead of storing one graph per version, the store keeps every distinct
 triple once and tags it with a VersionSet.  Applying a commit stamps the new
 version number onto everything present in it, so annotation stays eager and
-reads need no reconstruction.  Three permutation indexes (SPO, POS, OSP)
-share the same VersionSet objects, which keeps them consistent by
-construction.
+reads need no reconstruction.
+
+TripleIndex is the package's one permutation index: SPO, POS and OSP over
+the same leaf values, read by a bound-prefix walk.  The store's leaves are
+its live VersionSets, shared by the three permutations, which keeps them
+consistent by construction; the checkout evaluator indexes one materialized
+version with the leaf True.
 """
 
 from __future__ import annotations
@@ -22,7 +26,66 @@ from .versionsets import VersionSet, set_class
 
 log = logging.getLogger(__name__)
 
-_Index = dict[int, dict[int, dict[int, VersionSet]]]
+_Index = dict[int, dict[int, dict[int, object]]]
+
+
+class TripleIndex:
+    """Triples indexed three ways (SPO, POS, OSP), each carrying a leaf value."""
+
+    def __init__(self):
+        self._spo: _Index = {}
+        self._pos: _Index = {}
+        self._osp: _Index = {}
+
+    def add(self, t: Triple, leaf: object) -> None:
+        """Index t with the given leaf, replacing any leaf it had."""
+        self._spo.setdefault(t.s, {}).setdefault(t.p, {})[t.o] = leaf
+        self._pos.setdefault(t.p, {}).setdefault(t.o, {})[t.s] = leaf
+        self._osp.setdefault(t.o, {}).setdefault(t.s, {})[t.p] = leaf
+
+    def match(
+        self,
+        s: TermId | None = None,
+        p: TermId | None = None,
+        o: TermId | None = None,
+    ) -> Iterator[tuple[Triple, object]]:
+        """All indexed triples matching the bound positions, with their leaves.
+
+        The index is picked by the first bound position: subject uses SPO,
+        else predicate uses POS, else object uses OSP, and a fully unbound
+        pattern scans SPO.
+        """
+        if s is not None:
+            for pp, oo, leaf in _walk(self._spo, s, p, o):
+                yield Triple(s, pp, oo), leaf
+        elif p is not None:
+            for oo, ss, leaf in _walk(self._pos, p, o, None):
+                yield Triple(ss, p, oo), leaf
+        elif o is not None:
+            for ss, pp, leaf in _walk(self._osp, o, None, None):
+                yield Triple(ss, pp, o), leaf
+        else:
+            for ss, level2 in self._spo.items():
+                for pp, level3 in level2.items():
+                    for oo, leaf in level3.items():
+                        yield Triple(ss, pp, oo), leaf
+
+
+def _walk(index: _Index, first: int, second: int | None, third: int | None):
+    level2 = index.get(first)
+    if level2 is None:
+        return
+    if second is not None:
+        items2 = [(second, level2[second])] if second in level2 else []
+    else:
+        items2 = level2.items()
+    for k2, level3 in items2:
+        if third is not None:
+            if third in level3:
+                yield k2, third, level3[third]
+        else:
+            for k3, leaf in level3.items():
+                yield k2, k3, leaf
 
 
 @dataclass(frozen=True)
@@ -64,9 +127,7 @@ class AnnotatedStore:
         self.encoding = encoding
         self._set_cls = set_class(encoding)
         self._sets: dict[Triple, VersionSet] = {}
-        self._spo: _Index = {}
-        self._pos: _Index = {}
-        self._osp: _Index = {}
+        self._index = TripleIndex()
         self._n_versions = 0
 
     @property
@@ -148,41 +209,9 @@ class AnnotatedStore:
     ) -> Iterator[tuple[Triple, VersionSet]]:
         """All stored triples matching the bound positions, with their sets.
 
-        The index is picked by the first bound position: subject uses SPO,
-        else predicate uses POS, else object uses OSP, and a fully unbound
-        pattern scans SPO.  Yielded sets are live; callers must not mutate.
+        Yielded sets are live; callers must not mutate them.
         """
-        if s is not None:
-            for pp, oo, vset in self._walk(self._spo, s, p, o):
-                yield Triple(s, pp, oo), vset
-        elif p is not None:
-            for oo, ss, vset in self._walk(self._pos, p, o, None):
-                yield Triple(ss, p, oo), vset
-        elif o is not None:
-            for ss, pp, vset in self._walk(self._osp, o, None, None):
-                yield Triple(ss, pp, o), vset
-        else:
-            for ss, level2 in self._spo.items():
-                for pp, level3 in level2.items():
-                    for oo, vset in level3.items():
-                        yield Triple(ss, pp, oo), vset
-
-    @staticmethod
-    def _walk(index: _Index, first: int, second: int | None, third: int | None):
-        level2 = index.get(first)
-        if level2 is None:
-            return
-        if second is not None:
-            items2 = [(second, level2.get(second))] if second in level2 else []
-        else:
-            items2 = level2.items()
-        for k2, level3 in items2:
-            if third is not None:
-                if third in level3:
-                    yield k2, third, level3[third]
-            else:
-                for k3, vset in level3.items():
-                    yield k2, k3, vset
+        return self._index.match(s, p, o)
 
     def stats(self) -> StoreStats:
         cost = 0
@@ -201,16 +230,11 @@ class AnnotatedStore:
         """Rewrite every version set through a renumbering bijection."""
         for triple, vset in self._sets.items():
             remapped = self._set_cls.from_iterable(mapping[v] for v in vset)
-            self._sets[triple] = remapped
-            self._spo[triple.s][triple.p][triple.o] = remapped
-            self._pos[triple.p][triple.o][triple.s] = remapped
-            self._osp[triple.o][triple.s][triple.p] = remapped
+            self._register(triple, remapped)
 
     def _register(self, t: Triple, vset: VersionSet) -> None:
         self._sets[t] = vset
-        self._spo.setdefault(t.s, {}).setdefault(t.p, {})[t.o] = vset
-        self._pos.setdefault(t.p, {}).setdefault(t.o, {})[t.s] = vset
-        self._osp.setdefault(t.o, {}).setdefault(t.s, {})[t.p] = vset
+        self._index.add(t, vset)
 
     def _describe(self, t: Triple) -> str:
         from .ntriples import format_term

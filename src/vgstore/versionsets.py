@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from bisect import bisect_left, bisect_right, insort
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 
@@ -86,20 +87,9 @@ class ExtensionSet(VersionSet):
             insort(self._members, v)
 
     def intersect(self, other: VersionSet) -> "ExtensionSet":
-        if not isinstance(other, ExtensionSet):
-            other = ExtensionSet.from_iterable(other)
-        a, b = self._members, other._members
+        keep = set(other._members if isinstance(other, ExtensionSet) else other)
         out = ExtensionSet()
-        i = j = 0
-        while i < len(a) and j < len(b):
-            if a[i] == b[j]:
-                out._members.append(a[i])
-                i += 1
-                j += 1
-            elif a[i] < b[j]:
-                i += 1
-            else:
-                j += 1
+        out._members = [m for m in self._members if m in keep]
         return out
 
     def union(self, other: VersionSet) -> "ExtensionSet":
@@ -151,8 +141,7 @@ class IntervalSet(VersionSet):
 
     def _locate(self, v: int) -> int:
         """Index of the first run whose hi >= v."""
-        los = [r[0] for r in self._runs]
-        i = bisect_right(los, v)
+        i = bisect_right(self._runs, v, key=itemgetter(0))
         if i > 0 and self._runs[i - 1][1] >= v:
             return i - 1
         return i

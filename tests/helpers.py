@@ -162,6 +162,12 @@ def random_query(rng: random.Random, n_versions: int) -> str:
     if rng.random() < 0.15:
         version_vars.append("w")
         parts.append((f"GRAPH ?w {{ {pattern()} }}", False))
+    if rng.random() < 0.25:
+        # an empty block ranges its variable over the whole version domain
+        name = rng.choice(["v", "w"])
+        if name not in version_vars:
+            version_vars.append(name)
+        parts.append((f"GRAPH ?{name} {{ }}", False))
     rng.shuffle(parts)
 
     if rng.random() < 0.45:

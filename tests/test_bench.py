@@ -135,12 +135,6 @@ def test_run_hashes_are_invariant_across_configurations(small_repo):
         assert len(hashes) == 1, query
 
 
-def test_parallel_runs_are_labeled_and_still_consistent(small_repo):
-    rows = run(small_repo, runs=3, parallel=True)
-    assert len(rows) == 20
-    assert all(r.scenario == "city+parallel" for r in rows)
-
-
 def test_report_header_is_frozen():
     assert REPORT_HEADER == (
         "scenario,encoding,evaluator,query,build_ms,scalar_cost_total,"

@@ -359,9 +359,10 @@ def test_count_equals_sum_of_per_version_matches():
         assert cell == Literal(str(expected), XSD_INTEGER)
 
 
-def test_ishead_and_its_negation_partition_the_rows():
+@pytest.mark.parametrize("encoding", ["extension", "interval"])
+def test_ishead_and_its_negation_partition_the_rows(encoding):
     rng = random.Random(7)
-    store, dag = random_repo(rng)
+    store, dag = random_repo(rng, encoding=encoding)
     base = parse_query("SELECT ?v ?s WHERE { GRAPH ?v { ?s ?p ?o } }")
     pos = parse_query(
         "SELECT ?v ?s WHERE { GRAPH ?v { ?s ?p ?o } FILTER (isHead(?v)) }"
