@@ -25,6 +25,7 @@ from .terms import (
     Literal,
     Term,
     Triple,
+    iri_text_ok,
 )
 
 _ECHAR_DECODE = {
@@ -111,7 +112,7 @@ def _scan_iri(cursor: _Cursor) -> Iri:
     raw = text[cursor.pos + 1 : end]
     cursor.pos = end + 1
     value = _decode_escapes(raw, cursor)
-    if not value or any(ch.isspace() or ch in "<>" for ch in value):
+    if not iri_text_ok(value):
         raise cursor.error(f"malformed IRI: <{raw}>")
     return Iri(value)
 

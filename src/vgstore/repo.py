@@ -5,7 +5,8 @@ following N-Triples statement, lines starting with "D " remove it, and # or
 blank lines are ignored.  The manifest lists every commit in dense order with
 its metadata and patch path, plus the branch map.  Version sets are never
 persisted; loading replays all patches through the store, which rebuilds the
-annotations and revalidates every delta.
+annotations and revalidates every delta.  Saving writes the deltas the store
+recorded while applying commits, so it never reconstructs a version.
 
 Blank node labels are freshened once per loaded repository, not once per
 patch file, so a blank-node triple added by one commit can be removed by a
@@ -94,26 +95,18 @@ def _parse_timestamp(text: str) -> datetime:
 def save_repository(store: AnnotatedStore, dag: VersionDag, repo_dir: str | Path) -> None:
     """Write manifest.json and one canonical patch per commit.
 
-    Deltas are reconstructed from materializations (additions and removals
-    relative to the union of parents), so redundant additions in the original
-    input are not preserved; materializations and metadata are.
+    Each patch is the delta the store recorded for its commit (additions and
+    removals relative to the union of parents), so redundant additions and
+    ignored removals in the original input are not preserved; every
+    version's content and metadata are.
     """
     repo = Path(repo_dir)
     (repo / DELTAS_DIR).mkdir(parents=True, exist_ok=True)
-    materialized: dict[int, set[Triple]] = {}
     commits_json = []
     for meta in dag.commits():
-        materialized[meta.seq] = store.materialize(meta.seq)
-        parent_union: set[Triple] = set()
-        for p in meta.parents:
-            parent_union |= materialized[p]
-        delta = Delta(
-            additions=frozenset(materialized[meta.seq] - parent_union),
-            removals=frozenset(parent_union - materialized[meta.seq]),
-        )
         patch_rel = f"{DELTAS_DIR}/{meta.seq}.patch"
         (repo / DELTAS_DIR / f"{meta.seq}.patch").write_text(
-            serialize_patch(delta, store.dictionary), encoding="utf-8"
+            serialize_patch(store.delta(meta.seq), store.dictionary), encoding="utf-8"
         )
         commits_json.append(
             {

@@ -5,6 +5,13 @@ triple once and tags it with a VersionSet.  Applying a commit stamps the new
 version number onto everything present in it, so annotation stays eager and
 reads need no reconstruction.
 
+Applying a commit also records the version's delta against the union of its
+parents and a frozen snapshot of its content.  Snapshots are kept only for
+branch heads and the version applied last, so a commit on a head costs time
+in proportion to the parents' content and not to the whole store, and a save
+writes the recorded deltas.  A parent without a snapshot, such as an old
+version a new branch starts from, is rebuilt by scanning the store.
+
 TripleIndex is the package's one permutation index: SPO, POS and OSP over
 the same leaf values, read by a bound-prefix walk.  The store's leaves are
 its live VersionSets, shared by the three permutations, which keeps them
@@ -129,6 +136,8 @@ class AnnotatedStore:
         self._sets: dict[Triple, VersionSet] = {}
         self._index = TripleIndex()
         self._n_versions = 0
+        self._deltas: dict[int, Delta] = {}
+        self._snapshots: dict[int, frozenset[Triple]] = {}
 
     @property
     def n_versions(self) -> int:
@@ -166,9 +175,7 @@ class AnnotatedStore:
             raise StateError(
                 f"store knows {self._n_versions} versions but dag has {len(dag)}"
             )
-        parent_union: set[Triple] = set()
-        for p in parents:
-            parent_union |= self.materialize(p)
+        parent_union = frozenset().union(*map(self._content, parents))
         spurious = delta.removals - parent_union
         if spurious:
             if strict:
@@ -193,13 +200,42 @@ class AnnotatedStore:
                 self._register(triple, vset)
             vset.insert(seq)
         self._n_versions = seq + 1
+        self._deltas[seq] = Delta(
+            delta.additions - parent_union, delta.removals & parent_union
+        )
+        heads = dag.heads()
+        self._snapshots = {v: s for v, s in self._snapshots.items() if v in heads}
+        self._snapshots[seq] = present
         return seq
 
     def materialize(self, v: int) -> set[Triple]:
-        """The plain triple set of version v, reconstructed by scanning."""
+        """The plain triple set of version v, as a fresh mutable set.
+
+        It is copied from v's snapshot if there is one, else reconstructed
+        by scanning every stored triple.
+        """
+        self._check_version(v)
+        snapshot = self._snapshots.get(v)
+        if snapshot is not None:
+            return set(snapshot)
+        return {t for t, vset in self._sets.items() if vset.contains(v)}
+
+    def delta(self, v: int) -> Delta:
+        """What version v added to and removed from the union of its parents.
+
+        Additions already in a parent and removals absent from every parent
+        are not part of it, so it is the same whatever input produced v.
+        """
+        self._check_version(v)
+        return self._deltas[v]
+
+    def _check_version(self, v: int) -> None:
         if not isinstance(v, int) or v < 0 or v >= self._n_versions:
             raise NotFoundError(f"unknown version: {v}")
-        return {t for t, vset in self._sets.items() if vset.contains(v)}
+
+    def _content(self, v: int) -> frozenset[Triple]:
+        snapshot = self._snapshots.get(v)
+        return snapshot if snapshot is not None else frozenset(self.materialize(v))
 
     def match(
         self,
@@ -231,6 +267,10 @@ class AnnotatedStore:
         for triple, vset in self._sets.items():
             remapped = self._set_cls.from_iterable(mapping[v] for v in vset)
             self._register(triple, remapped)
+        # deltas are relative to each commit's parents, so renumbering
+        # re-keys them without changing them
+        self._deltas = {mapping[v]: d for v, d in self._deltas.items()}
+        self._snapshots = {mapping[v]: s for v, s in self._snapshots.items()}
 
     def _register(self, t: Triple, vset: VersionSet) -> None:
         self._sets[t] = vset

@@ -35,6 +35,8 @@ NUMERIC_DATATYPES = frozenset({XSD_INTEGER, XSD_DECIMAL, XSD_DOUBLE, XSD_FLOAT})
 
 _BLANK_LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _LANG_TAG_RE = re.compile(r"[A-Za-z]+(-[A-Za-z0-9]+)*\Z")
+# \s matches exactly the characters for which str.isspace() is true
+_IRI_FORBIDDEN_RE = re.compile(r"[\s<>]")
 
 
 @dataclass(frozen=True)
@@ -73,16 +75,15 @@ class Triple:
     o: TermId
 
 
-def _iri_text_ok(text: str) -> bool:
-    if not text:
-        return False
-    return not any(c.isspace() or c in "<>" for c in text)
+def iri_text_ok(text: str) -> bool:
+    """True if text is nonempty and has no whitespace and no angle bracket."""
+    return bool(text) and _IRI_FORBIDDEN_RE.search(text) is None
 
 
 def validate_term(term: Term) -> None:
     """Raise ValidationError if the term violates its structural invariants."""
     if isinstance(term, Iri):
-        if not isinstance(term.text, str) or not _iri_text_ok(term.text):
+        if not isinstance(term.text, str) or not iri_text_ok(term.text):
             raise ValidationError(f"malformed IRI: {term.text!r}")
     elif isinstance(term, BlankNode):
         if not isinstance(term.label, str) or not _BLANK_LABEL_RE.match(term.label):
@@ -90,7 +91,7 @@ def validate_term(term: Term) -> None:
     elif isinstance(term, Literal):
         if not isinstance(term.lex, str):
             raise ValidationError("literal lexical form must be a string")
-        if not _iri_text_ok(term.datatype):
+        if not iri_text_ok(term.datatype):
             raise ValidationError(f"malformed datatype IRI: {term.datatype!r}")
         if term.lang is not None:
             if not _LANG_TAG_RE.match(term.lang):

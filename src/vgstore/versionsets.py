@@ -80,7 +80,7 @@ class ExtensionSet(VersionSet):
         return i < len(self._members) and self._members[i] == v
 
     def insert(self, v: int) -> None:
-        if self._members and v > self._members[-1]:
+        if not self._members or v > self._members[-1]:
             self._members.append(v)  # the common append-at-end path
             return
         if not self.contains(v):

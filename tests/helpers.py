@@ -123,6 +123,19 @@ def random_repo(
     return store, dag
 
 
+def scan_version(store: AnnotatedStore, v: int) -> set[Triple]:
+    """Version v's triples by a full scan of the store's version sets."""
+    return {triple for triple, vset in store.match() if v in vset}
+
+
+def reference_delta(store: AnnotatedStore, dag: VersionDag, v: int) -> Delta:
+    """The reference rule for v's saved patch, from full scans: what v holds
+    that no parent holds, and what some parent holds that v does not."""
+    content = scan_version(store, v)
+    union = set().union(*(scan_version(store, p) for p in dag.commit_meta(v).parents))
+    return Delta(frozenset(content - union), frozenset(union - content))
+
+
 def random_query(rng: random.Random, n_versions: int) -> str:
     """Query text valid for any repository built over the shared vocabulary."""
     in_scope: list[str] = []

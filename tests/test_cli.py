@@ -245,6 +245,85 @@ def test_strict_commit_rejects_spurious_removal(repo, tmp_path, capsys):
     assert out == "committed urn:vg:version:4 on main\n"
 
 
+HEIGHTS_Q = "SELECT ?v ?b ?h WHERE { GRAPH ?v { ?b <urn:ex:height> ?h } }"
+
+
+def _files(repo_dir):
+    from pathlib import Path
+
+    root = Path(repo_dir)
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+@pytest.fixture
+def long_repo(tmp_path, capsys, patches):
+    """Versions 0-3 on main, so version 1 is no head and has no snapshot."""
+    r = str(tmp_path / "long")
+    ok(capsys, "init", "--repo", r, "--patch", patches["city0"])
+    ok(capsys, "commit", "--repo", r, "--branch", "main", "--patch", patches["city1"])
+    ok(capsys, "commit", "--repo", r, "--branch", "main", "--patch", patches["side"])
+    tall = tmp_path / "tall.patch"
+    tall.write_text("A " + stmt("b3", "height", f'"120.0"{DEC}') + "\n", encoding="utf-8")
+    ok(capsys, "commit", "--repo", r, "--branch", "main", "--patch", str(tall))
+    return r
+
+
+def test_branch_from_an_old_version_commits_and_merges_back(
+    long_repo, tmp_path, capsys, monkeypatch
+):
+    from vgstore.store import AnnotatedStore
+
+    r = long_repo
+    ok(capsys, "branch", "--repo", r, "side", "--at", "1")
+    low = tmp_path / "low.patch"
+    low.write_text("A " + stmt("b4", "height", f'"2.0"{DEC}') + "\n", encoding="utf-8")
+    scans = []
+    materialize = AnnotatedStore.materialize
+
+    def counted(self, v):
+        scans.append(v)
+        return materialize(self, v)
+
+    monkeypatch.setattr(AnnotatedStore, "materialize", counted)
+    ok(capsys, "commit", "--repo", r, "--branch", "side", "--patch", str(low))
+    assert scans == [1]  # only the snapshot-less branch point is rebuilt
+    monkeypatch.undo()
+    ok(capsys, "merge", "--repo", r, "--branch", "main", "--from", "4")
+    _store, dag = load_repository(r)
+    assert dag.commit_meta(5).parents == (3, 4)
+    for encoding in ("extension", "interval"):
+        for versions in ("all", "heads"):
+            for q in (ACCESSIBLE_Q, HEIGHTS_Q):
+                args = ("query", "--repo", r, "--inline", q, "--versions", versions,
+                        "--encoding", encoding)
+                annotated = ok(capsys, *args)
+                assert annotated == ok(capsys, *args, "--evaluator", "checkout")
+    out = ok(capsys, "query", "--repo", r, "--inline", HEIGHTS_Q, "--versions", "heads")
+    assert out.splitlines()[1:] == [
+        '<urn:vg:version:4>\t<urn:ex:b1>\t"10.5"^^<http://www.w3.org/2001/XMLSchema#decimal>',
+        '<urn:vg:version:4>\t<urn:ex:b4>\t"2.0"^^<http://www.w3.org/2001/XMLSchema#decimal>',
+        '<urn:vg:version:5>\t<urn:ex:b1>\t"10.5"^^<http://www.w3.org/2001/XMLSchema#decimal>',
+        '<urn:vg:version:5>\t<urn:ex:b2>\t"7.5"^^<http://www.w3.org/2001/XMLSchema#decimal>',
+        '<urn:vg:version:5>\t<urn:ex:b3>\t"120.0"^^<http://www.w3.org/2001/XMLSchema#decimal>',
+        '<urn:vg:version:5>\t<urn:ex:b4>\t"2.0"^^<http://www.w3.org/2001/XMLSchema#decimal>',
+    ]
+
+
+def test_strict_removal_absent_from_an_old_branch_point_changes_nothing(
+    long_repo, tmp_path, capsys
+):
+    r = long_repo
+    ok(capsys, "branch", "--repo", r, "side", "--at", "1")
+    before = _files(r)
+    # b2 arrived in version 2, so version 1 does not hold it
+    gone = tmp_path / "gone.patch"
+    gone.write_text("D " + stmt("b2", "height", f'"7.5"{DEC}') + "\n", encoding="utf-8")
+    err = fails(capsys, 2, "commit", "--repo", r, "--branch", "side", "--patch", str(gone))
+    assert "removal" in err
+    assert _files(r) == before
+    ok(capsys, "commit", "--repo", r, "--branch", "main", "--patch", str(gone))
+
+
 def test_repeated_init_fails(repo, patches, capsys):
     err = fails(capsys, 2, "init", "--repo", repo, "--patch", patches["city0"])
     assert "already initialized" in err

@@ -2,6 +2,9 @@
 
 import json
 import random
+import tempfile
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,12 +17,16 @@ from vgstore import (
     ValidationError,
     load_repository,
     parse_patch,
+    repack,
     save_repository,
     serialize_ntriples,
     serialize_patch,
 )
+from vgstore.bench import ScenarioParams, generate
+from vgstore.store import AnnotatedStore
+from vgstore.versionsets import ExtensionSet, IntervalSet
 
-from helpers import random_repo
+from helpers import random_repo, reference_delta
 
 
 def test_parse_patch_single_addition():
@@ -244,8 +251,6 @@ def test_manifest_not_json(tmp_path):
 @given(st.integers(0, 10_000), st.booleans())
 @settings(max_examples=25, deadline=None)
 def test_save_load_round_trip_property(seed, blanks):
-    import tempfile
-
     store, dag = random_repo(random.Random(seed), allow_blanks=blanks)
     with tempfile.TemporaryDirectory() as tmp:
         save_repository(store, dag, tmp)
@@ -255,3 +260,66 @@ def test_save_load_round_trip_property(seed, blanks):
             assert serialize_ntriples(
                 loaded_store.materialize(v), loaded_store.dictionary
             ) == serialize_ntriples(store.materialize(v), store.dictionary)
+
+
+@given(st.integers(0, 10_000), st.sampled_from(["extension", "interval"]), st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_save_writes_the_reference_patch_of_every_version(seed, encoding, repacked):
+    store, dag = random_repo(random.Random(seed), encoding=encoding, allow_blanks=True)
+    if repacked:
+        repack(dag, store)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_repository(store, dag, tmp)
+        deltas = Path(tmp) / "deltas"
+        names = sorted(p.name for p in deltas.iterdir())
+        assert names == sorted(f"{v}.patch" for v in range(store.n_versions))
+        for v in range(store.n_versions):
+            expected = serialize_patch(reference_delta(store, dag, v), store.dictionary)
+            assert (deltas / f"{v}.patch").read_bytes() == expected.encode("utf-8")
+
+
+def _count_calls(monkeypatch, counts: Counter, name: str, owner, attr: str) -> None:
+    original = getattr(owner, attr)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, counted)
+
+
+@pytest.mark.parametrize("encoding", ["extension", "interval"])
+def test_replay_and_save_cost_does_not_grow_with_history(tmp_path, monkeypatch, encoding):
+    """On a linear history a commit touches its parent's content, not the store."""
+    counts: Counter = Counter()
+    _count_calls(monkeypatch, counts, "materialize", AnnotatedStore, "materialize")
+    for cls in (ExtensionSet, IntervalSet):
+        _count_calls(monkeypatch, counts, "contains", cls, "contains")
+        _count_calls(monkeypatch, counts, "insert", cls, "insert")
+    inserts: dict[int, int] = {}
+    apply_commit = AnnotatedStore.apply_commit
+
+    def counted_apply(self, *args, **kwargs):
+        before = counts["insert"]
+        seq = apply_commit(self, *args, **kwargs)
+        inserts[seq] = counts["insert"] - before
+        return seq
+
+    monkeypatch.setattr(AnnotatedStore, "apply_commit", counted_apply)
+    last_inserts = []
+    for n in (10, 40):
+        params = ScenarioParams(
+            buildings=30, stations=6, versions=n, branch_prob=0.0, churn=0.1, seed=n
+        )
+        generate(params, tmp_path / f"linear{n}")
+        counts.clear()
+        inserts.clear()
+        store, dag = load_repository(tmp_path / f"linear{n}", encoding=encoding)
+        save_repository(store, dag, tmp_path / f"saved{n}")
+        assert counts["materialize"] == 0
+        assert counts["contains"] == 0
+        assert len(inserts) == n
+        last_inserts.append(inserts[n - 1])
+        assert inserts[n - 1] == len(store.materialize(n - 1))
+    # churn edits values in place, so every version holds the root's 72 triples
+    assert last_inserts == [72, 72]

@@ -19,9 +19,10 @@ from vgstore import (
     Triple,
     ValidationError,
     VersionDag,
+    repack,
 )
 
-from helpers import random_repo
+from helpers import random_repo, reference_delta, scan_version
 
 
 def fresh():
@@ -90,10 +91,12 @@ def test_strict_spurious_removal_fails_and_leaves_state_alone():
     store, dag = fresh()
     t1, ghost = t(store, "1"), t(store, "ghost")
     store.apply_commit(dag, [], "main", adds(t1))
+    deltas, snapshots = dict(store._deltas), dict(store._snapshots)
     with pytest.raises(DeltaError):
         store.apply_commit(dag, [0], "main", Delta(frozenset(), frozenset({ghost})))
     assert store.n_versions == 1 and len(dag) == 1
     assert store.materialize(0) == {t1}
+    assert store._deltas == deltas and store._snapshots == snapshots
 
 
 def test_permissive_spurious_removal_warns_and_proceeds(caplog):
@@ -107,6 +110,35 @@ def test_permissive_spurious_removal_warns_and_proceeds(caplog):
     assert seq == 1
     assert store.materialize(1) == {t1}
     assert any("removal" in r.message for r in caplog.records)
+
+
+def test_delta_is_relative_to_the_parents_union():
+    store, dag = fresh()
+    t1, t2, t3, ghost = (t(store, x) for x in ("1", "2", "3", "ghost"))
+    store.apply_commit(dag, [], "main", adds(t1, t2))
+    # t1 is already present and ghost is absent: neither is part of the delta
+    store.apply_commit(
+        dag, [0], "main", Delta(frozenset({t1, t3}), frozenset({t2, ghost})),
+        strict=False,
+    )
+    assert store.delta(0) == adds(t1, t2)
+    assert store.delta(1) == Delta(frozenset({t3}), frozenset({t2}))
+    with pytest.raises(NotFoundError):
+        store.delta(2)
+
+
+def test_snapshots_are_kept_for_heads_only():
+    store, dag = fresh()
+    t1, t2 = t(store, "1"), t(store, "2")
+    store.apply_commit(dag, [], "main", adds(t1))
+    dag.create_branch("side", at=0)
+    store.apply_commit(dag, [0], "main", adds(t2))
+    assert set(store._snapshots) == {0, 1}  # 0 is still side's head
+    store.apply_commit(dag, [1], "main", EMPTY_DELTA)
+    assert set(store._snapshots) == {0, 2}
+    got = store.materialize(2)
+    got.add(t(store, "3"))  # a fresh set: the snapshot is not touched
+    assert store.materialize(2) == {t1, t2}
 
 
 def test_store_dag_version_count_mismatch():
@@ -259,3 +291,17 @@ def test_all_arity_patterns_on_a_small_store():
             )
         }
         assert got == expected
+
+
+@given(st.integers(0, 10_000), st.sampled_from(["extension", "interval"]))
+@settings(max_examples=40, deadline=None)
+def test_recorded_deltas_and_snapshots_match_full_scans(seed, encoding):
+    store, dag = random_repo(random.Random(seed), encoding=encoding, allow_blanks=True)
+    for repacked in (False, True):
+        if repacked:
+            repack(dag, store)
+        for v in range(store.n_versions):
+            assert store.delta(v) == reference_delta(store, dag, v)
+        assert store._snapshots and set(store._snapshots) <= dag.heads()
+        for v, snapshot in store._snapshots.items():
+            assert snapshot == scan_version(store, v) == store.materialize(v)

@@ -1,5 +1,7 @@
 """Term model, interning dictionary, and literal value comparison."""
 
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -17,6 +19,7 @@ from vgstore.terms import (
     Iri,
     Literal,
     compare_values,
+    iri_text_ok,
     validate_term,
 )
 
@@ -221,3 +224,17 @@ def test_fresh_blank_labels_skip_taken():
     assert label != "b0"
     d.intern(BlankNode(label))
     assert d.fresh_blank_label() not in ("b0", label)
+
+
+def test_iri_check_agrees_with_the_per_character_predicate_on_every_code_point():
+    def forbidden(ch: str) -> bool:
+        return ch.isspace() or ch in "<>"
+
+    disagree = [
+        cp
+        for cp in range(sys.maxunicode + 1)
+        if iri_text_ok(chr(cp)) == forbidden(chr(cp))
+    ]
+    assert disagree == []
+    assert not iri_text_ok("")
+    assert iri_text_ok("urn:ex:a") and not iri_text_ok("urn:ex:a\u2028b")
