@@ -1,9 +1,14 @@
 """Triple store annotated with the set of versions containing each triple.
 
 Instead of storing one graph per version, the store keeps every distinct
-triple once and tags it with a VersionSet.  Applying a commit stamps the new
-version number onto everything present in it, so annotation stays eager and
-reads need no reconstruction.
+triple once and tags it with a VersionSet.  A commit does not stamp its
+number onto everything present in it.  Each triple of the version applied
+last has an open run of versions; a commit closes a triple's run with one
+range insert when the triple leaves, and opens one when a triple arrives.
+A commit's work is therefore its difference from the version applied last,
+which on a linear chain is its delta.  Open runs are written up to the last
+version on the first read after a commit, under a lock so that concurrent
+readers write them once.
 
 Applying a commit also records the version's delta against the union of its
 parents and a frozen snapshot of its content.  Snapshots are kept only for
@@ -22,6 +27,7 @@ version with the leaf True.
 from __future__ import annotations
 
 import logging
+import threading
 from dataclasses import dataclass
 from datetime import datetime
 from typing import Iterator
@@ -126,7 +132,7 @@ class AnnotatedStore:
 
     The version set encoding ("extension" or "interval") is fixed when the
     store is created.  Reads may run concurrently; commits must be serialized
-    by the caller.
+    by the caller and must not overlap reads.
     """
 
     def __init__(self, dictionary: Dictionary | None = None, encoding: str = "extension"):
@@ -138,6 +144,13 @@ class AnnotatedStore:
         self._n_versions = 0
         self._deltas: dict[int, Delta] = {}
         self._snapshots: dict[int, frozenset[Triple]] = {}
+        # the version applied last: its content, and for each of its triples
+        # a version from which the triple is in every version up to it;
+        # the versions of those runs from _written on are not yet in the sets
+        self._last: frozenset[Triple] = frozenset()
+        self._open: dict[Triple, int] = {}
+        self._written = 0
+        self._flush_lock = threading.Lock()
 
     @property
     def n_versions(self) -> int:
@@ -148,6 +161,7 @@ class AnnotatedStore:
 
     def version_set(self, triple: Triple) -> VersionSet | None:
         """The live version set of a triple, or None if never stored."""
+        self._flush()
         return self._sets.get(triple)
 
     def apply_commit(
@@ -163,7 +177,7 @@ class AnnotatedStore:
         provenance: Provenance | None = None,
         strict: bool = True,
     ) -> int:
-        """Create a commit in the dag and stamp its contents into the store.
+        """Create a commit in the dag and record its contents in the store.
 
         The new version contains (union of parent materializations minus
         removals) plus additions.  In strict mode a removal absent from every
@@ -193,12 +207,17 @@ class AnnotatedStore:
             seq = dag.init_root(**meta)
         else:
             seq = dag.commit(parents, branch, **meta)
-        for triple in present:
-            vset = self._sets.get(triple)
-            if vset is None:
-                vset = self._set_cls.from_iterable(())
-                self._register(triple, vset)
-            vset.insert(seq)
+        # seq - 1 was applied last; a triple that leaves closes its run there
+        written = self._written
+        for triple in self._last - present:
+            lo = max(self._open.pop(triple), written)
+            if lo < seq:
+                self._sets[triple].insert(lo, seq - 1)
+        for triple in present - self._last:
+            if triple not in self._sets:
+                self._register(triple, self._set_cls())
+            self._open[triple] = seq
+        self._last = present
         self._n_versions = seq + 1
         self._deltas[seq] = Delta(
             delta.additions - parent_union, delta.removals & parent_union
@@ -218,6 +237,7 @@ class AnnotatedStore:
         snapshot = self._snapshots.get(v)
         if snapshot is not None:
             return set(snapshot)
+        self._flush()
         return {t for t, vset in self._sets.items() if vset.contains(v)}
 
     def delta(self, v: int) -> Delta:
@@ -247,9 +267,11 @@ class AnnotatedStore:
 
         Yielded sets are live; callers must not mutate them.
         """
+        self._flush()
         return self._index.match(s, p, o)
 
     def stats(self) -> StoreStats:
+        self._flush()
         cost = 0
         total = 0
         for vset in self._sets.values():
@@ -264,6 +286,7 @@ class AnnotatedStore:
 
     def remap_versions(self, mapping: dict[int, int]) -> None:
         """Rewrite every version set through a renumbering bijection."""
+        self._flush()
         for triple, vset in self._sets.items():
             remapped = self._set_cls.from_iterable(mapping[v] for v in vset)
             self._register(triple, remapped)
@@ -271,6 +294,24 @@ class AnnotatedStore:
         # re-keys them without changing them
         self._deltas = {mapping[v]: d for v, d in self._deltas.items()}
         self._snapshots = {mapping[v]: s for v, s in self._snapshots.items()}
+        if self._n_versions:
+            # every set is written, so the new last version's runs open there
+            last = self._n_versions - 1
+            self._last = self._content(last)
+            self._open = dict.fromkeys(self._last, last)
+
+    def _flush(self) -> None:
+        """Write the open runs up to the version applied last."""
+        if self._written == self._n_versions:
+            return
+        with self._flush_lock:
+            n, written = self._n_versions, self._written
+            if written == n:
+                return  # another reader wrote them first
+            sets = self._sets
+            for triple, start in self._open.items():
+                sets[triple].insert(max(start, written), n - 1)
+            self._written = n
 
     def _register(self, t: Triple, vset: VersionSet) -> None:
         self._sets[t] = vset

@@ -2,9 +2,11 @@
 
 ExtensionSet keeps the members as a sorted list; IntervalSet keeps closed,
 pairwise disjoint, non-adjacent [lo, hi] runs.  Both maintain a unique normal
-form, so structural equality is set equality.  insert() is the only mutator;
+form, so structural equality is set equality.  insert(lo, hi) adds the closed
+range [lo, hi] (one version when hi is omitted) and is the only mutator;
 everything else returns new sets, which lets a store hand out live references
-safely.
+safely.  Appending a range past the last member is a list extend for an
+extension and one run merge or append for intervals.
 
 scalar_cost is the stored footprint of a set: the member count for an extension,
 twice the run count for intervals.  It is the quantity the benchmark compares
@@ -14,7 +16,7 @@ across encodings.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from operator import itemgetter
 from typing import Iterable, Iterator
 
@@ -32,7 +34,7 @@ class VersionSet(ABC):
     def contains(self, v: int) -> bool: ...
 
     @abstractmethod
-    def insert(self, v: int) -> None: ...
+    def insert(self, lo: int, hi: int | None = None) -> None: ...
 
     @abstractmethod
     def intersect(self, other: "VersionSet") -> "VersionSet": ...
@@ -79,17 +81,17 @@ class ExtensionSet(VersionSet):
         i = bisect_left(self._members, v)
         return i < len(self._members) and self._members[i] == v
 
-    def insert(self, v: int) -> None:
-        if not self._members or v > self._members[-1]:
-            self._members.append(v)  # the common append-at-end path
-            return
-        if not self.contains(v):
-            insort(self._members, v)
+    def insert(self, lo: int, hi: int | None = None) -> None:
+        hi = _range_end(lo, hi)
+        members = self._members
+        # members inside [lo, hi] are replaced by the whole range; past the
+        # last member this is an extend
+        members[bisect_left(members, lo):bisect_right(members, hi)] = range(lo, hi + 1)
 
     def intersect(self, other: VersionSet) -> "ExtensionSet":
-        keep = set(other._members if isinstance(other, ExtensionSet) else other)
+        theirs = other._members if isinstance(other, ExtensionSet) else other
         out = ExtensionSet()
-        out._members = [m for m in self._members if m in keep]
+        out._members = sorted(set(self._members).intersection(theirs))
         return out
 
     def union(self, other: VersionSet) -> "ExtensionSet":
@@ -150,28 +152,16 @@ class IntervalSet(VersionSet):
         i = self._locate(v)
         return i < len(self._runs) and self._runs[i][0] <= v <= self._runs[i][1]
 
-    def insert(self, v: int) -> None:
+    def insert(self, lo: int, hi: int | None = None) -> None:
+        hi = _range_end(lo, hi)
         runs = self._runs
-        if runs and v > runs[-1][1]:  # the common append-at-end path
-            if runs[-1][1] + 1 == v:
-                runs[-1][1] = v
-            else:
-                runs.append([v, v])
-            return
-        i = self._locate(v)
-        if i < len(runs) and runs[i][0] <= v <= runs[i][1]:
-            return
-        joins_prev = i > 0 and runs[i - 1][1] + 1 == v
-        joins_next = i < len(runs) and runs[i][0] - 1 == v
-        if joins_prev and joins_next:
-            runs[i - 1][1] = runs[i][1]
-            del runs[i]
-        elif joins_prev:
-            runs[i - 1][1] = v
-        elif joins_next:
-            runs[i][0] = v
-        else:
-            runs.insert(i, [v, v])
+        # runs[i:j] are the runs that overlap or touch [lo, hi]; they and the
+        # range coalesce into one run
+        i = self._locate(lo - 1)
+        j = bisect_right(runs, hi + 1, i, key=itemgetter(0))
+        if i < j:
+            lo, hi = min(lo, runs[i][0]), max(hi, runs[j - 1][1])
+        runs[i:j] = [[lo, hi]]
 
     def intersect(self, other: VersionSet) -> "IntervalSet":
         if not isinstance(other, IntervalSet):
@@ -222,6 +212,14 @@ class IntervalSet(VersionSet):
     def __repr__(self) -> str:
         runs = ", ".join(f"{lo}-{hi}" if lo != hi else str(lo) for lo, hi in self._runs)
         return f"IntervalSet([{runs}])"
+
+
+def _range_end(lo: int, hi: int | None) -> int:
+    if hi is None:
+        return lo
+    if hi < lo:
+        raise ValueError(f"empty version range [{lo}, {hi}]")
+    return hi
 
 
 ENCODINGS: dict[str, type[VersionSet]] = {

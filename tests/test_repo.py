@@ -290,7 +290,7 @@ def _count_calls(monkeypatch, counts: Counter, name: str, owner, attr: str) -> N
 
 @pytest.mark.parametrize("encoding", ["extension", "interval"])
 def test_replay_and_save_cost_does_not_grow_with_history(tmp_path, monkeypatch, encoding):
-    """On a linear history a commit touches its parent's content, not the store."""
+    """On a linear history a commit writes only the runs its removals close."""
     counts: Counter = Counter()
     _count_calls(monkeypatch, counts, "materialize", AnnotatedStore, "materialize")
     for cls in (ExtensionSet, IntervalSet):
@@ -306,7 +306,7 @@ def test_replay_and_save_cost_does_not_grow_with_history(tmp_path, monkeypatch, 
         return seq
 
     monkeypatch.setattr(AnnotatedStore, "apply_commit", counted_apply)
-    last_inserts = []
+    last_inserts, read_inserts = [], []
     for n in (10, 40):
         params = ScenarioParams(
             buildings=30, stations=6, versions=n, branch_prob=0.0, churn=0.1, seed=n
@@ -319,7 +319,22 @@ def test_replay_and_save_cost_does_not_grow_with_history(tmp_path, monkeypatch, 
         assert counts["materialize"] == 0
         assert counts["contains"] == 0
         assert len(inserts) == n
+        # nothing is read during the replay, so each removal closes one
+        # unwritten run with one insert, and nothing else is written
+        assert [inserts[v] for v in range(n)] == [
+            len(store.delta(v).removals) for v in range(n)
+        ]
         last_inserts.append(inserts[n - 1])
-        assert inserts[n - 1] == len(store.materialize(n - 1))
-    # churn edits values in place, so every version holds the root's 72 triples
-    assert last_inserts == [72, 72]
+        # the first read writes each open run once: one insert per triple
+        # of the last version
+        counts.clear()
+        store.stats()
+        read_inserts.append(counts["insert"])
+        # those runs are written now, so closing them writes nothing
+        leaving = frozenset(sorted(store.delta(n - 1).additions, key=str)[:3])
+        store.apply_commit(dag, [n - 1], "main", Delta(frozenset(), leaving))
+        assert len(leaving) == 3 and inserts[n] == 0
+    # churn edits ceil(0.1 x 72) values in place, and every version holds the
+    # root's 72 triples
+    assert last_inserts == [8, 8]
+    assert read_inserts == [72, 72]

@@ -3,6 +3,8 @@
 import itertools
 import logging
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,7 +24,9 @@ from vgstore import (
     repack,
 )
 
-from helpers import random_repo, reference_delta, scan_version
+from vgstore.versionsets import set_class
+
+from helpers import random_repo, reference_delta, scan_version, triple_pool
 
 
 def fresh():
@@ -305,3 +309,189 @@ def test_recorded_deltas_and_snapshots_match_full_scans(seed, encoding):
         assert store._snapshots and set(store._snapshots) <= dag.heads()
         for v, snapshot in store._snapshots.items():
             assert snapshot == scan_version(store, v) == store.materialize(v)
+
+
+def _reference_sets(model: dict[int, set[Triple]]) -> dict[Triple, set[int]]:
+    """Each triple's versions, from a plain dict of version -> triple set."""
+    out: dict[Triple, set[int]] = {}
+    for v, content in model.items():
+        for triple in content:
+            out.setdefault(triple, set()).add(v)
+    return out
+
+
+def _pending_view(store: AnnotatedStore) -> dict[Triple, set[int]]:
+    """What reads would return, taken without a read: the written sets plus
+    the open runs not yet written."""
+    view = {triple: set(vset) for triple, vset in store._sets.items()}
+    for triple, start in store._open.items():
+        view[triple] |= set(range(max(start, store._written), store.n_versions))
+    return view
+
+
+@pytest.mark.parametrize("encoding", ["extension", "interval"])
+def test_repack_reopens_runs_at_the_new_last_version(encoding):
+    store = AnnotatedStore(encoding=encoding)
+    dag = VersionDag()
+    a, b, c, d, e, f = (t(store, x) for x in "abcdef")
+    store.apply_commit(dag, [], "main", adds(a, b))  # 0
+    dag.create_branch("side", at=0)
+    store.apply_commit(dag, [0], "main", adds(c))  # 1
+    store.apply_commit(dag, [0], "side", Delta(frozenset({d}), frozenset({a})))  # 2
+    store.apply_commit(dag, [1], "main", adds(e))  # 3
+    # depth first, main's chain comes first: 0, 1, 3, 2
+    assert repack(dag, store) == {0: 0, 1: 1, 3: 2, 2: 3}
+    store.apply_commit(dag, [3], "side", adds(f))  # 4 = {b, d, f}
+    assert {x: set(vset) for x, vset in store.match()} == {
+        a: {0, 1, 2}, b: {0, 1, 2, 3, 4}, c: {1, 2}, d: {3, 4}, e: {2}, f: {4}
+    }
+
+
+STEPS = ("commit", "branch", "merge", "permissive", "strict-fail", "read", "repack")
+
+
+@given(
+    st.sampled_from(["extension", "interval"]),
+    st.integers(0, 10_000),
+    st.lists(st.sampled_from(STEPS), min_size=1, max_size=30),
+)
+@settings(max_examples=80, deadline=None)
+def test_open_runs_agree_with_a_reference_model(encoding, seed, steps):
+    """Commits leave runs open; whatever the order of commits, branches,
+    merges, repacks and reads, every read sees the reference version sets."""
+    rng = random.Random(seed)
+    store = AnnotatedStore(encoding=encoding)
+    dag = VersionDag()
+    pool = sorted(triple_pool(rng, store), key=lambda x: (x.s, x.p, x.o))
+    model: dict[int, set[Triple]] = {}
+
+    def commit(parents, branch, spurious=False, strict=True):
+        union = set().union(*(model[p] for p in parents))
+        adds = set(rng.sample(pool, rng.randint(0, 4)))
+        present = sorted(union - adds, key=lambda x: (x.s, x.p, x.o))
+        rems = set(rng.sample(present, min(len(present), rng.randint(0, 3))))
+        if spurious:
+            absent = [x for x in pool if x not in union and x not in adds]
+            rems |= set(rng.sample(absent, min(len(absent), 2)))
+        delta = Delta(frozenset(adds), frozenset(rems))
+        seq = store.apply_commit(dag, parents, branch, delta, strict=strict)
+        model[seq] = (union - rems) | adds
+
+    def read():
+        kind = rng.choice(("match", "version_set", "stats", "materialize"))
+        expected = _reference_sets(model)
+        if kind == "match":
+            assert {x: set(vset) for x, vset in store.match()} == expected
+        elif kind == "version_set":
+            probe = rng.choice(pool)
+            got = store.version_set(probe)
+            assert (set(got) if got is not None else None) == expected.get(probe)
+        elif kind == "stats":
+            stats = store.stats()
+            assert stats.distinct_triples == len(expected)
+            assert stats.triples_sum_over_versions == sum(map(len, model.values()))
+        else:
+            v = rng.randrange(len(dag))
+            assert store.materialize(v) == model[v]
+
+    commit([], "main")
+    for step in steps:
+        branches = sorted(dag.branches)
+        if step == "commit":
+            branch = rng.choice(branches)
+            commit([dag.branch_head(branch)], branch)
+        elif step == "branch":
+            name = f"b{len(dag)}"
+            dag.create_branch(name, at=rng.randrange(len(dag)))
+            commit([dag.branch_head(name)], name)
+        elif step == "merge" and len(branches) > 1:
+            into, other = rng.sample(branches, 2)
+            parents = [dag.branch_head(into), dag.branch_head(other)]
+            if parents[0] != parents[1]:
+                commit(parents, into)
+        elif step == "permissive":
+            commit([dag.branch_head("main")], "main", spurious=True, strict=False)
+        elif step == "strict-fail":
+            head = dag.branch_head("main")
+            absent = [x for x in pool if x not in model[head]]
+            before = _pending_view(store)
+            with pytest.raises(DeltaError):
+                store.apply_commit(
+                    dag, [head], "main", Delta(frozenset(), frozenset(absent[:1]))
+                )
+            assert len(dag) == store.n_versions == len(model)
+            assert _pending_view(store) == before
+        elif step == "read":
+            read()
+        elif step == "repack":
+            mapping = repack(dag, store)
+            model = {mapping[v]: content for v, content in model.items()}
+        assert _pending_view(store) == _reference_sets(model)
+    assert {x: set(vset) for x, vset in store.match()} == _reference_sets(model)
+
+
+def _linear_store(rng: random.Random, encoding: str, n_triples: int, versions: int):
+    """A store with a linear history and its reference version sets."""
+    store, dag = AnnotatedStore(encoding=encoding), VersionDag()
+    d = store.dictionary
+    pool = [
+        d.triple(Iri(f"urn:ex:s{i}"), Iri("urn:ex:p"), Iri(f"urn:ex:o{i % 7}"))
+        for i in range(n_triples)
+    ]
+    model: dict[int, set[Triple]] = {}
+    content: set[Triple] = set()
+    for v in range(versions):
+        rems = set(rng.sample(sorted(content, key=pool.index), len(content) // 10))
+        adds = set(rng.sample(pool, n_triples // 10)) - content
+        store.apply_commit(
+            dag, [v - 1] if v else [], "main", Delta(frozenset(adds), frozenset(rems))
+        )
+        content = (content - rems) | adds
+        model[v] = content
+    return store, _reference_sets(model)
+
+
+@pytest.mark.parametrize("encoding", ["extension", "interval"])
+def test_concurrent_first_reads_write_open_runs_once(encoding, monkeypatch):
+    """Eight threads make the first read after a replay at the same time."""
+    set_cls = set_class(encoding)
+    writes: list = []
+    insert = set_cls.insert
+
+    def counted_insert(self, *args):
+        writes.append(args)  # list.append is atomic, so no count is lost
+        insert(self, *args)
+
+    monkeypatch.setattr(set_cls, "insert", counted_insert)
+    rng = random.Random(7)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            store, expected = _linear_store(rng, encoding, n_triples=400, versions=30)
+            barrier = threading.Barrier(8)
+            results: list = []
+
+            def first_read(i):
+                barrier.wait()
+                if i % 2:
+                    got = {x: set(store.version_set(x)) for x in expected}
+                else:
+                    got = {x: set(vset) for x, vset in store.match()}
+                results.append(got)
+
+            threads = [
+                threading.Thread(target=first_read, args=(i,)) for i in range(8)
+            ]
+            writes.clear()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(results) == 8
+            assert all(got == expected for got in results)
+            # one thread wrote each open run, once
+            assert len(writes) == len(store._open)
+    finally:
+        sys.setswitchinterval(interval)

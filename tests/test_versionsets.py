@@ -112,6 +112,34 @@ def test_insert_matches_oracle(cls, s, v):
     assert list(built) == sorted(s | {v})
 
 
+@given(encodings, members, st.integers(0, 90), st.integers(0, 12))
+def test_range_insert_matches_oracle(cls, s, lo, width):
+    built = cls.from_iterable(s)
+    built.insert(lo, lo + width)
+    expected = s | set(range(lo, lo + width + 1))
+    assert list(built) == sorted(expected)
+    assert built == cls.from_iterable(expected)  # the normal form is kept
+
+
+def test_range_insert_rejects_an_empty_range():
+    for cls in (ExtensionSet, IntervalSet):
+        with pytest.raises(ValueError):
+            cls.from_iterable([1]).insert(5, 4)
+
+
+@given(encodings, st.integers(0, 10_000), st.booleans())
+def test_extension_intersect_matches_oracle_on_unequal_sizes(cls, seed, flip):
+    rng = random.Random(seed)
+    small = set(rng.sample(range(2000), rng.randint(1, 3)))
+    large = set(rng.sample(range(2000), rng.randint(200, 400)))
+    large |= {v for v in small if rng.random() < 0.5}
+    a, b = (large, small) if flip else (small, large)
+    for x, y in ((a, b), (a, set()), (set(), b)):
+        got = ExtensionSet.from_iterable(x).intersect(cls.from_iterable(y))
+        assert isinstance(got, ExtensionSet)
+        assert list(got) == sorted(x & y)
+
+
 def test_insert_merges_adjacent_runs():
     s = IntervalSet.from_iterable([1, 2, 3, 5, 6])
     s.insert(4)
