@@ -41,6 +41,7 @@ from .sparql import (
     Query,
     TriplePattern,
     Var,
+    _expr_vars,
 )
 from .store import AnnotatedStore, TripleIndex
 from .versionsets import VersionSet, set_class
@@ -236,16 +237,6 @@ def _eval_expr(
     return ishead(expr.var.name)
 
 
-def _ishead_vars(expr: Expr) -> set[str]:
-    if isinstance(expr, IsHead):
-        return {expr.var.name}
-    if isinstance(expr, (And, Or)):
-        return _ishead_vars(expr.lhs) | _ishead_vars(expr.rhs)
-    if isinstance(expr, Not):
-        return _ishead_vars(expr.operand)
-    return set()
-
-
 def _extremum(values: Iterable[Term], want_max: bool) -> Term | None:
     """MIN/MAX over distinct values; None if any pair is incomparable.
 
@@ -341,7 +332,7 @@ def _ann_filter(
     versions whose isHead is flag.  The sub-rows are disjoint, so the later
     expansion sees each (binding, version) pair exactly once.
     """
-    head_names = sorted(_ishead_vars(expr))
+    head_names = sorted(_expr_vars(expr)[1])
     if not head_names:
         return _filter(rows, expr, dictionary, {}.__getitem__)
     truths = product((True, False), repeat=len(head_names))

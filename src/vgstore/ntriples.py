@@ -1,22 +1,33 @@
 """Line-based N-Triples reading and writing.
 
-The accepted grammar is the line-oriented core of N-Triples: one statement
-per line, full-line # comments, blank lines, IRIs in angle brackets, _:label
-blank nodes, and double-quoted literals with an optional @lang tag or
-^^<datatype>.  \\uXXXX and \\UXXXXXXXX escapes are accepted anywhere on
-input; output only escapes quotes, backslashes, and control characters.
-Anything else is rejected with the 1-based line number.
+The accepted grammar is the line-oriented core of RDF 1.1 N-Triples: one
+statement per line, full-line # comments, blank lines, IRIs in angle
+brackets, _:label blank nodes, and double-quoted literals with an optional
+@lang tag or ^^<datatype>.  A statement is read with one term regex, matched
+three times; its IRI, blank-label and language-tag parts are the pattern
+strings of terms.py, and what a pattern cannot decide (what escapes decode
+to, a langString datatype without a tag) is left to terms.validate_term, so
+every term read is one the dictionary accepts.  Escapes are strict: \\uXXXX
+and \\UXXXXXXXX take exactly 4 or 8 hex digits naming a Unicode scalar value,
+and are accepted anywhere on input; output only escapes quotes, backslashes,
+and control characters.  Anything else is rejected with the 1-based line
+number.
 
-Parsing a document is all-or-nothing: terms are interned only after every
-line has parsed, so a failed parse leaves the dictionary untouched.  Blank
-node labels are scoped to the parsed document and replaced with fresh labels
-at interning time.
+Reading a document is all-or-nothing: terms are interned only after every
+line has parsed, so a failed read leaves the dictionary untouched.  Blank
+node labels are scoped to the read and replaced with fresh labels at
+interning time.
 """
 
 from __future__ import annotations
 
+import re
+
 from .errors import ValidationError
 from .terms import (
+    BLANK_LABEL,
+    IRI_TEXT,
+    LANG_TAG,
     RDF_LANGSTRING,
     XSD_STRING,
     BlankNode,
@@ -25,7 +36,7 @@ from .terms import (
     Literal,
     Term,
     Triple,
-    iri_text_ok,
+    validate_term,
 )
 
 _ECHAR_DECODE = {
@@ -47,154 +58,81 @@ _ECHAR_ENCODE = {
     "\t": "\\t",
 }
 
+_ESCAPE_RE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.?))", re.DOTALL)
 
-class _Cursor:
-    """A scanning position inside one statement line."""
-
-    __slots__ = ("text", "pos", "line")
-
-    def __init__(self, text: str, line: int):
-        self.text = text
-        self.pos = 0
-        self.line = line
-
-    def error(self, message: str) -> ValidationError:
-        return ValidationError(f"line {self.line}: {message}")
-
-    def eof(self) -> bool:
-        return self.pos >= len(self.text)
-
-    def peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def skip_ws(self) -> None:
-        while not self.eof() and self.text[self.pos] in " \t":
-            self.pos += 1
+# one term after optional spaces or tabs; escapes are decoded after the match
+_TERM_RE = re.compile(
+    rf"[ \t]*(?:<(?P<iri>{IRI_TEXT})>|_:(?P<blank>{BLANK_LABEL})"
+    rf'|"(?P<lex>(?:[^"\\]|\\.)*)"(?:@(?P<lang>{LANG_TAG})|\^\^<(?P<datatype>{IRI_TEXT})>)?)',
+    re.DOTALL,
+)
 
 
-def _decode_escapes(raw: str, cursor: _Cursor) -> str:
+def _decode_escapes(raw: str, line: int) -> str:
     if "\\" not in raw:
         return raw
-    out: list[str] = []
-    i = 0
-    while i < len(raw):
-        c = raw[i]
-        if c != "\\":
-            out.append(c)
-            i += 1
-            continue
-        if i + 1 >= len(raw):
-            raise cursor.error("dangling backslash")
-        e = raw[i + 1]
-        if e in _ECHAR_DECODE:
-            out.append(_ECHAR_DECODE[e])
-            i += 2
-        elif e in ("u", "U"):
-            width = 4 if e == "u" else 8
-            digits = raw[i + 2 : i + 2 + width]
-            if len(digits) != width:
-                raise cursor.error(f"truncated \\{e} escape")
-            try:
-                out.append(chr(int(digits, 16)))
-            except ValueError:
-                raise cursor.error(f"bad \\{e} escape: {digits!r}") from None
-            i += 2 + width
-        else:
-            raise cursor.error(f"unknown escape: \\{e}")
-    return "".join(out)
+
+    def decode(m: re.Match) -> str:
+        digits = m[1] or m[2]
+        if digits is None:
+            char = _ECHAR_DECODE.get(m[3])
+            if char is None:
+                raise ValidationError(f"line {line}: bad escape: {m[0]!r}")
+            return char
+        code = int(digits, 16)
+        if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
+            raise ValidationError(f"line {line}: {m[0]!r} is not a Unicode scalar value")
+        return chr(code)
+
+    return _ESCAPE_RE.sub(decode, raw)
 
 
-def _scan_iri(cursor: _Cursor) -> Iri:
-    text = cursor.text
-    end = text.find(">", cursor.pos + 1)
-    if end < 0:
-        raise cursor.error("unterminated IRI")
-    raw = text[cursor.pos + 1 : end]
-    cursor.pos = end + 1
-    value = _decode_escapes(raw, cursor)
-    if not iri_text_ok(value):
-        raise cursor.error(f"malformed IRI: <{raw}>")
-    return Iri(value)
+def _match_term(text: str, pos: int, line: int, where: str) -> re.Match:
+    m = _TERM_RE.match(text, pos)
+    if m is None:
+        found = text[pos:].lstrip(" \t")[:20]
+        raise ValidationError(f"line {line}: expected a term as {where}, found {found!r}")
+    return m
 
 
-def _scan_blank(cursor: _Cursor) -> BlankNode:
-    text = cursor.text
-    start = cursor.pos + 2
-    end = start
-    while end < len(text) and (text[end].isalnum() or text[end] == "_"):
-        end += 1
-    label = text[start:end]
-    if not label or not (label[0].isalpha() or label[0] == "_"):
-        raise cursor.error("malformed blank node label")
-    cursor.pos = end
-    return BlankNode(label)
-
-
-def _scan_literal(cursor: _Cursor) -> Literal:
-    text = cursor.text
-    i = cursor.pos + 1
-    while i < len(text):
-        if text[i] == "\\":
-            i += 2
-            continue
-        if text[i] == '"':
-            break
-        i += 1
-    if i >= len(text):
-        raise cursor.error("unterminated literal")
-    lex = _decode_escapes(text[cursor.pos + 1 : i], cursor)
-    cursor.pos = i + 1
-    if cursor.peek() == "@":
-        start = cursor.pos + 1
-        end = start
-        while end < len(text) and (text[end].isalnum() or text[end] == "-"):
-            end += 1
-        tag = text[start:end]
-        if not tag:
-            raise cursor.error("empty language tag")
-        cursor.pos = end
-        return Literal(lex, RDF_LANGSTRING, tag)
-    if text.startswith("^^", cursor.pos):
-        cursor.pos += 2
-        if cursor.peek() != "<":
-            raise cursor.error("datatype must be an IRI in angle brackets")
-        dt = _scan_iri(cursor)
-        return Literal(lex, dt.text)
-    return Literal(lex)
-
-
-def _scan_term(cursor: _Cursor) -> Term:
-    c = cursor.peek()
-    if c == "<":
-        return _scan_iri(cursor)
-    if c == '"':
-        return _scan_literal(cursor)
-    if cursor.text.startswith("_:", cursor.pos):
-        return _scan_blank(cursor)
-    raise cursor.error(f"expected a term, found {cursor.text[cursor.pos:][:20]!r}")
+def _term(m: re.Match, line: int) -> Term:
+    iri, blank, lex, lang, datatype = m.groups()
+    if blank is not None:
+        return BlankNode(blank)
+    if lex is None:
+        if "\\" not in iri:
+            return Iri(iri)
+        term: Term = Iri(_decode_escapes(iri, line))
+    elif lang is not None:
+        return Literal(_decode_escapes(lex, line), RDF_LANGSTRING, lang)
+    elif datatype is None:
+        return Literal(_decode_escapes(lex, line))
+    else:
+        term = Literal(_decode_escapes(lex, line), _decode_escapes(datatype, line))
+    # what escapes decode to, and a langString datatype without a tag, are
+    # beyond the pattern
+    try:
+        validate_term(term)
+    except ValidationError as e:
+        raise ValidationError(f"line {line}: {e}") from None
+    return term
 
 
 def parse_statement(text: str, line: int = 1) -> tuple[Term, Term, Term]:
-    """Parse one `subject predicate object .` statement into terms."""
-    cursor = _Cursor(text, line)
-    cursor.skip_ws()
-    subject = _scan_term(cursor)
-    if isinstance(subject, Literal):
-        raise cursor.error("subject must be an IRI or blank node")
-    cursor.skip_ws()
-    predicate = _scan_term(cursor)
-    if not isinstance(predicate, Iri):
-        raise cursor.error("predicate must be an IRI")
-    cursor.skip_ws()
-    obj = _scan_term(cursor)
-    cursor.skip_ws()
-    if cursor.peek() != ".":
-        raise cursor.error("statement must end with '.'")
-    cursor.pos += 1
-    cursor.skip_ws()
-    if not cursor.eof():
-        raise cursor.error("trailing content after '.'")
-    return subject, predicate, obj
+    """Parse one `subject predicate object .` statement into valid terms."""
+    s = _match_term(text, 0, line, "subject")
+    if s["lex"] is not None:
+        raise ValidationError(f"line {line}: subject must be an IRI or blank node")
+    p = _match_term(text, s.end(), line, "predicate")
+    if p["iri"] is None:
+        raise ValidationError(f"line {line}: predicate must be an IRI")
+    o = _match_term(text, p.end(), line, "object")
+    rest = text[o.end() :].strip(" \t")
+    if rest != ".":
+        if rest.startswith("."):
+            raise ValidationError(f"line {line}: trailing content after '.': {rest[1:21]!r}")
+        raise ValidationError(f"line {line}: statement must end with '.', found {rest[:20]!r}")
+    return _term(s, line), _term(p, line), _term(o, line)
 
 
 class BlankScope:
@@ -224,34 +162,46 @@ class BlankScope:
         return BlankNode(label)
 
 
-def _skippable(line: str) -> bool:
-    stripped = line.strip()
-    return not stripped or stripped.startswith("#")
+def read_statements(
+    text: str, dictionary: Dictionary, scope: BlankScope | None = None, marks: str = ""
+) -> list[tuple[str, Triple]]:
+    """Parse a document's statements and intern them, all or nothing.
 
-
-def parse_ntriples(text: str, dictionary: Dictionary) -> list[Triple]:
-    """Parse a document into dictionary-backed triples, all or nothing."""
-    parsed: list[tuple[Term, Term, Term]] = []
+    With marks, every statement line starts with one of its characters and a
+    space or tab, and that character is returned with the triple; otherwise
+    the mark is "".  Passing a scope shares blank-label freshening across
+    several documents; the default is a fresh scope per call.
+    """
+    parsed: list[tuple[str, tuple[Term, Term, Term]]] = []
     # split on real newlines only: unicode line separators (NEL, LS, PS) are
     # legal raw characters inside a literal and must not break a statement
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    for lineno, line in enumerate(lines, start=1):
-        if line.endswith("\r"):
-            line = line[:-1]
-        if _skippable(line):
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.removesuffix("\r")
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
             continue
-        parsed.append(parse_statement(line, lineno))
-    scope = BlankScope(dictionary)
-    out: list[Triple] = []
-    for s, p, o in parsed:
+        mark = ""
+        if marks:
+            if len(line) < 2 or line[0] not in marks or line[1] not in " \t":
+                expected = " or ".join(f"'{m} '" for m in marks)
+                raise ValidationError(f"line {lineno}: lines must start with {expected}")
+            mark, line = line[0], line[2:]
+        parsed.append((mark, parse_statement(line, lineno)))
+    if scope is None:
+        scope = BlankScope(dictionary)
+    out: list[tuple[str, Triple]] = []
+    for mark, (s, p, o) in parsed:
         if isinstance(s, BlankNode):
             s = scope.rename(s)
         if isinstance(o, BlankNode):
             o = scope.rename(o)
-        out.append(dictionary.triple(s, p, o))
+        out.append((mark, dictionary.triple(s, p, o)))
     return out
+
+
+def parse_ntriples(text: str, dictionary: Dictionary) -> list[Triple]:
+    """Parse a document into dictionary-backed triples, all or nothing."""
+    return [triple for _, triple in read_statements(text, dictionary)]
 
 
 def _escape_lex(lex: str) -> str:

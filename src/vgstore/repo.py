@@ -21,9 +21,9 @@ from pathlib import Path
 
 from .dag import Provenance, VersionDag, version_iri
 from .errors import RepositoryError, ValidationError
-from .ntriples import BlankScope, format_triple, parse_statement
+from .ntriples import BlankScope, format_triple, read_statements
 from .store import AnnotatedStore, Delta
-from .terms import BlankNode, Dictionary, Term, Triple
+from .terms import Dictionary
 
 MANIFEST_NAME = "manifest.json"
 DELTAS_DIR = "deltas"
@@ -37,38 +37,11 @@ def parse_patch(
     Passing a scope shares blank-label freshening across several patches;
     the default is a fresh scope per call.
     """
-    parsed: list[tuple[bool, tuple[Term, Term, Term]]] = []
-    # split on real newlines only, as in parse_ntriples: unicode line
-    # separators may occur raw inside literals
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    for lineno, line in enumerate(lines, start=1):
-        if line.endswith("\r"):
-            line = line[:-1]
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if len(line) >= 2 and line[0] in "AD" and line[1] in " \t":
-            parsed.append((line[0] == "A", parse_statement(line[2:], lineno)))
-        else:
-            raise ValidationError(
-                f"line {lineno}: patch lines must start with 'A ' or 'D '"
-            )
-    if scope is None:
-        scope = BlankScope(dictionary)
-    additions: set[Triple] = set()
-    removals: set[Triple] = set()
-    for is_add, (s, p, o) in parsed:
-        if isinstance(s, BlankNode):
-            s = scope.rename(s)
-        if isinstance(o, BlankNode):
-            o = scope.rename(o)
-        triple = dictionary.triple(s, p, o)
-        (additions if is_add else removals).add(triple)
-    if additions & removals:
-        raise ValidationError("patch adds and removes the same triple")
-    return Delta(frozenset(additions), frozenset(removals))
+    statements = read_statements(text, dictionary, scope, marks="AD")
+    return Delta(
+        frozenset(triple for mark, triple in statements if mark == "A"),
+        frozenset(triple for mark, triple in statements if mark == "D"),
+    )
 
 
 def serialize_patch(delta: Delta, dictionary: Dictionary) -> str:

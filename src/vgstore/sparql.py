@@ -29,8 +29,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import QueryError
+from .errors import QueryError, ValidationError
+from .ntriples import _decode_escapes
 from .terms import (
+    BLANK_LABEL,
+    LANG_TAG,
     RDF_TYPE,
     XSD_BOOLEAN,
     XSD_DECIMAL,
@@ -135,19 +138,19 @@ _KEYWORDS = {"PREFIX", "SELECT", "DISTINCT", "WHERE", "GRAPH", "FILTER",
              "GROUP", "BY", "AS", "COUNT", "MIN", "MAX"}
 
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
       (?P<WS>\s+)
     | (?P<COMMENT>\#[^\n]*)
-    | (?P<IRIREF><[^<>"{}|^`\\\s]*>)
+    | (?P<IRIREF><[^<>"{{}}|^`\\\s]*>)
     | (?P<VAR>\?[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<BLANK>_:[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<BLANK>_:{BLANK_LABEL})
     | (?P<STRING>"(?:[^"\\\n]|\\.)*")
-    | (?P<LANGTAG>@[A-Za-z]+(?:-[A-Za-z0-9]+)*)
+    | (?P<LANGTAG>@{LANG_TAG})
     | (?P<NUMBER>[+-]?[0-9]+(?:\.[0-9]+)?)
     | (?P<PNAME>(?:[A-Za-z_][A-Za-z0-9_-]*)?:(?:[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?)?)
     | (?P<WORD>[A-Za-z][A-Za-z0-9_]*)
     | (?P<DTANNOT>\^\^)
-    | (?P<OP>&&|\|\||<=|>=|!=|[{}().=<>!,])
+    | (?P<OP>&&|\|\||<=|>=|!=|[{{}}().=<>!,])
     """,
     re.VERBOSE,
 )
@@ -485,12 +488,9 @@ class _Parser:
 
 
 def _decode_query_string(tok: _Token, parser: _Parser) -> str:
-    from .ntriples import _decode_escapes, _Cursor
-
-    cursor = _Cursor(tok.value, tok.line)
     try:
-        return _decode_escapes(tok.value[1:-1], cursor)
-    except Exception:
+        return _decode_escapes(tok.value[1:-1], tok.line)
+    except ValidationError:
         raise parser.error("bad escape in string literal", tok) from None
 
 

@@ -33,10 +33,15 @@ RDF_LANGSTRING = RDF + "langString"
 
 NUMERIC_DATATYPES = frozenset({XSD_INTEGER, XSD_DECIMAL, XSD_DOUBLE, XSD_FLOAT})
 
-_BLANK_LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-_LANG_TAG_RE = re.compile(r"[A-Za-z]+(-[A-Za-z0-9]+)*\Z")
-# \s matches exactly the characters for which str.isspace() is true
-_IRI_FORBIDDEN_RE = re.compile(r"[\s<>]")
+# The term grammar, as pattern strings the N-Triples reader and the query
+# tokenizer build on; validate_term matches them against whole strings.
+# \s matches exactly the characters for which str.isspace() is true.
+IRI_TEXT = r"[^\s<>]+"
+BLANK_LABEL = r"[A-Za-z_][A-Za-z0-9_]*"
+LANG_TAG = r"[A-Za-z]+(?:-[A-Za-z0-9]+)*"
+_IRI_TEXT_RE = re.compile(IRI_TEXT)
+_BLANK_LABEL_RE = re.compile(BLANK_LABEL)
+_LANG_TAG_RE = re.compile(LANG_TAG)
 
 
 @dataclass(frozen=True)
@@ -77,7 +82,7 @@ class Triple:
 
 def iri_text_ok(text: str) -> bool:
     """True if text is nonempty and has no whitespace and no angle bracket."""
-    return bool(text) and _IRI_FORBIDDEN_RE.search(text) is None
+    return _IRI_TEXT_RE.fullmatch(text) is not None
 
 
 def validate_term(term: Term) -> None:
@@ -86,15 +91,15 @@ def validate_term(term: Term) -> None:
         if not isinstance(term.text, str) or not iri_text_ok(term.text):
             raise ValidationError(f"malformed IRI: {term.text!r}")
     elif isinstance(term, BlankNode):
-        if not isinstance(term.label, str) or not _BLANK_LABEL_RE.match(term.label):
+        if not isinstance(term.label, str) or not _BLANK_LABEL_RE.fullmatch(term.label):
             raise ValidationError(f"malformed blank node label: {term.label!r}")
     elif isinstance(term, Literal):
         if not isinstance(term.lex, str):
             raise ValidationError("literal lexical form must be a string")
-        if not iri_text_ok(term.datatype):
+        if not isinstance(term.datatype, str) or not iri_text_ok(term.datatype):
             raise ValidationError(f"malformed datatype IRI: {term.datatype!r}")
         if term.lang is not None:
-            if not _LANG_TAG_RE.match(term.lang):
+            if not _LANG_TAG_RE.fullmatch(term.lang):
                 raise ValidationError(f"malformed language tag: {term.lang!r}")
             if term.datatype != RDF_LANGSTRING:
                 raise ValidationError(

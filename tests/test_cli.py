@@ -324,6 +324,16 @@ def test_strict_removal_absent_from_an_old_branch_point_changes_nothing(
     ok(capsys, "commit", "--repo", r, "--branch", "main", "--patch", str(gone))
 
 
+@pytest.mark.parametrize("escape", ["\\UFFFFFFFF", "\\uD800"])
+def test_commit_with_an_escape_outside_unicode_fails_cleanly(repo, tmp_path, capsys, escape):
+    before = _files(repo)
+    bad = tmp_path / "bad.patch"
+    bad.write_text("A " + stmt("b9", "name", f'"x{escape}"') + "\n", encoding="utf-8")
+    err = fails(capsys, 2, "commit", "--repo", repo, "--branch", "main", "--patch", str(bad))
+    assert "line 1" in err
+    assert _files(repo) == before
+
+
 def test_repeated_init_fails(repo, patches, capsys):
     err = fails(capsys, 2, "init", "--repo", repo, "--patch", patches["city0"])
     assert "already initialized" in err

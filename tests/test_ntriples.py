@@ -14,8 +14,9 @@ from vgstore import (
     parse_ntriples,
     serialize_ntriples,
 )
+from vgstore import parse_patch
 from vgstore.ntriples import BlankScope, parse_statement
-from vgstore.terms import RDF_LANGSTRING, XSD_STRING
+from vgstore.terms import RDF_LANGSTRING, XSD_STRING, validate_term
 
 XSD_INT = "http://www.w3.org/2001/XMLSchema#integer"
 
@@ -110,11 +111,76 @@ def test_iri_escapes_decode_too():
         "<urn:s> <urn:p> _:. .",
         "<> <urn:p> <urn:o> .",
         "<urn:a b> <urn:p> <urn:o> .",
+        '<urn:s> <urn:p> "x"@en- .',
+        '<urn:s> <urn:p> "x"@-x .',
+        "_:é <urn:p> <urn:o> .",
+        f'<urn:s> <urn:p> "x"^^<{RDF_LANGSTRING}> .',
+        # \u and \U take exactly 4 or 8 hex digits naming a Unicode scalar value
+        '<urn:s> <urn:p> "a\\UFFFFFFFFb" .',
+        '<urn:s> <urn:p> "a\\uD800b" .',
+        '<urn:s> <urn:p> "a\\u+041b" .',
+        '<urn:s> <urn:p> "a\\u 041b" .',
+        '<urn:s> <urn:p> "a\\u0_41b" .',
     ],
 )
 def test_malformed_statements_are_rejected(line):
-    with pytest.raises(ValidationError):
-        parse_statement(line)
+    with pytest.raises(ValidationError, match="line 7"):
+        parse_statement(line, 7)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        '<urn:s> <urn:p> "x"@en- .',
+        '<urn:s> <urn:p> "x"@-x .',
+        "_:é <urn:p> <urn:o> .",
+        f'<urn:s> <urn:p> "x"^^<{RDF_LANGSTRING}> .',
+    ],
+)
+@pytest.mark.parametrize("patch", [False, True])
+def test_invalid_term_after_a_valid_line_interns_nothing(line, patch):
+    d = Dictionary()
+    d.intern(Iri("urn:pre:existing"))
+    text = f"<urn:a> <urn:b> _:n .\n{line}\n"
+    if patch:
+        text = "".join(f"A {stmt}\n" for stmt in text.splitlines())
+    with pytest.raises(ValidationError, match="line 2"):
+        (parse_patch if patch else parse_ntriples)(text, d)
+    assert len(d) == 1
+
+
+# lines over N-Triples punctuation, letters, hex digits, backslash, a
+# non-ASCII letter and whitespace, shaped as a statement and drawing letters
+# and digits most often, so that many draws get past the subject
+_bodies = st.text(
+    st.sampled_from('aeuUxAF09:#-_é' * 4 + '\\@."<> \t'), min_size=1, max_size=6
+)
+_iris = st.builds("<{}>".format, _bodies)
+_blanks = st.builds("_:{}".format, _bodies)
+_objects = st.one_of(
+    _iris,
+    _blanks,
+    st.builds('"{}"'.format, _bodies),
+    st.builds('"{}"@{}'.format, _bodies, _bodies),
+    st.builds('"{}"^^<{}>'.format, _bodies, _bodies),
+)
+_spaces = st.sampled_from(["", " ", "\t"])
+_lines = st.builds(
+    "{}{}{}{}{}{}{}.{}".format,
+    _spaces, st.one_of(_iris, _blanks), _spaces, _iris, _spaces, _objects, _spaces,
+    st.one_of(_spaces, _bodies),
+)
+
+
+@given(_lines)
+def test_a_parsed_statement_holds_only_valid_terms(line):
+    try:
+        terms = parse_statement(line)
+    except ValidationError:
+        return
+    assert len(terms) == 3
+    for term in terms:
+        validate_term(term)
 
 
 def test_language_tagged_literal():
