@@ -3,14 +3,22 @@
 eval_annotated answers a query for every version in one pass: each partial
 solution carries, per version variable, the set of versions it still holds
 in.  Joining two patterns intersects those sets; an empty intersection kills
-the row.  Only at the end is a row conceptually expanded, binding the version
-variable to each member, so DISTINCT, aggregation, and projection see plain
-rows.
+the row.  Only at the end is a row expanded, and only over the version
+variables the SELECT reads (projects, groups or aggregates): each of those is
+bound to every member of its set, so DISTINCT, aggregation, and projection
+see plain rows.  A version variable the SELECT does not read is never bound;
+the cardinality of its set becomes the row's multiplicity, the number of
+solutions the row stands for.  COUNT adds the multiplicity and a projection
+without DISTINCT repeats the row that often, while DISTINCT, MIN and MAX
+ignore it.  So `SELECT DISTINCT ?b` or a COUNT per data value builds no
+version IRI at all, and `accessible-pairs` emits each row once per version
+without a dict per version.
 
 eval_checkout is the baseline with identical semantics by construction: it
 materializes every candidate version, evaluates the query with the version
 variables fixed, and unions the row multisets.  Agreement between the two is
-the core correctness check of the whole package; divergence is a bug.
+the core correctness check of the whole package; divergence is a bug.  It
+binds every version variable, so each of its rows has multiplicity 1.
 
 Both evaluators extend rows through the one join step, _join, over a
 store.TripleIndex (the store's own, or one built per checked-out version).
@@ -19,7 +27,9 @@ annotation: a contains test for a constant version, an intersection for a
 version variable, and no change at all in a checkout.
 
 Both produce a SolutionTable whose rows are sorted by the tuple of term
-serializations, so equal results are byte-equal after formatting.
+serializations, so equal results are byte-equal after formatting.  _finish
+sorts the distinct rows only, and each term is serialized once (see
+ntriples.format_term), so sorting and formatting pay per distinct term.
 """
 
 from __future__ import annotations
@@ -39,6 +49,7 @@ from .sparql import (
     Not,
     Or,
     Query,
+    SelectClause,
     TriplePattern,
     Var,
     _expr_vars,
@@ -260,8 +271,61 @@ def _extremum(values: Iterable[Term], want_max: bool) -> Term | None:
     return min(ties, key=format_term)
 
 
-def _finish(rows: Iterator[dict[str, Term]], query: Query) -> SolutionTable:
-    """Aggregate, project, dedupe, and sort expanded rows."""
+def _read_names(query: Query) -> set[str]:
+    """The variables the SELECT projects, groups or aggregates."""
+    select = query.select
+    names = {v.name for v in select.group_by}
+    for item in select.items:
+        names.add(item.name if isinstance(item, Var) else item.arg.name)
+    return names
+
+
+def _aggregate(
+    rows: Iterable[tuple[dict[str, Term], int]], select: SelectClause, aggs: list[Aggregate]
+) -> list[tuple[Term, ...]]:
+    """One output row per surviving group; COUNT adds the multiplicities."""
+    group_names = [v.name for v in select.group_by]
+    groups: dict[tuple[Term, ...], list] = {}
+    for row, mult in rows:
+        key = tuple(row[name] for name in group_names)
+        acc = groups.get(key)
+        if acc is None:
+            acc = [0 if a.func == "COUNT" else set() for a in aggs]
+            groups[key] = acc
+        for i, agg in enumerate(aggs):
+            if agg.func == "COUNT":
+                acc[i] += mult
+            else:
+                acc[i].add(row[agg.arg.name])
+    if not groups and not group_names and all(a.func == "COUNT" for a in aggs):
+        groups[()] = [0 for _ in aggs]
+    out: list[tuple[Term, ...]] = []
+    for key, acc in groups.items():
+        by_name = dict(zip(group_names, key))
+        cells: list[Term] = []
+        dead = False
+        agg_index = 0
+        for item in select.items:
+            if isinstance(item, Var):
+                cells.append(by_name[item.name])
+                continue
+            value = acc[agg_index]
+            agg_index += 1
+            if item.func == "COUNT":
+                cells.append(Literal(str(value), XSD_INTEGER))
+            else:
+                extremum = _extremum(value, want_max=item.func == "MAX")
+                if extremum is None:
+                    dead = True
+                    break
+                cells.append(extremum)
+        if not dead:
+            out.append(tuple(cells))
+    return out
+
+
+def _finish(rows: Iterable[tuple[dict[str, Term], int]], query: Query) -> SolutionTable:
+    """Aggregate, project, dedupe, and sort rows given with their multiplicity."""
     select = query.select
     header = tuple(
         item.name if isinstance(item, Var) else item.alias.name
@@ -269,50 +333,26 @@ def _finish(rows: Iterator[dict[str, Term]], query: Query) -> SolutionTable:
     )
     aggs = [item for item in select.items if isinstance(item, Aggregate)]
     if aggs:
-        group_names = [v.name for v in select.group_by]
-        groups: dict[tuple[Term, ...], list] = {}
-        for row in rows:
-            key = tuple(row[name] for name in group_names)
-            acc = groups.get(key)
-            if acc is None:
-                acc = [0 if a.func == "COUNT" else set() for a in aggs]
-                groups[key] = acc
-            for i, agg in enumerate(aggs):
-                if agg.func == "COUNT":
-                    acc[i] += 1
-                else:
-                    acc[i].add(row[agg.arg.name])
-        if not groups and not group_names and all(a.func == "COUNT" for a in aggs):
-            groups[()] = [0 for _ in aggs]
-        out: list[tuple[Term, ...]] = []
-        for key, acc in groups.items():
-            by_name = dict(zip(group_names, key))
-            cells: list[Term] = []
-            dead = False
-            agg_index = 0
-            for item in select.items:
-                if isinstance(item, Var):
-                    cells.append(by_name[item.name])
-                    continue
-                value = acc[agg_index]
-                agg_index += 1
-                if item.func == "COUNT":
-                    cells.append(Literal(str(value), XSD_INTEGER))
-                else:
-                    extremum = _extremum(value, want_max=item.func == "MAX")
-                    if extremum is None:
-                        dead = True
-                        break
-                    cells.append(extremum)
-            if not dead:
-                out.append(tuple(cells))
+        projected: Iterable[tuple[tuple[Term, ...], int]] = (
+            (out_row, 1) for out_row in _aggregate(rows, select, aggs)
+        )
     else:
         names = [item.name for item in select.items if isinstance(item, Var)]
-        out = [tuple(row[name] for name in names) for row in rows]
+        projected = ((tuple(row[name] for name in names), mult) for row, mult in rows)
+    # each output row under its serialization, with how many times it occurs;
+    # serializations are equal exactly when rows are, and cheaper to hash
+    counts: dict[tuple[str, ...], list] = {}
+    for out_row, mult in projected:
+        text = tuple(map(format_term, out_row))
+        entry = counts.get(text)
+        if entry is None:
+            counts[text] = [out_row, mult]
+        else:
+            entry[1] += mult
+    ordered = [counts[text] for text in sorted(counts)]
     if select.distinct:
-        out = list(dict.fromkeys(out))
-    out.sort(key=lambda row: tuple(format_term(cell) for cell in row))
-    return SolutionTable(header, out)
+        return SolutionTable(header, [out_row for out_row, _ in ordered])
+    return SolutionTable(header, [out_row for out_row, n in ordered for _ in range(n)])
 
 
 # --- annotated evaluation ------------------------------------------------
@@ -349,20 +389,46 @@ def _ann_filter(
     return out
 
 
-def _expand(rows: list[_Row], dictionary: Dictionary) -> Iterator[dict[str, Term]]:
-    """Bind each version variable to every member of its set."""
+def _version_iris() -> Callable[[int], Iri]:
+    """One version IRI per version number, made on first use."""
+    iris: dict[int, Iri] = {}
+
+    def iri(seq: int) -> Iri:
+        term = iris.get(seq)
+        if term is None:
+            term = iris[seq] = Iri(version_iri(seq))
+        return term
+
+    return iri
+
+
+def _expand(
+    rows: list[_Row], dictionary: Dictionary, read: set[str]
+) -> Iterator[tuple[dict[str, Term], int]]:
+    """Bind each read version variable to every member of its set.
+
+    A version variable outside `read` stays unbound: its set's cardinality
+    multiplies the multiplicity each expanded row is yielded with.
+    """
+    iri = _version_iris()
     for env, vsets in rows:
-        data = {name: dictionary.resolve(tid) for name, tid in env.items()}
-        if not vsets:
-            yield data
+        data = {name: dictionary.resolve(tid) for name, tid in env.items() if name in read}
+        mult = 1
+        names: list[str] = []
+        for name, vset in vsets.items():
+            if name in read:
+                names.append(name)
+            else:
+                mult *= vset.cardinality()
+        if not names:
+            yield data, mult
             continue
-        names = sorted(vsets)
-        member_lists = [list(vsets[name]) for name in names]
-        for combo in product(*member_lists):
+        names.sort()
+        for combo in product(*(vsets[name] for name in names)):
             row = dict(data)
             for name, member in zip(names, combo):
-                row[name] = Iri(version_iri(member))
-            yield row
+                row[name] = iri(member)
+            yield row, mult
 
 
 def eval_annotated(
@@ -412,7 +478,7 @@ def eval_annotated(
                     break
         else:
             rows = _ann_filter(rows, element.expr, parts, dictionary)
-    return _finish(_expand(rows, dictionary), query)
+    return _finish(_expand(rows, dictionary, _read_names(query)), query)
 
 
 # --- checkout evaluation -------------------------------------------------
@@ -446,8 +512,9 @@ def eval_checkout(
                 g.add(t, True)
         return g
 
+    iri = _version_iris()
     main_head = dag.branches.get("main")
-    collected: list[dict[str, Term]] = []
+    collected: list[tuple[dict[str, Term], int]] = []
     for combo in product(domain, repeat=len(version_names)):
         assign = dict(zip(version_names, combo))
         rows: list[_Row] = [({}, {})]
@@ -470,9 +537,9 @@ def eval_checkout(
         for env, _ in rows:
             row = {name: dictionary.resolve(tid) for name, tid in env.items()}
             for name, seq in assign.items():
-                row[name] = Iri(version_iri(seq))
-            collected.append(row)
-    return _finish(iter(collected), query)
+                row[name] = iri(seq)
+            collected.append((row, 1))
+    return _finish(collected, query)
 
 
 # --- result formatting ---------------------------------------------------
@@ -483,7 +550,7 @@ def format_results(table: SolutionTable, fmt: str = "tsv") -> str:
     if fmt == "tsv":
         lines = ["\t".join(f"?{name}" for name in table.header)]
         for row in table.rows:
-            lines.append("\t".join(format_term(cell) for cell in row))
+            lines.append("\t".join(map(format_term, row)))
         return "\n".join(lines) + "\n"
     if fmt == "csv":
         import csv

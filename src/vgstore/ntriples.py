@@ -7,16 +7,22 @@ brackets, _:label blank nodes, and double-quoted literals with an optional
 three times; its IRI, blank-label and language-tag parts are the pattern
 strings of terms.py, and what a pattern cannot decide (what escapes decode
 to, a langString datatype without a tag) is left to terms.validate_term, so
-every term read is one the dictionary accepts.  Escapes are strict: \\uXXXX
-and \\UXXXXXXXX take exactly 4 or 8 hex digits naming a Unicode scalar value,
-and are accepted anywhere on input; output only escapes quotes, backslashes,
-and control characters.  Anything else is rejected with the 1-based line
-number.
+every term read is one the dictionary accepts.  IRIs follow IRIREF, with the
+two deviations terms.IRI_CHAR records, and take only \\u/\\U escapes;
+literals take those and the string escapes.  Escapes are strict: \\uXXXX and
+\\UXXXXXXXX take exactly 4 or 8 hex digits naming a Unicode scalar value.  A
+raw lone surrogate is rejected too, since no UTF-8 file can hold one.
+Anything else is rejected with the 1-based line number.
 
 Reading a document is all-or-nothing: terms are interned only after every
 line has parsed, so a failed read leaves the dictionary untouched.  Blank
 node labels are scoped to the read and replaced with fresh labels at
 interning time.
+
+Writing escapes only quotes, backslashes, and control characters.  Each term
+object is serialized at most once: format_term reads the text cached on the
+term (terms.term_text makes it), so sorting, formatting and patch writing pay
+per distinct term, not per occurrence.
 """
 
 from __future__ import annotations
@@ -26,10 +32,10 @@ import re
 from .errors import ValidationError
 from .terms import (
     BLANK_LABEL,
-    IRI_TEXT,
+    IRI_CHAR,
     LANG_TAG,
     RDF_LANGSTRING,
-    XSD_STRING,
+    _SURROGATE_RE,
     BlankNode,
     Dictionary,
     Iri,
@@ -50,20 +56,19 @@ _ECHAR_DECODE = {
     "\\": "\\",
 }
 
-_ECHAR_ENCODE = {
-    "\\": "\\\\",
-    '"': '\\"',
-    "\n": "\\n",
-    "\r": "\\r",
-    "\t": "\\t",
-}
-
 _ESCAPE_RE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.?))", re.DOTALL)
 
+# an IRI as written: IRI characters and \u or \U escapes, which decode later;
+# the escapes split runs of IRI_CHAR, so the regex scans a run in one step
+# instead of trying an alternation per character, and (?!>) keeps it nonempty
+_IRI_RAW = rf"(?!>){IRI_CHAR}*(?:\\[uU]{IRI_CHAR}*)*"
+# a literal's body: runs of _LEX_CHAR split by escapes, likewise
+_LEX_CHAR = r'[^"\\\ud800-\udfff]'
 # one term after optional spaces or tabs; escapes are decoded after the match
 _TERM_RE = re.compile(
-    rf"[ \t]*(?:<(?P<iri>{IRI_TEXT})>|_:(?P<blank>{BLANK_LABEL})"
-    rf'|"(?P<lex>(?:[^"\\]|\\.)*)"(?:@(?P<lang>{LANG_TAG})|\^\^<(?P<datatype>{IRI_TEXT})>)?)',
+    rf"[ \t]*(?:<(?P<iri>{_IRI_RAW})>|_:(?P<blank>{BLANK_LABEL})"
+    rf'|"(?P<lex>{_LEX_CHAR}*(?:\\.{_LEX_CHAR}*)*)"'
+    rf"(?:@(?P<lang>{LANG_TAG})|\^\^<(?P<datatype>{_IRI_RAW})>)?)",
     re.DOTALL,
 )
 
@@ -90,6 +95,9 @@ def _decode_escapes(raw: str, line: int) -> str:
 def _match_term(text: str, pos: int, line: int, where: str) -> re.Match:
     m = _TERM_RE.match(text, pos)
     if m is None:
+        bad = _SURROGATE_RE.search(text, pos)
+        if bad is not None:
+            raise ValidationError(f"line {line}: lone surrogate U+{ord(bad[0]):04X}")
         found = text[pos:].lstrip(" \t")[:20]
         raise ValidationError(f"line {line}: expected a term as {where}, found {found!r}")
     return m
@@ -204,32 +212,12 @@ def parse_ntriples(text: str, dictionary: Dictionary) -> list[Triple]:
     return [triple for _, triple in read_statements(text, dictionary)]
 
 
-def _escape_lex(lex: str) -> str:
-    out: list[str] = []
-    for ch in lex:
-        if ch in _ECHAR_ENCODE:
-            out.append(_ECHAR_ENCODE[ch])
-        elif ord(ch) < 0x20 or ord(ch) == 0x7F:
-            out.append(f"\\u{ord(ch):04X}")
-        else:
-            out.append(ch)
-    return "".join(out)
-
-
 def format_term(term: Term) -> str:
     """One term in N-Triples syntax."""
-    if isinstance(term, Iri):
-        return f"<{term.text}>"
-    if isinstance(term, BlankNode):
-        return f"_:{term.label}"
-    if isinstance(term, Literal):
-        body = f'"{_escape_lex(term.lex)}"'
-        if term.lang is not None:
-            return f"{body}@{term.lang}"
-        if term.datatype != XSD_STRING:
-            return f"{body}^^<{term.datatype}>"
-        return body
-    raise ValidationError(f"not a term: {term!r}")
+    try:
+        return term.nt
+    except AttributeError:
+        raise ValidationError(f"not a term: {term!r}") from None
 
 
 def format_triple(triple: Triple, dictionary: Dictionary) -> str:

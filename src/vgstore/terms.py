@@ -10,13 +10,18 @@ A Dictionary interns terms to dense integer ids starting at 0 so triples and
 indexes can work on ints.  Interning the same term twice returns the same id,
 and ids are never reused.  The dictionary is not thread-safe for writes;
 callers must not interleave intern calls from several threads.
+
+Each term serializes to N-Triples at most once: the text is made on the first
+read of its `nt` property and kept on the instance (cached_property writes
+the instance __dict__, which a frozen dataclass still has).
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import NotFoundError, ValidationError
 
@@ -35,27 +40,41 @@ NUMERIC_DATATYPES = frozenset({XSD_INTEGER, XSD_DECIMAL, XSD_DOUBLE, XSD_FLOAT})
 
 # The term grammar, as pattern strings the N-Triples reader and the query
 # tokenizer build on; validate_term matches them against whole strings.
-# \s matches exactly the characters for which str.isspace() is true.
-IRI_TEXT = r"[^\s<>]+"
+# IRI_CHAR is the character class of RDF 1.1 N-Triples IRIREF (no #x00-#x20,
+# <, >, ", {, }, |, ^, backtick or backslash), narrowed by two deliberate
+# deviations: no whitespace above #x20 either (\s matches exactly the
+# characters for which str.isspace() is true) and no lone surrogate, which no
+# UTF-8 file can hold.  IRI_TEXT is one or more of them: an IRI is never empty.
+IRI_CHAR = r'[^\s\x00-\x20<>"{}|^`\\\ud800-\udfff]'
+IRI_TEXT = IRI_CHAR + "+"
 BLANK_LABEL = r"[A-Za-z_][A-Za-z0-9_]*"
 LANG_TAG = r"[A-Za-z]+(?:-[A-Za-z0-9]+)*"
 _IRI_TEXT_RE = re.compile(IRI_TEXT)
 _BLANK_LABEL_RE = re.compile(BLANK_LABEL)
 _LANG_TAG_RE = re.compile(LANG_TAG)
+_SURROGATE_RE = re.compile(r"[\ud800-\udfff]")
+
+
+class _Serialized:
+    """The N-Triples text of a term, made on first read and kept after."""
+
+    @cached_property
+    def nt(self) -> str:
+        return term_text(self)
 
 
 @dataclass(frozen=True)
-class Iri:
+class Iri(_Serialized):
     text: str
 
 
 @dataclass(frozen=True)
-class BlankNode:
+class BlankNode(_Serialized):
     label: str
 
 
 @dataclass(frozen=True)
-class Literal:
+class Literal(_Serialized):
     lex: str
     datatype: str = XSD_STRING
     lang: str | None = None
@@ -80,8 +99,37 @@ class Triple:
     o: TermId
 
 
+# what each character that must be escaped in a literal is written as
+_LEX_ESCAPES = {chr(code): f"\\u{code:04X}" for code in (*range(0x20), 0x7F)} | {
+    "\\": "\\\\",
+    '"': '\\"',
+    "\n": "\\n",
+    "\r": "\\r",
+    "\t": "\\t",
+}
+_LEX_ESCAPE_RE = re.compile(r'["\\\x00-\x1f\x7f]')
+
+
+def _escape_lex(lex: str) -> str:
+    return _LEX_ESCAPE_RE.sub(lambda m: _LEX_ESCAPES[m[0]], lex)
+
+
+def term_text(term: Term) -> str:
+    """A term in N-Triples syntax, made anew; `term.nt` keeps the first one."""
+    if isinstance(term, Iri):
+        return f"<{term.text}>"
+    if isinstance(term, BlankNode):
+        return f"_:{term.label}"
+    body = f'"{_escape_lex(term.lex)}"'
+    if term.lang is not None:
+        return f"{body}@{term.lang}"
+    if term.datatype != XSD_STRING:
+        return f"{body}^^<{term.datatype}>"
+    return body
+
+
 def iri_text_ok(text: str) -> bool:
-    """True if text is nonempty and has no whitespace and no angle bracket."""
+    """True if text is a nonempty run of IRI_CHAR."""
     return _IRI_TEXT_RE.fullmatch(text) is not None
 
 
@@ -96,6 +144,8 @@ def validate_term(term: Term) -> None:
     elif isinstance(term, Literal):
         if not isinstance(term.lex, str):
             raise ValidationError("literal lexical form must be a string")
+        if _SURROGATE_RE.search(term.lex):
+            raise ValidationError(f"literal holds a lone surrogate: {term.lex!r}")
         if not isinstance(term.datatype, str) or not iri_text_ok(term.datatype):
             raise ValidationError(f"malformed datatype IRI: {term.datatype!r}")
         if term.lang is not None:

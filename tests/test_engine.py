@@ -563,3 +563,106 @@ def test_format_results_is_deterministic():
 def test_format_results_rejects_unknown_format():
     with pytest.raises(ValueError):
         format_results(SolutionTable(("v",), []), "xml")
+
+
+# --- multiplicity of an unread version variable ---------------------------
+
+
+def test_an_unread_version_variable_multiplies_rows_and_counts():
+    """st1's accessible value is true in v0 and v2, false in v1."""
+    store, dag = city()
+    st1 = Iri(EX + "st1")
+    true, false = Literal("true", XSD + "boolean"), Literal("false", XSD + "boolean")
+    where = f"WHERE {{ GRAPH ?v {{ ?st <{EX}accessible> ?a }} }}"
+    cases = {
+        f"SELECT ?st ?a {where}": [(st1, false), (st1, true), (st1, true)],
+        f"SELECT DISTINCT ?st ?a {where}": [(st1, false), (st1, true)],
+        f"SELECT (COUNT(?a) AS ?n) {where}": [(Literal("3", XSD_INTEGER),)],
+        f"SELECT ?a (COUNT(?st) AS ?n) {where} GROUP BY ?a": [
+            (false, Literal("1", XSD_INTEGER)),
+            (true, Literal("2", XSD_INTEGER)),
+        ],
+        f"SELECT (MIN(?a) AS ?m) (MAX(?a) AS ?x) {where}": [(false, true)],
+    }
+    for text, expected in cases.items():
+        for evaluate in BOTH:
+            assert evaluate(store, dag, parse_query(text)).rows == expected, text
+
+
+# --- cost model: what expansion and formatting build ---------------------
+
+
+def wide_store(n_versions: int, n_subjects: int):
+    """v0 holds n_subjects <sI> <p> "oI mod 10"; each later version adds one filler triple."""
+    store, dag = AnnotatedStore(), VersionDag()
+    d = store.dictionary
+    p = Iri(EX + "p")
+    base = frozenset(
+        d.triple(Iri(f"{EX}s{i}"), p, Literal(f"o{i % 10}")) for i in range(n_subjects)
+    )
+    store.apply_commit(dag, [], "main", Delta(base, frozenset()))
+    for v in range(1, n_versions):
+        filler = d.triple(Iri(f"{EX}t{v}"), Iri(EX + "q"), Literal("x"))
+        store.apply_commit(dag, [v - 1], "main", Delta(frozenset({filler}), frozenset()))
+    return store, dag
+
+
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Record the arguments of every call to module.name from now on."""
+    calls = []
+    original = getattr(module, name)
+
+    def counted(arg):
+        calls.append(arg)
+        return original(arg)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "select",
+    [
+        "SELECT DISTINCT ?s",
+        "SELECT ?s ?o",
+        "SELECT (COUNT(?s) AS ?n)",
+        "SELECT ?o (COUNT(?s) AS ?n)",
+        "SELECT (MAX(?o) AS ?m)",
+    ],
+)
+def test_a_query_that_never_reads_its_version_variable_builds_no_version_iri(
+    monkeypatch, select
+):
+    import vgstore.engine
+
+    store, dag = wide_store(30, 20)
+    group = " GROUP BY ?o" if "?o (" in select else ""
+    q = parse_query(f"{select} WHERE {{ GRAPH ?v {{ ?s <{EX}p> ?o }} }}{group}")
+    expected = eval_checkout(store, dag, q)
+    built = count_calls(monkeypatch, vgstore.engine, "version_iri")
+    assert eval_annotated(store, dag, q) == expected
+    assert built == []
+
+
+def test_a_projected_version_variable_builds_one_iri_per_version(monkeypatch):
+    import vgstore.engine
+
+    store, dag = wide_store(30, 20)
+    q = parse_query(f"SELECT ?v ?s WHERE {{ GRAPH ?v {{ ?s <{EX}p> ?o }} }}")
+    built = count_calls(monkeypatch, vgstore.engine, "version_iri")
+    table = eval_annotated(store, dag, q)
+    assert len(table.rows) == 30 * 20
+    assert sorted(built) == list(range(30))
+
+
+@pytest.mark.parametrize("select", ["SELECT ?v ?s ?o", "SELECT ?s ?o"])
+def test_sorting_and_formatting_20000_rows_serializes_each_term_once(monkeypatch, select):
+    import vgstore.terms
+
+    store, dag = wide_store(100, 200)
+    q = parse_query(f"{select} WHERE {{ GRAPH ?v {{ ?s <{EX}p> ?o }} }}")
+    serialized = count_calls(monkeypatch, vgstore.terms, "term_text")
+    text = format_results(eval_annotated(store, dag, q))
+    assert text.count("\n") == 1 + 20_000
+    versions = 100 if "?v" in select else 0
+    assert len(serialized) == len(set(serialized)) == versions + 200 + 10

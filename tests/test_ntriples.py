@@ -1,5 +1,7 @@
 """Line-based N-Triples reader/writer and blank label scoping."""
 
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -16,7 +18,7 @@ from vgstore import (
 )
 from vgstore import parse_patch
 from vgstore.ntriples import BlankScope, parse_statement
-from vgstore.terms import RDF_LANGSTRING, XSD_STRING, validate_term
+from vgstore.terms import RDF_LANGSTRING, XSD_STRING, _escape_lex, term_text, validate_term
 
 XSD_INT = "http://www.w3.org/2001/XMLSchema#integer"
 
@@ -91,6 +93,34 @@ def test_iri_escapes_decode_too():
     assert s == Iri("urn:x:A")
 
 
+def test_iriref_accepts_unicode_escapes_and_non_ascii():
+    s, p, o = parse_statement("<urn:\\u0041> <urn:\\U00000041> <urn:A\u00e9\x7f> .")
+    assert (s, p, o) == (Iri("urn:A"), Iri("urn:A"), Iri("urn:A\u00e9\x7f"))
+
+
+@pytest.mark.parametrize("patch", [False, True])
+def test_a_lone_surrogate_is_rejected_and_interns_nothing(patch):
+    d = Dictionary()
+    text = '<urn:a> <urn:b> <urn:c> .\n<urn:a> <urn:b> "\ud800" .\n'
+    if patch:
+        text = "".join(f"A {stmt}\n" for stmt in text.splitlines())
+    with pytest.raises(ValidationError, match="line 2: lone surrogate U\\+D800"):
+        (parse_patch if patch else parse_ntriples)(text, d)
+    assert len(d) == 0
+
+
+@pytest.mark.parametrize(
+    "term", [Literal("a\ud800"), Literal("\udfff", lang="en"), Iri("urn:\udc00")]
+)
+def test_the_dictionary_refuses_lone_surrogates(term):
+    d = Dictionary()
+    with pytest.raises(ValidationError):
+        validate_term(term)
+    with pytest.raises(ValidationError):
+        d.intern(term)
+    assert len(d) == 0
+
+
 @pytest.mark.parametrize(
     "line",
     [
@@ -121,6 +151,23 @@ def test_iri_escapes_decode_too():
         '<urn:s> <urn:p> "a\\u+041b" .',
         '<urn:s> <urn:p> "a\\u 041b" .',
         '<urn:s> <urn:p> "a\\u0_41b" .',
+        # RDF 1.1 IRIREF: inside <...> only \u and \U escapes, and none of
+        # the characters #x00-#x20 < > " { } | ^ ` \
+        '<urn:\\"x> <urn:p> <urn:o> .',
+        "<urn:s> <urn:p> <urn:a\\tb> .",
+        "<urn:s> <urn:p> <urn:a{b}|^> .",
+        '<urn:s> <urn:p> <urn:a"b> .',
+        "<urn:s> <urn:p> <urn:a`b> .",
+        "<urn:s> <urn:p> <urn:a|b> .",
+        "<urn:s> <urn:p> <urn:a^b> .",
+        "<urn:s> <urn:p> <urn:a{b> .",
+        "<urn:s> <urn:p> <urn:a}b> .",
+        "<urn:s> <urn:p> <urn:a\x01b> .",
+        '<urn:s> <urn:p> "x"^^<urn:dt\\n> .',
+        # raw lone surrogates, which no UTF-8 file can hold
+        '<urn:s> <urn:p> "\ud800" .',
+        '<urn:s> <urn:p> "a\udfffb"@en .',
+        "<urn:s\udc80> <urn:p> <urn:o> .",
     ],
 )
 def test_malformed_statements_are_rejected(line):
@@ -201,6 +248,45 @@ def test_control_characters_escape_on_output():
     assert format_term(Literal("a\x01b")) == '"a\\u0001b"'
     assert format_term(Literal("del\x7f")) == '"del\\u007F"'
     assert format_term(Literal('q"\\\n\r\t')) == '"q\\"\\\\\\n\\r\\t"'
+
+
+def _escape_lex_per_character(lex: str) -> str:
+    """The per-character escaping loop _escape_lex replaced, kept as a reference."""
+    named = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+    out = []
+    for ch in lex:
+        if ch in named:
+            out.append(named[ch])
+        elif ord(ch) < 0x20 or ord(ch) == 0x7F:
+            out.append(f"\\u{ord(ch):04X}")
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
+def test_escape_lex_matches_the_per_character_loop_on_every_scalar_value():
+    scalars = [chr(cp) for cp in range(sys.maxunicode + 1) if not 0xD800 <= cp <= 0xDFFF]
+    assert [_escape_lex(ch) for ch in scalars] == [_escape_lex_per_character(ch) for ch in scalars]
+    everything = "".join(scalars)
+    assert _escape_lex(everything) == _escape_lex_per_character(everything)
+
+
+@given(lex)
+def test_escape_lex_matches_the_per_character_loop_on_mixed_text(text):
+    assert _escape_lex(text) == _escape_lex_per_character(text)
+
+
+@given(objects)
+def test_term_text_is_kept_on_the_term_and_leaves_equality_alone(term):
+    assert format_term(term) == term_text(term)
+    assert term.__dict__["nt"] == term_text(term)
+    twin = type(term)(**{k: v for k, v in vars(term).items() if k != "nt"})
+    assert twin == term and hash(twin) == hash(term) and "nt" not in vars(twin)
+
+
+def test_format_term_rejects_a_non_term():
+    with pytest.raises(ValidationError, match="not a term"):
+        format_term("urn:a")
 
 
 def test_format_triple_is_dot_free():

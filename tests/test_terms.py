@@ -227,8 +227,15 @@ def test_fresh_blank_labels_skip_taken():
 
 
 def test_iri_check_agrees_with_the_per_character_predicate_on_every_code_point():
+    # RDF 1.1 IRIREF, plus two deviations: no whitespace above #x20 and no
+    # lone surrogate
     def forbidden(ch: str) -> bool:
-        return ch.isspace() or ch in "<>"
+        return (
+            ord(ch) <= 0x20
+            or ch in '<>"{}|^`\\'
+            or ch.isspace()
+            or 0xD800 <= ord(ch) <= 0xDFFF
+        )
 
     disagree = [
         cp
