@@ -226,22 +226,24 @@ def _eval_expr(
         if expr.op == ">=":
             return c >= 0
         return c > 0
+    # a left side that settles && or || skips the right one: False && error
+    # is False and True || error is True, so skipping changes no result
     if isinstance(expr, And):
         left = _eval_expr(expr.lhs, lookup, ishead)
-        right = _eval_expr(expr.rhs, lookup, ishead)
-        if left is False or right is False:
+        if left is False:
             return False
-        if left is None or right is None:
-            return None
-        return True
+        right = _eval_expr(expr.rhs, lookup, ishead)
+        if right is False:
+            return False
+        return None if left is None or right is None else True
     if isinstance(expr, Or):
         left = _eval_expr(expr.lhs, lookup, ishead)
-        right = _eval_expr(expr.rhs, lookup, ishead)
-        if left is True or right is True:
+        if left is True:
             return True
-        if left is None or right is None:
-            return None
-        return False
+        right = _eval_expr(expr.rhs, lookup, ishead)
+        if right is True:
+            return True
+        return None if left is None or right is None else False
     if isinstance(expr, Not):
         inner = _eval_expr(expr.operand, lookup, ishead)
         return None if inner is None else not inner

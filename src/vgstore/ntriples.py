@@ -3,23 +3,25 @@
 The accepted grammar is the line-oriented core of RDF 1.1 N-Triples: one
 statement per line, full-line # comments, blank lines, IRIs in angle
 brackets, _:label blank nodes, and double-quoted literals with an optional
-@lang tag or ^^<datatype>.  A statement is read with one term regex, matched
-three times; its IRI, blank-label and language-tag parts are the pattern
-strings of terms.py, and what a pattern cannot decide (what escapes decode
-to, a langString datatype without a tag) is left to terms.validate_term, so
-every term read is one the dictionary accepts.  IRIs follow IRIREF, with the
-two deviations terms.IRI_CHAR records, and take only \\u/\\U escapes;
-literals take those and the string escapes.  Escapes are strict: \\uXXXX and
-\\UXXXXXXXX take exactly 4 or 8 hex digits naming a Unicode scalar value.  A
-raw lone surrogate is rejected too, since no UTF-8 file can hold one.
-Anything else is rejected with the 1-based line number.
+@lang tag or ^^<datatype>.  A statement is read with one term regex,
+TERM_RE, matched three times; its IRI, blank-label and language-tag parts are
+the pattern strings of terms.py, and what a pattern cannot decide (what
+escapes decode to, a langString datatype without a tag) is left to
+terms.validate_term, so every term term_from_match returns is one the
+dictionary accepts.  Queries read their terms with the same two.  IRIs
+follow IRIREF, with the two deviations terms.IRI_CHAR records, and take only
+\\u/\\U escapes; literals take those and the string escapes.  Escapes are
+strict: \\uXXXX and \\UXXXXXXXX take exactly 4 or 8 hex digits naming a
+Unicode scalar value.  A raw lone surrogate is rejected too, since no UTF-8
+file can hold one.  Anything else is rejected with the 1-based line number.
 
 Reading a document is all-or-nothing: terms are interned only after every
 line has parsed, so a failed read leaves the dictionary untouched.  Blank
 node labels are scoped to the read and replaced with fresh labels at
 interning time.
 
-Writing escapes only quotes, backslashes, and control characters.  Each term
+Writing escapes only quotes, backslashes, and control characters, and
+format_triple writes every triple, in patches and documents alike.  Each term
 object is serialized at most once: format_term reads the text cached on the
 term (terms.term_text makes it), so sorting, formatting and patch writing pay
 per distinct term, not per occurrence.
@@ -62,10 +64,11 @@ _ESCAPE_RE = re.compile(r"\\(?:u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8})|(.?))", re.DO
 # the escapes split runs of IRI_CHAR, so the regex scans a run in one step
 # instead of trying an alternation per character, and (?!>) keeps it nonempty
 _IRI_RAW = rf"(?!>){IRI_CHAR}*(?:\\[uU]{IRI_CHAR}*)*"
-# a literal's body: runs of _LEX_CHAR split by escapes, likewise
-_LEX_CHAR = r'[^"\\\ud800-\udfff]'
-# one term after optional spaces or tabs; escapes are decoded after the match
-_TERM_RE = re.compile(
+# a literal's body: runs of _LEX_CHAR split by escapes, likewise; no raw line
+# feed, which only a query could hold
+_LEX_CHAR = r'[^"\\\n\ud800-\udfff]'
+# one term after optional spaces or tabs; term_from_match decodes its escapes
+TERM_RE = re.compile(
     rf"[ \t]*(?:<(?P<iri>{_IRI_RAW})>|_:(?P<blank>{BLANK_LABEL})"
     rf'|"(?P<lex>{_LEX_CHAR}*(?:\\.{_LEX_CHAR}*)*)"'
     rf"(?:@(?P<lang>{LANG_TAG})|\^\^<(?P<datatype>{_IRI_RAW})>)?)",
@@ -73,7 +76,7 @@ _TERM_RE = re.compile(
 )
 
 
-def _decode_escapes(raw: str, line: int) -> str:
+def _decode_escapes(raw: str) -> str:
     if "\\" not in raw:
         return raw
 
@@ -82,18 +85,18 @@ def _decode_escapes(raw: str, line: int) -> str:
         if digits is None:
             char = _ECHAR_DECODE.get(m[3])
             if char is None:
-                raise ValidationError(f"line {line}: bad escape: {m[0]!r}")
+                raise ValidationError(f"bad escape: {m[0]!r}")
             return char
         code = int(digits, 16)
         if code > 0x10FFFF or 0xD800 <= code <= 0xDFFF:
-            raise ValidationError(f"line {line}: {m[0]!r} is not a Unicode scalar value")
+            raise ValidationError(f"{m[0]!r} is not a Unicode scalar value")
         return chr(code)
 
     return _ESCAPE_RE.sub(decode, raw)
 
 
 def _match_term(text: str, pos: int, line: int, where: str) -> re.Match:
-    m = _TERM_RE.match(text, pos)
+    m = TERM_RE.match(text, pos)
     if m is None:
         bad = _SURROGATE_RE.search(text, pos)
         if bad is not None:
@@ -103,26 +106,24 @@ def _match_term(text: str, pos: int, line: int, where: str) -> re.Match:
     return m
 
 
-def _term(m: re.Match, line: int) -> Term:
+def term_from_match(m: re.Match) -> Term:
+    """The valid term a TERM_RE match spells; ValidationError if there is none."""
     iri, blank, lex, lang, datatype = m.groups()
     if blank is not None:
         return BlankNode(blank)
     if lex is None:
         if "\\" not in iri:
             return Iri(iri)
-        term: Term = Iri(_decode_escapes(iri, line))
+        term: Term = Iri(_decode_escapes(iri))
     elif lang is not None:
-        return Literal(_decode_escapes(lex, line), RDF_LANGSTRING, lang)
+        return Literal(_decode_escapes(lex), RDF_LANGSTRING, lang)
     elif datatype is None:
-        return Literal(_decode_escapes(lex, line))
+        return Literal(_decode_escapes(lex))
     else:
-        term = Literal(_decode_escapes(lex, line), _decode_escapes(datatype, line))
+        term = Literal(_decode_escapes(lex), _decode_escapes(datatype))
     # what escapes decode to, and a langString datatype without a tag, are
     # beyond the pattern
-    try:
-        validate_term(term)
-    except ValidationError as e:
-        raise ValidationError(f"line {line}: {e}") from None
+    validate_term(term)
     return term
 
 
@@ -140,7 +141,10 @@ def parse_statement(text: str, line: int = 1) -> tuple[Term, Term, Term]:
         if rest.startswith("."):
             raise ValidationError(f"line {line}: trailing content after '.': {rest[1:21]!r}")
         raise ValidationError(f"line {line}: statement must end with '.', found {rest[:20]!r}")
-    return _term(s, line), _term(p, line), _term(o, line)
+    try:
+        return term_from_match(s), term_from_match(p), term_from_match(o)
+    except ValidationError as e:
+        raise ValidationError(f"line {line}: {e}") from None
 
 
 class BlankScope:
@@ -221,19 +225,16 @@ def format_term(term: Term) -> str:
 
 
 def format_triple(triple: Triple, dictionary: Dictionary) -> str:
-    return " ".join(
-        format_term(dictionary.resolve(tid)) for tid in (triple.s, triple.p, triple.o)
-    )
+    """One triple as `s p o`, without the final dot: the only triple writer."""
+    return " ".join(format_term(dictionary.resolve(tid)) for tid in triple)
 
 
 def serialize_ntriples(triples: set[Triple] | list[Triple], dictionary: Dictionary) -> str:
     """Serialize triples one per line, sorted by their term serializations.
 
     The sort key is textual, not id-based, so the same graph serializes to
-    the same bytes regardless of interning order.
+    the same bytes regardless of interning order.  The joined line sorts as
+    its three texts would: no term text goes on from a prefix with a space.
     """
-    lines = sorted(
-        tuple(format_term(dictionary.resolve(tid)) for tid in (t.s, t.p, t.o))
-        for t in triples
-    )
-    return "".join(f"{s} {p} {o} .\n" for s, p, o in lines)
+    lines = sorted(format_triple(t, dictionary) for t in triples)
+    return "".join(f"{line} .\n" for line in lines)

@@ -52,6 +52,11 @@ def serialize_patch(delta: Delta, dictionary: Dictionary) -> str:
     return "".join(line + "\n" for line in lines)
 
 
+def _patch_path(seq: int) -> str:
+    """Where commit seq's patch lives, relative to the repository."""
+    return f"{DELTAS_DIR}/{seq}.patch"
+
+
 def _format_timestamp(ts: datetime) -> str:
     return ts.astimezone(timezone.utc).isoformat().replace("+00:00", "Z")
 
@@ -77,8 +82,8 @@ def save_repository(store: AnnotatedStore, dag: VersionDag, repo_dir: str | Path
     (repo / DELTAS_DIR).mkdir(parents=True, exist_ok=True)
     commits_json = []
     for meta in dag.commits():
-        patch_rel = f"{DELTAS_DIR}/{meta.seq}.patch"
-        (repo / DELTAS_DIR / f"{meta.seq}.patch").write_text(
+        patch_rel = _patch_path(meta.seq)
+        (repo / patch_rel).write_text(
             serialize_patch(store.delta(meta.seq), store.dictionary), encoding="utf-8"
         )
         commits_json.append(
@@ -110,7 +115,13 @@ def _manifest_error(msg: str) -> RepositoryError:
     return RepositoryError(f"{MANIFEST_NAME}: {msg}")
 
 
-def _check_commit_record(record: dict, expected_seq: int) -> None:
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_commit_record(record, expected_seq: int) -> None:
+    if not isinstance(record, dict):
+        raise _manifest_error(f"commit {expected_seq} is not an object")
     required = (
         "seq",
         "iri",
@@ -125,22 +136,34 @@ def _check_commit_record(record: dict, expected_seq: int) -> None:
     for key in required:
         if key not in record:
             raise _manifest_error(f"commit {expected_seq} is missing {key!r}")
-    if record["seq"] != expected_seq:
+    if not _is_int(record["seq"]) or record["seq"] != expected_seq:
         raise _manifest_error(
-            f"commit numbers must be dense from 0; found {record['seq']} "
+            f"commit numbers must be dense from 0; found {record['seq']!r} "
             f"at position {expected_seq}"
         )
     if record["iri"] != version_iri(expected_seq):
         raise _manifest_error(f"commit {expected_seq} has wrong iri {record['iri']!r}")
     parents = record["parents"]
     if not isinstance(parents, list) or any(
-        not isinstance(p, int) or p < 0 or p >= expected_seq for p in parents
+        not _is_int(p) or p < 0 or p >= expected_seq for p in parents
     ):
         raise _manifest_error(f"commit {expected_seq} has bad parents {parents!r}")
     if expected_seq == 0 and parents:
         raise _manifest_error("the root commit cannot have parents")
     if expected_seq > 0 and not parents:
         raise _manifest_error(f"commit {expected_seq} has no parents")
+    for key in ("branch", "message", "author", "timestamp"):
+        if not isinstance(record[key], str):
+            raise _manifest_error(f"commit {expected_seq} has a non-string {key!r}")
+    prov = record["provenance"]
+    if not isinstance(prov, dict) or not all(isinstance(v, str) for v in prov.values()):
+        raise _manifest_error(f"commit {expected_seq} has bad provenance {prov!r}")
+    # every save writes this path, so no other one is read
+    if record["patch"] != _patch_path(expected_seq):
+        raise _manifest_error(
+            f"commit {expected_seq} must name patch {_patch_path(expected_seq)!r}, "
+            f"found {record['patch']!r}"
+        )
 
 
 def load_repository(
@@ -170,7 +193,7 @@ def load_repository(
     scope = BlankScope(dictionary)
     for expected_seq, record in enumerate(commits):
         _check_commit_record(record, expected_seq)
-        patch_path = repo / Path(record["patch"])
+        patch_path = repo / record["patch"]
         if not patch_path.is_file():
             raise RepositoryError(f"missing patch file: {patch_path}")
         try:
@@ -180,8 +203,6 @@ def load_repository(
         except ValidationError as e:
             raise RepositoryError(f"{patch_path}: {e}") from None
         prov = record["provenance"]
-        if not isinstance(prov, dict):
-            raise _manifest_error(f"commit {expected_seq} has bad provenance")
         branch = record["branch"]
         parents = record["parents"]
         if parents and branch not in dag.branches:

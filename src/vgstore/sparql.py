@@ -20,6 +20,12 @@ non-distinguished variables.  Comparisons are value comparisons over
 literals.  A filter may only mention variables introduced by earlier
 patterns, so left-to-right evaluation is well defined.
 
+IRIs in angle brackets, blank nodes and literals are read by the patch
+reader, ntriples.TERM_RE and term_from_match; the rest is query syntax.  A
+term the parser builds (a prefixed name, a tag or datatype after a space)
+goes through validate_term, so a constant no patch could hold is a
+QueryError with its position, not a pattern that matches nothing.
+
 Not supported, by design: OPTIONAL, UNION, property paths, subqueries,
 ORDER BY, LIMIT.
 """
@@ -28,20 +34,24 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import TypeVar
 
 from .errors import QueryError, ValidationError
-from .ntriples import _decode_escapes
+from .ntriples import TERM_RE, term_from_match
 from .terms import (
-    BLANK_LABEL,
     LANG_TAG,
     RDF_TYPE,
     XSD_BOOLEAN,
     XSD_DECIMAL,
     XSD_INTEGER,
+    BlankNode,
     Iri,
     Literal,
     Term,
+    validate_term,
 )
+
+_T = TypeVar("_T", Iri, Literal)
 
 # --- AST ---------------------------------------------------------------
 
@@ -134,17 +144,11 @@ class Query:
 
 # --- Tokenizer ---------------------------------------------------------
 
-_KEYWORDS = {"PREFIX", "SELECT", "DISTINCT", "WHERE", "GRAPH", "FILTER",
-             "GROUP", "BY", "AS", "COUNT", "MIN", "MAX"}
-
 _TOKEN_RE = re.compile(
     rf"""
       (?P<WS>\s+)
     | (?P<COMMENT>\#[^\n]*)
-    | (?P<IRIREF><[^<>"{{}}|^`\\\s]*>)
     | (?P<VAR>\?[A-Za-z_][A-Za-z0-9_]*)
-    | (?P<BLANK>_:{BLANK_LABEL})
-    | (?P<STRING>"(?:[^"\\\n]|\\.)*")
     | (?P<LANGTAG>@{LANG_TAG})
     | (?P<NUMBER>[+-]?[0-9]+(?:\.[0-9]+)?)
     | (?P<PNAME>(?:[A-Za-z_][A-Za-z0-9_-]*)?:(?:[A-Za-z0-9_](?:[A-Za-z0-9_.-]*[A-Za-z0-9_-])?)?)
@@ -162,6 +166,7 @@ class _Token:
     value: str
     line: int
     col: int
+    term: Term | None = None  # the valid term a TERM token spells
 
 
 _EOF = "end of query"
@@ -173,14 +178,24 @@ def _tokenize(text: str) -> list[_Token]:
     line = 1
     line_start = 0
     while pos < len(text):
+        col = pos - line_start + 1
+        # an IRI, blank node or literal starts here, unless a "<" is an operator;
+        # a term holds no raw line feed, so the line count stands
+        m = TERM_RE.match(text, pos) if text.startswith(("<", '"', "_:"), pos) else None
+        if m is not None:
+            try:
+                tokens.append(_Token("TERM", m.group(), line, col, term_from_match(m)))
+            except ValidationError as e:
+                raise QueryError(str(e), line, col) from None
+            pos = m.end()
+            continue
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            col = pos - line_start + 1
             raise QueryError(f"unexpected character {text[pos]!r}", line, col)
         kind = m.lastgroup or ""
         value = m.group()
         if kind not in ("WS", "COMMENT"):
-            tokens.append(_Token(kind, value, line, pos - line_start + 1))
+            tokens.append(_Token(kind, value, line, col))
         newlines = value.count("\n")
         if newlines:
             line += newlines
@@ -199,7 +214,6 @@ class _Parser:
         self.pos = 0
         self.prefixes: dict[str, str] = {}
         self._blank_vars: dict[str, Var] = {}
-        self._blank_counter = 0
 
     # token plumbing
 
@@ -276,9 +290,9 @@ class _Parser:
             raise self.error("expected a prefix name like ex:")
         name = self.next().value[:-1]
         tok = self.peek()
-        if tok.kind != "IRIREF":
+        if not isinstance(tok.term, Iri):
             raise self.error("expected an IRI in angle brackets")
-        self.prefixes[name] = self.next().value[1:-1]
+        self.prefixes[name] = self.next().term.text
 
     def parse_select(self) -> SelectClause:
         self.expect_word("SELECT")
@@ -373,34 +387,39 @@ class _Parser:
 
     def parse_iri(self, what: str) -> Iri:
         tok = self.peek()
-        if tok.kind == "IRIREF":
+        if isinstance(tok.term, Iri):
             self.next()
-            return Iri(tok.value[1:-1])
+            return tok.term
         if tok.kind == "PNAME":
             self.next()
-            return self.expand_pname(tok)
+            prefix, _, local = tok.value.partition(":")
+            if prefix not in self.prefixes:
+                raise self.error(f"unknown prefix: {prefix}:", tok)
+            return self.checked(Iri(self.prefixes[prefix] + local), tok)
         raise self.error(f"expected an IRI as {what}, found {self._shown()}")
 
-    def expand_pname(self, tok: _Token) -> Iri:
-        prefix, _, local = tok.value.partition(":")
-        if prefix not in self.prefixes:
-            raise QueryError(f"unknown prefix: {prefix}:", tok.line, tok.col)
-        return Iri(self.prefixes[prefix] + local)
+    def checked(self, term: _T, tok: _Token) -> _T:
+        """A term the parser built itself, if valid; tok is where it starts."""
+        try:
+            validate_term(term)
+        except ValidationError as e:
+            raise self.error(str(e), tok) from None
+        return term
 
     def parse_term(self, position: str) -> Var | Term:
         tok = self.peek()
         if tok.kind == "VAR":
             self.next()
             return Var(tok.value[1:])
-        if tok.kind == "BLANK":
+        if isinstance(tok.term, BlankNode):
             if position == "predicate":
                 raise self.error("a blank node cannot be a predicate")
             self.next()
-            label = tok.value[2:]
+            label = tok.term.label
             if label not in self._blank_vars:
                 self._blank_vars[label] = Var(f"_:{label}")
             return self._blank_vars[label]
-        if tok.kind in ("IRIREF", "PNAME"):
+        if isinstance(tok.term, Iri) or tok.kind == "PNAME":
             return self.parse_iri(position)
         if tok.kind == "WORD" and tok.value == "a":
             if position != "predicate":
@@ -413,18 +432,19 @@ class _Parser:
 
     def parse_literal(self) -> Literal:
         tok = self.peek()
-        if tok.kind == "STRING":
+        if isinstance(tok.term, Literal):
             self.next()
-            lex = _decode_query_string(tok, self)
-            nxt = self.peek()
-            if nxt.kind == "LANGTAG":
-                self.next()
-                return Literal(lex, lang=nxt.value[1:])
-            if nxt.kind == "DTANNOT":
-                self.next()
-                dt = self.parse_iri("datatype")
-                return Literal(lex, dt.text)
-            return Literal(lex)
+            # a bare string may take a spaced tag or datatype, or ^^prefix:name
+            if tok.value.endswith('"'):
+                nxt = self.peek()
+                if nxt.kind == "LANGTAG":
+                    self.next()
+                    return self.checked(Literal(tok.term.lex, lang=nxt.value[1:]), tok)
+                if nxt.kind == "DTANNOT":
+                    self.next()
+                    dt = self.parse_iri("datatype")
+                    return self.checked(Literal(tok.term.lex, dt.text), tok)
+            return tok.term
         if tok.kind == "NUMBER":
             self.next()
             dt = XSD_DECIMAL if "." in tok.value else XSD_INTEGER
@@ -485,13 +505,6 @@ class _Parser:
             self.next()
             return Var(tok.value[1:])
         return self.parse_literal()
-
-
-def _decode_query_string(tok: _Token, parser: _Parser) -> str:
-    try:
-        return _decode_escapes(tok.value[1:-1], tok.line)
-    except ValidationError:
-        raise parser.error("bad escape in string literal", tok) from None
 
 
 # --- Validation --------------------------------------------------------

@@ -34,6 +34,7 @@ from typing import Iterator
 
 from .dag import Provenance, VersionDag
 from .errors import DeltaError, NotFoundError, StateError, ValidationError
+from .ntriples import format_triple
 from .terms import Dictionary, TermId, Triple
 from .versionsets import VersionSet, set_class
 
@@ -196,7 +197,7 @@ class AnnotatedStore:
                 sample = next(iter(spurious))
                 raise DeltaError(
                     f"{len(spurious)} removal(s) not present in any parent, "
-                    f"e.g. {self._describe(sample)}"
+                    f"e.g. {format_triple(sample, self.dictionary)}"
                 )
             log.warning("ignoring %d removal(s) absent from all parents", len(spurious))
         present = (parent_union - delta.removals) | delta.additions
@@ -316,13 +317,3 @@ class AnnotatedStore:
     def _register(self, t: Triple, vset: VersionSet) -> None:
         self._sets[t] = vset
         self._index.add(t, vset)
-
-    def _describe(self, t: Triple) -> str:
-        from .ntriples import format_term
-
-        try:
-            return " ".join(
-                format_term(self.dictionary.resolve(tid)) for tid in (t.s, t.p, t.o)
-            )
-        except Exception:
-            return repr(t)

@@ -22,6 +22,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import NotFoundError, ValidationError
 
@@ -90,9 +91,12 @@ Term = Iri | BlankNode | Literal
 TermId = int
 
 
-@dataclass(frozen=True)
-class Triple:
-    """A triple of term ids.  Positions are validated where triples are built."""
+class Triple(NamedTuple):
+    """A triple of term ids.  Positions are validated where triples are built.
+
+    A tuple, so hashing and equality run in C; a triple equals the plain
+    tuple of its ids.
+    """
 
     s: TermId
     p: TermId

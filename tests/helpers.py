@@ -13,6 +13,8 @@ import random
 from datetime import datetime, timedelta, timezone
 from itertools import product
 
+from hypothesis import strategies as st
+
 from vgstore.dag import Provenance, VersionDag
 from vgstore.ntriples import format_term
 from vgstore.store import AnnotatedStore, Delta
@@ -227,3 +229,44 @@ def random_query(rng: random.Random, n_versions: int) -> str:
         else:
             select = f"({func}(?{arg}) AS ?agg)"
     return f"SELECT {select} WHERE {{ {where} }}{group}"
+
+
+# lines over N-Triples punctuation, letters, hex digits, backslash, a
+# non-ASCII letter and whitespace, shaped as a statement and drawing letters
+# and digits most often, so that many draws get past the subject
+_bodies = st.text(
+    st.sampled_from('aeuUxAF09:#-_é' * 4 + '\\@."<> \t'), min_size=1, max_size=6
+)
+_iris = st.builds("<{}>".format, _bodies)
+_blanks = st.builds("_:{}".format, _bodies)
+_objects = st.one_of(
+    _iris,
+    _blanks,
+    st.builds('"{}"'.format, _bodies),
+    st.builds('"{}"@{}'.format, _bodies, _bodies),
+    st.builds('"{}"^^<{}>'.format, _bodies, _bodies),
+)
+_spaces = st.sampled_from(["", " ", "\t"])
+statement_lines = st.builds(
+    "{}{}{}{}{}{}{}.{}".format,
+    _spaces, st.one_of(_iris, _blanks), _spaces, _iris, _spaces, _objects, _spaces,
+    st.one_of(_spaces, _bodies),
+)
+
+
+# queries naming a constant no patch could hold, with the (line, column) of
+# the error each must raise instead of matching nothing
+_RDF = "PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>\n"
+INVALID_CONSTANTS = [
+    ("empty-iri", "SELECT ?s WHERE { ?s <> ?o }", (1, 22)),
+    ("control-in-iri", "SELECT ?s WHERE { ?s <urn:a\x01b> ?o }", (1, 28)),
+    ("empty-prefix-iri", "PREFIX e: <>\nSELECT ?s WHERE { ?s e:p ?o }", (1, 11)),
+    (
+        "langstring-without-tag",
+        _RDF + 'SELECT ?s WHERE { ?s <urn:p> "x"^^rdf:langString }',
+        (2, 30),
+    ),
+    ("surrogate-in-iri", "SELECT ?s WHERE { ?s <urn:a\ud800b> ?o }", (1, 28)),
+    ("surrogate-in-string", 'SELECT ?s WHERE {\n ?s <urn:p> "a\ud800" }', (2, 13)),
+    ("bad-escape", 'SELECT ?s WHERE { ?s <urn:p> "a\\qb" }', (1, 30)),
+]

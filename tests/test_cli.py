@@ -11,6 +11,8 @@ from vgstore import load_repository, parse_patch, serialize_ntriples
 from vgstore.bench import REPORT_HEADER, ScenarioParams, generate
 from vgstore.cli import run as vg
 
+from helpers import INVALID_CONSTANTS
+
 XSD = "http://www.w3.org/2001/XMLSchema#"
 BOOL = f"^^<{XSD}boolean>"
 DEC = f"^^<{XSD}decimal>"
@@ -358,6 +360,28 @@ def test_query_error_exits_3(repo, capsys):
     err = fails(capsys, 3, "query", "--repo", repo,
                 "--inline", "SELECT ?v WHERE {")
     assert err.startswith("vg: query error:")
+
+
+@pytest.mark.parametrize(
+    "text", [pytest.param(text, id=name) for name, text, _ in INVALID_CONSTANTS]
+)
+def test_a_constant_outside_the_term_grammar_exits_3(repo, capsys, text):
+    code = vg(["query", "--repo", repo, "--inline", text])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err.startswith("vg: query error:") and "(line " in err
+
+
+def test_a_query_iri_escape_names_the_term_a_patch_wrote(tmp_path, capsys):
+    r = str(tmp_path / "r")
+    patch = tmp_path / "a.patch"
+    patch.write_text('A <urn:A> <urn:p> "x" .\n', encoding="utf-8")
+    ok(capsys, "init", "--repo", r, "--patch", str(patch))
+    out = ok(capsys, "query", "--repo", r, "--inline",
+             "SELECT ?o WHERE { <urn:\\u0041> <urn:p> ?o }")
+    assert out.splitlines()[1:] == ['"x"']
+    assert out == ok(capsys, "query", "--repo", r, "--inline",
+                     "SELECT ?o WHERE { <urn:A> <urn:p> ?o }")
 
 
 def test_data_errors_exit_2(repo, tmp_path, capsys):

@@ -666,3 +666,36 @@ def test_sorting_and_formatting_20000_rows_serializes_each_term_once(monkeypatch
     assert text.count("\n") == 1 + 20_000
     versions = 100 if "?v" in select else 0
     assert len(serialized) == len(set(serialized)) == versions + 200 + 10
+
+
+@pytest.mark.parametrize(
+    "condition,annotated_calls,checkout_calls",
+    [
+        # rows: 10.5 in versions 0 and 1, 12.0 in version 2, the only head
+        ("isHead(?v) && ?h > 11.0", 2, 1),
+        ("?h < 0 && ?h > 1", 2, 3),
+        ("?h > 0 || ?h < 1", 2, 3),
+    ],
+)
+def test_a_settled_left_operand_skips_the_right_one(
+    monkeypatch, condition, annotated_calls, checkout_calls
+):
+    import vgstore.engine
+
+    store, dag = city()
+    q = parse_query(
+        f"SELECT ?v ?h WHERE {{ GRAPH ?v {{ <{EX}b1> <{EX}height> ?h }} FILTER ({condition}) }}"
+    )
+    calls = []
+    original = vgstore.engine.compare_values
+
+    def counted(a, b):
+        calls.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(vgstore.engine, "compare_values", counted)
+    annotated = eval_annotated(store, dag, q)
+    assert len(calls) == annotated_calls
+    calls.clear()
+    assert eval_checkout(store, dag, q) == annotated
+    assert len(calls) == checkout_calls

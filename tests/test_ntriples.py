@@ -20,6 +20,8 @@ from vgstore import parse_patch
 from vgstore.ntriples import BlankScope, parse_statement
 from vgstore.terms import RDF_LANGSTRING, XSD_STRING, _escape_lex, term_text, validate_term
 
+from helpers import statement_lines
+
 XSD_INT = "http://www.w3.org/2001/XMLSchema#integer"
 
 iris = st.from_regex(r"urn:x:[a-z0-9]{1,8}", fullmatch=True).map(Iri)
@@ -196,30 +198,7 @@ def test_invalid_term_after_a_valid_line_interns_nothing(line, patch):
     assert len(d) == 1
 
 
-# lines over N-Triples punctuation, letters, hex digits, backslash, a
-# non-ASCII letter and whitespace, shaped as a statement and drawing letters
-# and digits most often, so that many draws get past the subject
-_bodies = st.text(
-    st.sampled_from('aeuUxAF09:#-_é' * 4 + '\\@."<> \t'), min_size=1, max_size=6
-)
-_iris = st.builds("<{}>".format, _bodies)
-_blanks = st.builds("_:{}".format, _bodies)
-_objects = st.one_of(
-    _iris,
-    _blanks,
-    st.builds('"{}"'.format, _bodies),
-    st.builds('"{}"@{}'.format, _bodies, _bodies),
-    st.builds('"{}"^^<{}>'.format, _bodies, _bodies),
-)
-_spaces = st.sampled_from(["", " ", "\t"])
-_lines = st.builds(
-    "{}{}{}{}{}{}{}.{}".format,
-    _spaces, st.one_of(_iris, _blanks), _spaces, _iris, _spaces, _objects, _spaces,
-    st.one_of(_spaces, _bodies),
-)
-
-
-@given(_lines)
+@given(statement_lines)
 def test_a_parsed_statement_holds_only_valid_terms(line):
     try:
         terms = parse_statement(line)
@@ -310,6 +289,31 @@ def test_serialize_sorts_by_term_text_not_id():
         outputs.append(serialize_ntriples(set(parse_ntriples(doc, d)), d))
     assert outputs[0] == outputs[1]
     assert outputs[0] == "<urn:a> <urn:p> <urn:o> .\n<urn:b> <urn:p> <urn:o> .\n"
+
+
+def test_serialize_orders_terms_that_share_a_prefix_by_their_texts():
+    d = Dictionary()
+    s, p = Iri("urn:s"), Iri("urn:p")
+    triples = {
+        d.triple(s, p, Literal("a", lang="en")),
+        d.triple(s, p, Literal("a")),
+        d.triple(BlankNode("b10"), p, s),
+        d.triple(BlankNode("b1"), p, s),
+    }
+    assert serialize_ntriples(triples, d) == (
+        '<urn:s> <urn:p> "a" .\n'
+        '<urn:s> <urn:p> "a"@en .\n'
+        "_:b1 <urn:p> <urn:s> .\n"
+        "_:b10 <urn:p> <urn:s> .\n"
+    )
+
+
+@given(term_triples)
+def test_serialize_sorts_lines_as_their_term_texts(items):
+    d = Dictionary()
+    triples = {d.triple(s, p, o) for s, p, o in items}
+    texts = sorted(tuple(format_term(d.resolve(x)) for x in t) for t in triples)
+    assert serialize_ntriples(triples, d) == "".join(f"{s} {p} {o} .\n" for s, p, o in texts)
 
 
 @given(term_triples)

@@ -23,6 +23,7 @@ from vgstore import (
     serialize_patch,
 )
 from vgstore.bench import ScenarioParams, generate
+from vgstore.cli import run as vg
 from vgstore.store import AnnotatedStore
 from vgstore.versionsets import ExtensionSet, IntervalSet
 
@@ -246,6 +247,61 @@ def test_manifest_not_json(tmp_path):
     (outdir / "manifest.json").write_text("{nope")
     with pytest.raises(RepositoryError, match="manifest"):
         load_repository(outdir)
+
+
+def _set(index, key, value):
+    def mutate(m, tmp_path):
+        m["commits"][index][key] = value
+
+    return mutate
+
+
+def _patch_outside(m, tmp_path):
+    outside = tmp_path / "outside.patch"
+    outside.write_bytes((tmp_path / "c" / "deltas" / "1.patch").read_bytes())
+    m["commits"][1]["patch"] = str(outside)
+
+
+def _record_list(m, tmp_path):
+    m["commits"][1] = ["not", "an", "object"]
+
+
+def _record_int(m, tmp_path):
+    m["commits"][1] = 1
+
+
+@pytest.mark.parametrize(
+    "mutate,fragment",
+    [
+        pytest.param(_set(1, "timestamp", 1772323260), "timestamp", id="timestamp-int"),
+        pytest.param(_set(1, "patch", 1), "patch", id="patch-int"),
+        pytest.param(_set(1, "branch", 7), "branch", id="branch-int"),
+        pytest.param(_set(1, "branch", ["side"]), "branch", id="branch-list"),
+        pytest.param(_set(1, "message", None), "message", id="message-null"),
+        pytest.param(_set(1, "author", ["gen"]), "author", id="author-list"),
+        pytest.param(_set(1, "seq", True), "dense", id="seq-bool"),
+        pytest.param(_set(2, "parents", [True]), "parents", id="parent-bool"),
+        pytest.param(_set(1, "provenance", "gen"), "provenance", id="provenance-str"),
+        pytest.param(
+            _set(1, "provenance", {"code_ref": "step:1", "tool": 3}),
+            "provenance",
+            id="provenance-tool-int",
+        ),
+        pytest.param(
+            _set(1, "patch", "deltas/../deltas/1.patch"), "deltas/1.patch", id="patch-respelled"
+        ),
+        pytest.param(_patch_outside, "deltas/1.patch", id="patch-outside"),
+        pytest.param(_record_list, "object", id="record-list"),
+        pytest.param(_record_int, "object", id="record-int"),
+    ],
+)
+def test_manifest_field_types_and_patch_path(tmp_path, capsys, mutate, fragment):
+    outdir = corrupt(tmp_path, lambda m: mutate(m, tmp_path))
+    with pytest.raises(RepositoryError, match=fragment):
+        load_repository(outdir)
+    assert vg(["log", "--repo", str(outdir)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("vg: error:")
 
 
 @given(st.integers(0, 10_000), st.booleans())

@@ -1,8 +1,10 @@
 """Query parser: grammar, prefix handling, positions, validation rules."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from vgstore import Iri, Literal, QueryError
+from vgstore import BlankNode, Iri, Literal, QueryError, ValidationError
+from vgstore.ntriples import parse_statement
 from vgstore.sparql import (
     Aggregate,
     And,
@@ -16,7 +18,9 @@ from vgstore.sparql import (
     Var,
     parse_query,
 )
-from vgstore.terms import RDF_TYPE, XSD_BOOLEAN, XSD_DECIMAL, XSD_INTEGER
+from vgstore.terms import RDF_TYPE, XSD_BOOLEAN, XSD_DECIMAL, XSD_INTEGER, term_text
+
+from helpers import INVALID_CONSTANTS, statement_lines
 
 Q1_SKELETON = 'SELECT ?v WHERE { GRAPH ?v { ?s <http://ex.org/accessible> "true" } }'
 
@@ -233,6 +237,7 @@ def test_validation_rejections(text, fragment):
         "SELECT ?x WHERE { ?x <urn:p> ?o } trailing",
         "SELECT ?x WHERE { GRAPH { ?x <urn:p> ?o } }",
         'SELECT ?x WHERE { "lit" <urn:p> ?o }',
+        'SELECT ?x WHERE { ?x <urn:p> "a\nb" }',
         "SELECT ?x WHERE { ?x <urn:p> ?o FILTER ?x }",
         "SELECT ?x WHERE { ?x <urn:p> ?o FILTER (?x <) }",
         "SELECT (COUNT ?x AS ?n) WHERE { ?x <urn:p> ?o }",
@@ -266,3 +271,69 @@ def test_filters_may_interleave_with_patterns():
     )
     kinds = [type(e) for e in q.where]
     assert kinds == [TriplePattern, Filter, TriplePattern, Filter]
+
+
+@pytest.mark.parametrize(
+    "text,position",
+    [pytest.param(text, position, id=name) for name, text, position in INVALID_CONSTANTS],
+)
+def test_a_constant_outside_the_term_grammar_is_a_positioned_error(text, position):
+    with pytest.raises(QueryError) as exc:
+        parse_query(text)
+    assert (exc.value.line, exc.value.col) == position
+
+
+def test_constants_read_with_the_patch_term_grammar():
+    q = parse_query(
+        "PREFIX u: <urn:\\u0041:>\n"
+        "SELECT ?s WHERE { ?s <urn:\\u0041> \"\\u00e9\\t\"@en . ?s u:b _:x . "
+        '?s <urn:p> "1"^^<urn:\\U0001F600> }'
+    )
+    first, second, third = q.where
+    assert first.p == Iri("urn:A") and first.o == Literal("é\t", lang="en")
+    assert second.p == Iri("urn:A:b") and second.o == Var("_:x")
+    assert third.o == Literal("1", "urn:\U0001F600")
+    for bad in ("<urn:\\u004>", "<urn:\\uD800>", "<urn:\\n>", '"\\U00110000"'):
+        with pytest.raises(QueryError):
+            parse_query(f"SELECT ?s WHERE {{ ?s <urn:p> {bad} }}")
+
+
+def test_a_tag_or_datatype_may_follow_a_string_after_a_space():
+    q = parse_query(
+        "PREFIX xsd: <http://www.w3.org/2001/XMLSchema#> "
+        'SELECT ?s WHERE { ?s <urn:p> "a" @en . ?s <urn:q> "1" ^^ xsd:integer . '
+        '?s <urn:r> "2" ^^<urn:dt> }'
+    )
+    assert [p.o for p in q.where] == [
+        Literal("a", lang="en"),
+        Literal("1", XSD_INTEGER),
+        Literal("2", "urn:dt"),
+    ]
+    # but an annotated literal takes no second annotation
+    with pytest.raises(QueryError):
+        parse_query('SELECT ?s WHERE { ?s <urn:p> "a"@en ^^<urn:dt> }')
+    with pytest.raises(QueryError):
+        parse_query('SELECT ?s WHERE { ?s <urn:p> "a"^^<urn:dt> @en }')
+
+
+# few of these lines parse as statements, hence the many examples
+@given(statement_lines)
+@settings(max_examples=1000)
+def test_a_query_reads_the_terms_a_patch_statement_reads(line):
+    try:
+        terms = parse_statement(line)
+    except ValidationError:
+        return
+    # parse_statement took the line up to its final ".", so the query can too
+    body = line[: line.rindex(".") + 1]
+    q = parse_query(f"SELECT ?q WHERE {{ ?q <urn:p> ?r . {body} }}")
+    read = q.where[1]
+    expected = [Var(f"_:{t.label}") if isinstance(t, BlankNode) else t for t in terms]
+    assert [read.s, read.p, read.o] == expected
+
+
+@given(st.text(st.characters(blacklist_categories=("Cs",)), max_size=12))
+def test_a_query_reads_every_literal_as_written(lex):
+    for literal in (Literal(lex), Literal(lex, lang="en"), Literal(lex, "urn:dt")):
+        q = parse_query(f"SELECT ?s WHERE {{ ?s <urn:p> {term_text(literal)} }}")
+        assert q.where[0].o == literal

@@ -18,6 +18,7 @@ from vgstore.terms import (
     Dictionary,
     Iri,
     Literal,
+    Triple,
     compare_values,
     iri_text_ok,
     validate_term,
@@ -245,3 +246,13 @@ def test_iri_check_agrees_with_the_per_character_predicate_on_every_code_point()
     assert disagree == []
     assert not iri_text_ok("")
     assert iri_text_ok("urn:ex:a") and not iri_text_ok("urn:ex:a\u2028b")
+
+
+def test_triple_hashes_and_compares_as_a_plain_tuple():
+    # tuple hashing is what the frozen dataclass did too, so set order holds
+    assert hash(Triple(1, 2, 3)) == hash((1, 2, 3))
+    assert Triple.__hash__ is tuple.__hash__
+    assert Triple.__eq__ is tuple.__eq__
+    t = Triple(4, 5, 6)
+    assert (t.s, t.p, t.o) == tuple(t) == (4, 5, 6)
+    assert t == Triple(4, 5, 6) and t != Triple(4, 5, 7)
