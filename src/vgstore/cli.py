@@ -1,14 +1,16 @@
 """Command-line interface for versioned graph repositories.
 
 Exit codes: 0 success, 1 usage error, 2 data or repository error, 3 query
-error.  Every command takes exclusive access to the repository through a
-`.vglock` file; a second concurrent invocation fails fast with exit 2.
+error.  Every command takes an exclusive flock on the repository's `.vglock`
+file; a second concurrent invocation fails fast with exit 2.  The file stays
+on disk and the lock dies with the process holding it, so a killed command
+leaves nothing to clean up.  flock makes the command POSIX-only.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
+import fcntl
 import sys
 from contextlib import contextmanager
 from datetime import datetime, timezone
@@ -21,7 +23,7 @@ from .errors import QueryError, RepositoryError, StateError, VgError
 from .ntriples import serialize_ntriples
 from .repo import MANIFEST_NAME, load_repository, parse_patch, save_repository
 from .sparql import parse_query
-from .store import EMPTY_DELTA, AnnotatedStore, Delta
+from .store import EMPTY_DELTA, AnnotatedStore
 
 
 class _Parser(argparse.ArgumentParser):
@@ -39,27 +41,38 @@ def _locked(repo_dir: str, create: bool = False):
     elif not path.is_dir():
         raise RepositoryError(f"no repository directory: {path}")
     lock = path / ".vglock"
-    try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise StateError(f"repository is locked by another process: {lock}") from None
-    try:
-        yield
-    finally:
-        os.close(fd)
+    with open(lock, "a") as f:
         try:
-            os.unlink(lock)
-        except FileNotFoundError:
-            pass
+            fcntl.flock(f, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise StateError(f"repository is locked by another process: {lock}") from None
+        yield
 
 
 def _now() -> datetime:
     return datetime.now(timezone.utc)
 
 
-def _read_patch(path: str, store: AnnotatedStore) -> Delta:
-    text = Path(path).read_text(encoding="utf-8")
-    return parse_patch(text, store.dictionary)
+def _commit(args, store: AnnotatedStore, dag: VersionDag, parents: list[int],
+            branch: str, message: str, strict: bool = True) -> int:
+    """Apply args.patch, or no change, as one commit and save the repository."""
+    delta = EMPTY_DELTA
+    if args.patch:
+        delta = parse_patch(Path(args.patch).read_text(encoding="utf-8"), store.dictionary)
+    seq = store.apply_commit(
+        dag, parents, branch, delta,
+        message=message, author=args.author, timestamp=_now(),
+        provenance=Provenance(args.code_ref, args.tool), strict=strict,
+    )
+    save_repository(store, dag, args.repo)
+    return seq
+
+
+def _add_commit_meta(p: argparse.ArgumentParser) -> None:
+    p.add_argument("-m", "--message", default="", help="commit message")
+    p.add_argument("--author", default="", help="commit author")
+    p.add_argument("--code-ref", default="", help="lineage: producing code reference")
+    p.add_argument("--tool", default="", help="lineage: producing tool")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,16 +92,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("init", "create a repository with a root version from a patch")
     p.add_argument("--patch", required=True, help="patch file for version 0")
-    p.add_argument("-m", "--message", default="", help="commit message")
-    p.add_argument("--author", default="", help="commit author")
-    p.add_argument("--code-ref", default="", help="lineage: producing code reference")
-    p.add_argument("--tool", default="", help="lineage: producing tool")
+    _add_commit_meta(p)
 
     p = add("commit", "apply a patch as a new version on a branch")
     p.add_argument("--branch", required=True, help="branch to commit to")
     p.add_argument("--patch", required=True, help="patch file to apply")
-    p.add_argument("-m", "--message", default="", help="commit message")
-    p.add_argument("--author", default="", help="commit author")
+    _add_commit_meta(p)
     p.add_argument(
         "--parent",
         action="append",
@@ -97,8 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SEQ",
         help="explicit parent version; repeatable (default: branch head)",
     )
-    p.add_argument("--code-ref", default="", help="lineage: producing code reference")
-    p.add_argument("--tool", default="", help="lineage: producing tool")
     p.add_argument(
         "--permissive",
         action="store_true",
@@ -112,11 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("merge", "merge another version into a branch (two-parent commit)")
     p.add_argument("--branch", required=True, help="branch receiving the merge")
     p.add_argument("--from", dest="from_seq", required=True, type=int, metavar="SEQ")
-    p.add_argument("-m", "--message", default="", help="commit message")
-    p.add_argument("--author", default="", help="commit author")
     p.add_argument("--patch", default=None, help="optional patch applied on top of the union")
-    p.add_argument("--code-ref", default="", help="lineage: producing code reference")
-    p.add_argument("--tool", default="", help="lineage: producing tool")
+    _add_commit_meta(p)
 
     p = add("checkout", "write one version's triples as N-Triples")
     p.add_argument("--version", required=True, type=int, metavar="SEQ")
@@ -147,14 +151,7 @@ def _cmd_init(args) -> int:
         if (Path(args.repo) / MANIFEST_NAME).exists():
             raise StateError(f"repository already initialized: {args.repo}")
         store = AnnotatedStore(encoding=args.encoding)
-        dag = VersionDag()
-        delta = _read_patch(args.patch, store)
-        store.apply_commit(
-            dag, [], "main", delta,
-            message=args.message, author=args.author, timestamp=_now(),
-            provenance=Provenance(args.code_ref, args.tool),
-        )
-        save_repository(store, dag, args.repo)
+        _commit(args, store, VersionDag(), [], "main", args.message)
     print(f"initialized {args.repo} at {version_iri(0)}")
     return 0
 
@@ -162,15 +159,9 @@ def _cmd_init(args) -> int:
 def _cmd_commit(args) -> int:
     with _locked(args.repo):
         store, dag = load_repository(args.repo, encoding=args.encoding)
-        delta = _read_patch(args.patch, store)
         parents = args.parent if args.parent else [dag.branch_head(args.branch)]
-        seq = store.apply_commit(
-            dag, parents, args.branch, delta,
-            message=args.message, author=args.author, timestamp=_now(),
-            provenance=Provenance(args.code_ref, args.tool),
-            strict=not args.permissive,
-        )
-        save_repository(store, dag, args.repo)
+        seq = _commit(args, store, dag, parents, args.branch, args.message,
+                      strict=not args.permissive)
     print(f"committed {version_iri(seq)} on {args.branch}")
     return 0
 
@@ -188,14 +179,8 @@ def _cmd_merge(args) -> int:
     with _locked(args.repo):
         store, dag = load_repository(args.repo, encoding=args.encoding)
         parents = [dag.branch_head(args.branch), args.from_seq]
-        delta = _read_patch(args.patch, store) if args.patch else EMPTY_DELTA
         message = args.message or f"merge {version_iri(args.from_seq)} into {args.branch}"
-        seq = store.apply_commit(
-            dag, parents, args.branch, delta,
-            message=message, author=args.author, timestamp=_now(),
-            provenance=Provenance(args.code_ref, args.tool),
-        )
-        save_repository(store, dag, args.repo)
+        seq = _commit(args, store, dag, parents, args.branch, message)
     print(f"merged as {version_iri(seq)} on {args.branch}")
     return 0
 

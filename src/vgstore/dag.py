@@ -1,12 +1,13 @@
 """Branching commit history over version numbers.
 
-Commits are numbered densely from 0 in global creation order, each one gets
-the IRI urn:vg:version:<seq>, and every commit except the root lists one or
-more parents with strictly smaller numbers.  Named branches map to head
-commits; creation order is append-only, so history never rewrites, with one
-exception: repack() renumbers all versions along a depth-first walk so that
-each branch occupies a consecutive run, which is what makes the interval
-encoding cheap after heavy branching.
+Commits are numbered densely from 0 in global creation order and each one
+has the IRI urn:vg:version:<seq>.  The root is an ordinary commit: the first
+one, with no parents, on branch "main", which it creates.  Every later commit
+lists one or more parents with strictly smaller numbers.  Named branches map
+to head commits; creation order is append-only, so history never rewrites,
+with one exception: repack() renumbers all versions along a depth-first walk
+so that each branch occupies a consecutive run, which is what makes the
+interval encoding cheap after heavy branching.
 """
 
 from __future__ import annotations
@@ -43,13 +44,21 @@ class Provenance:
 @dataclass(frozen=True)
 class CommitMeta:
     seq: int
-    iri: str
     parents: tuple[int, ...]
     branch: str
     message: str
     author: str
     timestamp: datetime
     provenance: Provenance
+
+    @property
+    def iri(self) -> str:
+        return version_iri(self.seq)
+
+
+def is_int(value) -> bool:
+    """True for an int that is not a bool: the test every version number passes."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _as_utc(ts: datetime | None) -> datetime:
@@ -79,7 +88,7 @@ class VersionDag:
         return dict(self._branches)
 
     def commit_meta(self, seq: int) -> CommitMeta:
-        if not isinstance(seq, int) or seq < 0 or seq >= len(self._commits):
+        if not is_int(seq) or not 0 <= seq < len(self._commits):
             raise NotFoundError(f"unknown version: {seq}")
         return self._commits[seq]
 
@@ -96,31 +105,6 @@ class VersionDag:
         """The set of branch-head versions, deduplicated."""
         return set(self._branches.values())
 
-    def init_root(
-        self,
-        *,
-        message: str = "",
-        author: str = "",
-        timestamp: datetime | None = None,
-        provenance: Provenance | None = None,
-    ) -> int:
-        """Create version 0 on a fresh branch "main"."""
-        if self._commits:
-            raise StateError("history already initialized")
-        meta = CommitMeta(
-            seq=0,
-            iri=version_iri(0),
-            parents=(),
-            branch="main",
-            message=message,
-            author=author,
-            timestamp=_as_utc(timestamp),
-            provenance=provenance or Provenance(),
-        )
-        self._commits.append(meta)
-        self._branches["main"] = 0
-        return 0
-
     def commit(
         self,
         parents: list[int],
@@ -131,19 +115,22 @@ class VersionDag:
         timestamp: datetime | None = None,
         provenance: Provenance | None = None,
     ) -> int:
-        """Append a commit with the given parents and move the branch head."""
-        if not parents:
-            raise ValidationError("a non-root commit needs at least one parent")
+        """Append a commit with the given parents and move the branch head.
+
+        Only the first commit, the root, has no parents; it is on "main" and
+        creates that branch.
+        """
+        if not parents and (self._commits or branch != "main"):
+            raise ValidationError('only the first commit, on "main", has no parents')
         if len(set(parents)) != len(parents):
             raise ValidationError(f"duplicate parents: {parents}")
         for p in parents:
             self.commit_meta(p)
-        if branch not in self._branches:
+        if parents and branch not in self._branches:
             raise NotFoundError(f"unknown branch: {branch}")
         seq = len(self._commits)
         meta = CommitMeta(
             seq=seq,
-            iri=version_iri(seq),
             parents=tuple(parents),
             branch=branch,
             message=message,
@@ -195,10 +182,7 @@ class VersionDag:
         for meta in self._commits:
             seq = mapping[meta.seq]
             renumbered[seq] = replace(
-                meta,
-                seq=seq,
-                iri=version_iri(seq),
-                parents=tuple(mapping[p] for p in meta.parents),
+                meta, seq=seq, parents=tuple(mapping[p] for p in meta.parents)
             )
         self._commits = renumbered  # type: ignore[assignment]
         self._branches = {name: mapping[head] for name, head in self._branches.items()}

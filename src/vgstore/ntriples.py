@@ -13,7 +13,8 @@ follow IRIREF, with the two deviations terms.IRI_CHAR records, and take only
 \\u/\\U escapes; literals take those and the string escapes.  Escapes are
 strict: \\uXXXX and \\UXXXXXXXX take exactly 4 or 8 hex digits naming a
 Unicode scalar value.  A raw lone surrogate is rejected too, since no UTF-8
-file can hold one.  Anything else is rejected with the 1-based line number.
+file can hold one.  Anything else is rejected with the 1-based line number,
+and term_failure names the cause where it can, for patches and queries alike.
 
 Reading a document is all-or-nothing: terms are interned only after every
 line has parsed, so a failed read leaves the dictionary untouched.  Blank
@@ -95,14 +96,32 @@ def _decode_escapes(raw: str) -> str:
     return _ESCAPE_RE.sub(decode, raw)
 
 
+# a string as far as it reaches: to its closing quote, if it has one
+_STRING_SPAN_RE = re.compile(r'[ \t]*"(?:[^"\\]|\\.)*("?)', re.DOTALL)
+_UNREADABLE_RE = re.compile(r"[\n\ud800-\udfff]")
+
+
+def term_failure(text: str, pos: int) -> str | None:
+    """Why TERM_RE reads no term at pos, when the cause has a name.
+
+    In a string that starts at pos: a raw lone surrogate or line feed, or no
+    closing quote.  Anywhere else: a lone surrogate after pos.
+    """
+    m = _STRING_SPAN_RE.match(text, pos)
+    bad = _UNREADABLE_RE.search(text, pos, m.end()) if m else _SURROGATE_RE.search(text, pos)
+    if bad is None:
+        return None if m is None or m[1] else "unterminated string"
+    if bad[0] == "\n":
+        return "raw line feed in a string"
+    return f"lone surrogate U+{ord(bad[0]):04X}"
+
+
 def _match_term(text: str, pos: int, line: int, where: str) -> re.Match:
     m = TERM_RE.match(text, pos)
     if m is None:
-        bad = _SURROGATE_RE.search(text, pos)
-        if bad is not None:
-            raise ValidationError(f"line {line}: lone surrogate U+{ord(bad[0]):04X}")
         found = text[pos:].lstrip(" \t")[:20]
-        raise ValidationError(f"line {line}: expected a term as {where}, found {found!r}")
+        cause = term_failure(text, pos) or f"expected a term as {where}, found {found!r}"
+        raise ValidationError(f"line {line}: {cause}")
     return m
 
 

@@ -19,7 +19,7 @@ import json
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .dag import Provenance, VersionDag, version_iri
+from .dag import Provenance, VersionDag, is_int, version_iri
 from .errors import RepositoryError, ValidationError
 from .ntriples import BlankScope, format_triple, read_statements
 from .store import AnnotatedStore, Delta
@@ -115,10 +115,6 @@ def _manifest_error(msg: str) -> RepositoryError:
     return RepositoryError(f"{MANIFEST_NAME}: {msg}")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _check_commit_record(record, expected_seq: int) -> None:
     if not isinstance(record, dict):
         raise _manifest_error(f"commit {expected_seq} is not an object")
@@ -136,7 +132,7 @@ def _check_commit_record(record, expected_seq: int) -> None:
     for key in required:
         if key not in record:
             raise _manifest_error(f"commit {expected_seq} is missing {key!r}")
-    if not _is_int(record["seq"]) or record["seq"] != expected_seq:
+    if not is_int(record["seq"]) or record["seq"] != expected_seq:
         raise _manifest_error(
             f"commit numbers must be dense from 0; found {record['seq']!r} "
             f"at position {expected_seq}"
@@ -145,16 +141,16 @@ def _check_commit_record(record, expected_seq: int) -> None:
         raise _manifest_error(f"commit {expected_seq} has wrong iri {record['iri']!r}")
     parents = record["parents"]
     if not isinstance(parents, list) or any(
-        not _is_int(p) or p < 0 or p >= expected_seq for p in parents
+        not is_int(p) or p < 0 or p >= expected_seq for p in parents
     ):
         raise _manifest_error(f"commit {expected_seq} has bad parents {parents!r}")
-    if expected_seq == 0 and parents:
-        raise _manifest_error("the root commit cannot have parents")
     if expected_seq > 0 and not parents:
         raise _manifest_error(f"commit {expected_seq} has no parents")
     for key in ("branch", "message", "author", "timestamp"):
         if not isinstance(record[key], str):
             raise _manifest_error(f"commit {expected_seq} has a non-string {key!r}")
+    if expected_seq == 0 and (parents or record["branch"] != "main"):
+        raise _manifest_error('the root commit must be on branch "main" with no parents')
     prov = record["provenance"]
     if not isinstance(prov, dict) or not all(isinstance(v, str) for v in prov.values()):
         raise _manifest_error(f"commit {expected_seq} has bad provenance {prov!r}")

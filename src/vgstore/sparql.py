@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from typing import TypeVar
 
 from .errors import QueryError, ValidationError
-from .ntriples import TERM_RE, term_from_match
+from .ntriples import TERM_RE, term_failure, term_from_match
 from .terms import (
     LANG_TAG,
     RDF_TYPE,
@@ -191,7 +191,9 @@ def _tokenize(text: str) -> list[_Token]:
             continue
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            raise QueryError(f"unexpected character {text[pos]!r}", line, col)
+            # no token starts with a quote: it opens a string TERM_RE cannot read
+            cause = term_failure(text, pos) if text[pos] == '"' else None
+            raise QueryError(cause or f"unexpected character {text[pos]!r}", line, col)
         kind = m.lastgroup or ""
         value = m.group()
         if kind not in ("WS", "COMMENT"):

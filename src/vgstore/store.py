@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from datetime import datetime
 from typing import Iterator
 
-from .dag import Provenance, VersionDag
+from .dag import Provenance, VersionDag, is_int
 from .errors import DeltaError, NotFoundError, StateError, ValidationError
 from .ntriples import format_triple
 from .terms import Dictionary, TermId, Triple
@@ -201,13 +201,10 @@ class AnnotatedStore:
                 )
             log.warning("ignoring %d removal(s) absent from all parents", len(spurious))
         present = (parent_union - delta.removals) | delta.additions
-        meta = dict(
-            message=message, author=author, timestamp=timestamp, provenance=provenance
+        seq = dag.commit(
+            parents, branch,
+            message=message, author=author, timestamp=timestamp, provenance=provenance,
         )
-        if not parents:
-            seq = dag.init_root(**meta)
-        else:
-            seq = dag.commit(parents, branch, **meta)
         # seq - 1 was applied last; a triple that leaves closes its run there
         written = self._written
         for triple in self._last - present:
@@ -251,7 +248,7 @@ class AnnotatedStore:
         return self._deltas[v]
 
     def _check_version(self, v: int) -> None:
-        if not isinstance(v, int) or v < 0 or v >= self._n_versions:
+        if not is_int(v) or not 0 <= v < self._n_versions:
             raise NotFoundError(f"unknown version: {v}")
 
     def _content(self, v: int) -> frozenset[Triple]:

@@ -393,16 +393,47 @@ def test_data_errors_exit_2(repo, tmp_path, capsys):
           "--patch", str(tmp_path / "missing.patch"))
 
 
-def test_locked_repository_fails_fast(repo, tmp_path, capsys):
+# another process holding the repository's lock until its stdin closes
+_HOLD_LOCK = """
+import fcntl, sys
+with open(sys.argv[1], "a") as f:
+    fcntl.flock(f, fcntl.LOCK_EX)
+    print("held", flush=True)
+    sys.stdin.read()
+"""
+
+
+def _lock_holder(repo):
+    import subprocess
+    import sys
     from pathlib import Path
 
-    lock = Path(repo) / ".vglock"
-    lock.touch()
-    try:
+    holder = subprocess.Popen(
+        [sys.executable, "-c", _HOLD_LOCK, str(Path(repo) / ".vglock")],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+    )
+    assert holder.stdout.readline() == "held\n"
+    return holder
+
+
+def test_locked_repository_fails_fast(repo, capsys):
+    with _lock_holder(repo) as holder:
         err = fails(capsys, 2, "stats", "--repo", repo)
         assert "locked" in err
-    finally:
-        lock.unlink()
+        holder.stdin.close()
+        assert holder.wait() == 0
+    ok(capsys, "stats", "--repo", repo)
+
+
+def test_a_killed_lock_holder_leaves_the_repository_usable(repo, capsys):
+    import signal
+    from pathlib import Path
+
+    with _lock_holder(repo) as holder:
+        holder.send_signal(signal.SIGKILL)
+        assert holder.wait() == -signal.SIGKILL
+    # the lock file stays behind, but the lock died with its holder
+    assert (Path(repo) / ".vglock").is_file()
     ok(capsys, "stats", "--repo", repo)
 
 

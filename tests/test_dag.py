@@ -8,9 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 from vgstore import (
     AnnotatedStore,
+    CommitMeta,
     Delta,
     Iri,
     NotFoundError,
+    Provenance,
     StateError,
     ValidationError,
     VersionDag,
@@ -24,7 +26,7 @@ from helpers import EPOCH
 
 def chain(n: int) -> VersionDag:
     dag = VersionDag()
-    dag.init_root()
+    dag.commit([], "main")
     for i in range(1, n):
         dag.commit([i - 1], "main")
     return dag
@@ -45,7 +47,7 @@ def reachable(dag: VersionDag, start: int) -> set[int]:
 
 def random_dag(rng: random.Random, n: int) -> VersionDag:
     dag = VersionDag()
-    dag.init_root()
+    dag.commit([], "main")
     branch_count = 0
     for seq in range(1, n):
         roll = rng.random()
@@ -90,30 +92,54 @@ def test_parse_version_iri_rejects(text):
 
 
 def test_init_root():
+    # the root is an ordinary commit: the first one, with no parents, on main
     dag = VersionDag()
     assert dag.is_empty and len(dag) == 0
-    seq = dag.init_root(message="root", author="t", timestamp=EPOCH)
+    prov = Provenance("step:0", "gen")
+    seq = dag.commit([], "main", message="root", author="t", timestamp=EPOCH,
+                     provenance=prov)
     assert seq == 0
     assert not dag.is_empty and len(dag) == 1
     assert dag.branches == {"main": 0}
-    meta = dag.commit_meta(0)
-    assert meta.iri == "urn:vg:version:0"
-    assert meta.parents == ()
-    assert meta.branch == "main"
-    assert meta.message == "root"
-    assert meta.timestamp.tzinfo is not None
+    assert dag.commit_meta(0) == CommitMeta(
+        seq=0, parents=(), branch="main", message="root", author="t",
+        timestamp=EPOCH, provenance=prov,
+    )
+    assert dag.commit_meta(0).iri == "urn:vg:version:0"
 
 
 def test_init_root_twice_fails():
+    # a parentless commit is the root only on an empty dag and on main
     dag = VersionDag()
-    dag.init_root()
-    with pytest.raises(StateError):
-        dag.init_root()
+    with pytest.raises(ValidationError):
+        dag.commit([], "side")
+    assert dag.is_empty and dag.branches == {}
+    dag.commit([], "main")
+    with pytest.raises(ValidationError):
+        dag.commit([], "main")
+    dag.create_branch("side", at=0)
+    with pytest.raises(ValidationError):
+        dag.commit([], "side")
+    assert len(dag) == 1 and dag.branches == {"main": 0, "side": 0}
+
+
+def test_booleans_are_not_version_numbers():
+    dag = chain(2)
+    for v in (False, True):
+        with pytest.raises(NotFoundError):
+            dag.commit_meta(v)
+        with pytest.raises(NotFoundError):
+            dag.create_branch("x", at=v)
+        with pytest.raises(NotFoundError):
+            dag.commit([v], "main")
+        with pytest.raises(NotFoundError):
+            dag._set_branches({"main": v})
+    assert len(dag) == 2 and dag.branches == {"main": 1}
 
 
 def test_naive_timestamps_become_utc():
     dag = VersionDag()
-    dag.init_root(timestamp=datetime(2026, 3, 1, 12, 0, 0))
+    dag.commit([], "main", timestamp=datetime(2026, 3, 1, 12, 0, 0))
     assert dag.commit_meta(0).timestamp.tzinfo == timezone.utc
 
 
@@ -174,7 +200,7 @@ def test_merge_moves_destination_head():
 
 def test_interleaved_numbering_is_global():
     dag = VersionDag()
-    dag.init_root()
+    dag.commit([], "main")
     dag.create_branch("a", at=0)
     dag.create_branch("b", at=0)
     seqs = [

@@ -73,6 +73,11 @@ def test_error_carries_the_line_number():
         parse_ntriples(text, d)
 
 
+def test_an_unterminated_string_is_named():
+    with pytest.raises(ValidationError, match="line 2: unterminated string"):
+        parse_ntriples('<urn:a> <urn:b> <urn:c> .\n<urn:a> <urn:b> "c .\n', Dictionary())
+
+
 def test_failed_parse_is_all_or_nothing():
     d = Dictionary()
     d.intern(Iri("urn:pre:existing"))

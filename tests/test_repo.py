@@ -270,6 +270,10 @@ def _record_int(m, tmp_path):
     m["commits"][1] = 1
 
 
+def _head_bool(m, tmp_path):
+    m["branches"]["main"] = True
+
+
 @pytest.mark.parametrize(
     "mutate,fragment",
     [
@@ -293,6 +297,8 @@ def _record_int(m, tmp_path):
         pytest.param(_patch_outside, "deltas/1.patch", id="patch-outside"),
         pytest.param(_record_list, "object", id="record-list"),
         pytest.param(_record_int, "object", id="record-int"),
+        pytest.param(_set(0, "branch", "dev"), "root", id="root-branch"),
+        pytest.param(_head_bool, "branch map", id="head-bool"),
     ],
 )
 def test_manifest_field_types_and_patch_path(tmp_path, capsys, mutate, fragment):

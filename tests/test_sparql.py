@@ -283,6 +283,23 @@ def test_a_constant_outside_the_term_grammar_is_a_positioned_error(text, positio
     assert (exc.value.line, exc.value.col) == position
 
 
+@pytest.mark.parametrize(
+    "text,cause,position",
+    [
+        pytest.param('SELECT ?s WHERE {\n ?s <urn:p> "a\ud800" }',
+                     "lone surrogate U\\+D800", (2, 13), id="surrogate"),
+        pytest.param('SELECT ?s WHERE { ?s <urn:p> "a\nb" }',
+                     "raw line feed in a string", (1, 30), id="line-feed"),
+        pytest.param('SELECT ?s WHERE { ?s <urn:p> "ab }',
+                     "unterminated string", (1, 30), id="unterminated"),
+    ],
+)
+def test_an_unreadable_string_names_its_cause(text, cause, position):
+    with pytest.raises(QueryError, match=cause) as exc:
+        parse_query(text)
+    assert (exc.value.line, exc.value.col) == position
+
+
 def test_constants_read_with_the_patch_term_grammar():
     q = parse_query(
         "PREFIX u: <urn:\\u0041:>\n"

@@ -148,7 +148,7 @@ def test_snapshots_are_kept_for_heads_only():
 def test_store_dag_version_count_mismatch():
     store, _ = fresh()
     other = VersionDag()
-    other.init_root()
+    other.commit([], "main")
     with pytest.raises(StateError):
         store.apply_commit(other, [0], "main", EMPTY_DELTA)
 
@@ -160,6 +160,11 @@ def test_materialize_unknown_version():
         store.materialize(1)
     with pytest.raises(NotFoundError):
         store.materialize(-1)
+    for v in (False, True):  # a bool is no version number
+        with pytest.raises(NotFoundError):
+            store.materialize(v)
+        with pytest.raises(NotFoundError):
+            store.delta(v)
 
 
 def test_version_set_unknown_triple_is_none():
