@@ -189,7 +189,10 @@ def generate(
     outdir: str | Path | None,
     encoding: str = "extension",
 ) -> tuple[AnnotatedStore, VersionDag]:
-    """Build a deterministic scenario repository; write it when outdir is set."""
+    """Build a deterministic scenario repository; write it when outdir is set.
+
+    Saving appends, so an outdir holding another repository raises StateError.
+    """
     rng = random.Random(params.seed)
     store = AnnotatedStore(encoding=encoding)
     dag = VersionDag()

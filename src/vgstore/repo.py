@@ -5,8 +5,18 @@ following N-Triples statement, lines starting with "D " remove it, and # or
 blank lines are ignored.  The manifest lists every commit in dense order with
 its metadata and patch path, plus the branch map.  Version sets are never
 persisted; loading replays all patches through the store, which rebuilds the
-annotations and revalidates every delta.  Saving writes the deltas the store
-recorded while applying commits, so it never reconstructs a version.
+annotations and revalidates every delta.
+
+Saving appends.  It reads the manifest already in the directory, which must
+list the first k commits of the history being saved, and writes only the
+patches of commits k and later, from the deltas the store recorded, then the
+manifest.  A patch the manifest lists is never rewritten, so a repacked
+(renumbered) or unrelated history raises StateError and must be saved to a
+new directory.  Every file is written to a temp file, fsynced and renamed
+into place, patches before the manifest, so a save killed at any point
+leaves a manifest that names only complete patches: the directory loads as
+the old history or the new one.  A patch file the manifest does not list
+yet is not part of the repository, and the next save replaces it.
 
 Blank node labels are freshened once per loaded repository, not once per
 patch file, so a blank-node triple added by one commit can be removed by a
@@ -15,12 +25,14 @@ later one.  Standalone patch parsing keeps per-document freshening.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .dag import Provenance, VersionDag, is_int, version_iri
-from .errors import RepositoryError, ValidationError
+from .dag import CommitMeta, Provenance, VersionDag, is_int, version_iri
+from .errors import RepositoryError, StateError, ValidationError
 from .ntriples import BlankScope, format_triple, read_statements
 from .store import AnnotatedStore, Delta
 from .terms import Dictionary
@@ -70,23 +82,79 @@ def _parse_timestamp(text: str) -> datetime:
         raise RepositoryError(f"bad timestamp in manifest: {text!r}") from None
 
 
-def save_repository(store: AnnotatedStore, dag: VersionDag, repo_dir: str | Path) -> None:
-    """Write manifest.json and one canonical patch per commit.
+def _write_file(path: Path, data: bytes) -> None:
+    """Put data at path so that a reader sees the old file or the new one.
 
-    Each patch is the delta the store recorded for its commit (additions and
-    removals relative to the union of parents), so redundant additions and
-    ignored removals in the original input are not preserved; every
-    version's content and metadata are.
+    The data goes to a temp file in the same directory, is fsynced, then
+    renamed over path.  The temp file's name is fixed per target, so a killed
+    save leaves at most one behind and the next save of path reuses it; a
+    save that fails with an exception removes it.
+    """
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "wb") as f:
+            f.write(data)
+            f.flush()
+            os.fsync(f.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise
+
+
+def _fsync_dir(path: Path) -> None:
+    """Make the renames inside directory path durable."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+def _saved_prefix(repo: Path, dag: VersionDag) -> int:
+    """How many of dag's commits the manifest in repo already lists.
+
+    0 when there is no manifest.  StateError when the listed commits are not
+    the dag's first ones: a renumbered history or another repository.
+    """
+    if not (repo / MANIFEST_NAME).exists():
+        return 0
+    saved, _branches = _read_manifest(repo)
+    if saved != dag.commits()[: len(saved)]:
+        raise StateError(
+            f"{repo} holds another history than the one being saved; "
+            "save a renumbered or unrelated history to a new directory"
+        )
+    return len(saved)
+
+
+def save_repository(store: AnnotatedStore, dag: VersionDag, repo_dir: str | Path) -> None:
+    """Append the commits repo_dir does not hold yet, then write manifest.json.
+
+    Each new patch is the delta the store recorded for its commit (additions
+    and removals relative to the union of parents), so redundant additions
+    and ignored removals in the original input are not preserved; every
+    version's content and metadata are.  A patch the manifest already lists
+    is never rewritten.  Every file is replaced atomically, patches first and
+    the manifest last, so a save cut off at any point leaves the old manifest
+    naming only complete patches.
     """
     repo = Path(repo_dir)
-    (repo / DELTAS_DIR).mkdir(parents=True, exist_ok=True)
-    commits_json = []
-    for meta in dag.commits():
-        patch_rel = _patch_path(meta.seq)
-        (repo / patch_rel).write_text(
-            serialize_patch(store.delta(meta.seq), store.dictionary), encoding="utf-8"
-        )
-        commits_json.append(
+    saved = _saved_prefix(repo, dag)
+    deltas = repo / DELTAS_DIR
+    if not deltas.is_dir():
+        deltas.mkdir(parents=True)
+        _fsync_dir(repo)  # the patches' directory must outlive a crash too
+    commits = dag.commits()
+    for meta in commits[saved:]:
+        patch = serialize_patch(store.delta(meta.seq), store.dictionary)
+        _write_file(repo / _patch_path(meta.seq), patch.encode("utf-8"))
+    if saved < len(commits):
+        _fsync_dir(deltas)
+    manifest = {
+        "branches": {name: head for name, head in sorted(dag.branches.items())},
+        "commits": [
             {
                 "seq": meta.seq,
                 "iri": meta.iri,
@@ -99,16 +167,13 @@ def save_repository(store: AnnotatedStore, dag: VersionDag, repo_dir: str | Path
                     "code_ref": meta.provenance.code_ref,
                     "tool": meta.provenance.tool,
                 },
-                "patch": patch_rel,
+                "patch": _patch_path(meta.seq),
             }
-        )
-    manifest = {
-        "branches": {name: head for name, head in sorted(dag.branches.items())},
-        "commits": commits_json,
+            for meta in commits
+        ],
     }
-    (repo / MANIFEST_NAME).write_text(
-        json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
-    )
+    _write_file(repo / MANIFEST_NAME, (json.dumps(manifest, indent=2) + "\n").encode("utf-8"))
+    _fsync_dir(repo)
 
 
 def _manifest_error(msg: str) -> RepositoryError:
@@ -162,11 +227,8 @@ def _check_commit_record(record, expected_seq: int) -> None:
         )
 
 
-def load_repository(
-    repo_dir: str | Path, encoding: str = "extension"
-) -> tuple[AnnotatedStore, VersionDag]:
-    """Rebuild a store and dag by replaying every patch in commit order."""
-    repo = Path(repo_dir)
+def _read_manifest(repo: Path) -> tuple[list[CommitMeta], dict]:
+    """The commits manifest.json lists, every record checked, and its branch map."""
     manifest_path = repo / MANIFEST_NAME
     if not manifest_path.is_file():
         raise RepositoryError(f"not a repository: missing {manifest_path}")
@@ -176,20 +238,44 @@ def load_repository(
         raise RepositoryError(f"unreadable manifest: {e}") from None
     if not isinstance(manifest, dict):
         raise _manifest_error("top level must be an object")
-    commits = manifest.get("commits")
+    records = manifest.get("commits")
     branches = manifest.get("branches")
-    if not isinstance(commits, list) or not commits:
+    if not isinstance(records, list) or not records:
         raise _manifest_error("needs a nonempty commit list")
     if not isinstance(branches, dict) or "main" not in branches:
         raise _manifest_error('needs a branch map including "main"')
+    commits = []
+    for seq, record in enumerate(records):
+        _check_commit_record(record, seq)
+        prov = record["provenance"]
+        commits.append(
+            CommitMeta(
+                seq=seq,
+                parents=tuple(record["parents"]),
+                branch=record["branch"],
+                message=record["message"],
+                author=record["author"],
+                timestamp=_parse_timestamp(record["timestamp"]),
+                provenance=Provenance(
+                    code_ref=prov.get("code_ref", ""), tool=prov.get("tool", "")
+                ),
+            )
+        )
+    return commits, branches
 
+
+def load_repository(
+    repo_dir: str | Path, encoding: str = "extension"
+) -> tuple[AnnotatedStore, VersionDag]:
+    """Rebuild a store and dag by replaying every patch in commit order."""
+    repo = Path(repo_dir)
+    commits, branches = _read_manifest(repo)
     dictionary = Dictionary()
     store = AnnotatedStore(dictionary, encoding=encoding)
     dag = VersionDag()
     scope = BlankScope(dictionary)
-    for expected_seq, record in enumerate(commits):
-        _check_commit_record(record, expected_seq)
-        patch_path = repo / record["patch"]
+    for meta in commits:
+        patch_path = repo / _patch_path(meta.seq)
         if not patch_path.is_file():
             raise RepositoryError(f"missing patch file: {patch_path}")
         try:
@@ -198,25 +284,20 @@ def load_repository(
             )
         except ValidationError as e:
             raise RepositoryError(f"{patch_path}: {e}") from None
-        prov = record["provenance"]
-        branch = record["branch"]
-        parents = record["parents"]
-        if parents and branch not in dag.branches:
-            dag.create_branch(branch, at=parents[0])
+        if meta.parents and meta.branch not in dag.branches:
+            dag.create_branch(meta.branch, at=meta.parents[0])
         seq = store.apply_commit(
             dag,
-            parents,
-            branch,
+            list(meta.parents),
+            meta.branch,
             delta,
-            message=record["message"],
-            author=record["author"],
-            timestamp=_parse_timestamp(record["timestamp"]),
-            provenance=Provenance(
-                code_ref=prov.get("code_ref", ""), tool=prov.get("tool", "")
-            ),
+            message=meta.message,
+            author=meta.author,
+            timestamp=meta.timestamp,
+            provenance=meta.provenance,
         )
-        if seq != expected_seq:
-            raise _manifest_error(f"replay produced version {seq}, expected {expected_seq}")
+        if seq != meta.seq:
+            raise _manifest_error(f"replay produced version {seq}, expected {meta.seq}")
     try:
         dag._set_branches({name: head for name, head in branches.items()})
     except Exception as e:

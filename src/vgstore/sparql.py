@@ -39,6 +39,7 @@ from typing import TypeVar
 from .errors import QueryError, ValidationError
 from .ntriples import TERM_RE, term_failure, term_from_match
 from .terms import (
+    _SURROGATE_RE,
     LANG_TAG,
     RDF_TYPE,
     XSD_BOOLEAN,
@@ -191,8 +192,10 @@ def _tokenize(text: str) -> list[_Token]:
             continue
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            # no token starts with a quote: it opens a string TERM_RE cannot read
-            cause = term_failure(text, pos) if text[pos] == '"' else None
+            # no token starts with a quote (it opens a string TERM_RE cannot
+            # read) or a lone surrogate: term_failure names either cause
+            named = text[pos] == '"' or _SURROGATE_RE.match(text, pos)
+            cause = term_failure(text, pos) if named else None
             raise QueryError(cause or f"unexpected character {text[pos]!r}", line, col)
         kind = m.lastgroup or ""
         value = m.group()

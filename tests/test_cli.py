@@ -5,6 +5,11 @@ internals, and byte-level comparisons against the library wherever the
 output is specified to round-trip.
 """
 
+import signal
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from vgstore import load_repository, parse_patch, serialize_ntriples
@@ -251,8 +256,6 @@ HEIGHTS_Q = "SELECT ?v ?b ?h WHERE { GRAPH ?v { ?b <urn:ex:height> ?h } }"
 
 
 def _files(repo_dir):
-    from pathlib import Path
-
     root = Path(repo_dir)
     return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
@@ -393,27 +396,43 @@ def test_data_errors_exit_2(repo, tmp_path, capsys):
           "--patch", str(tmp_path / "missing.patch"))
 
 
-# another process holding the repository's lock until its stdin closes
+# another process holding the repository's lock, shared or exclusive as
+# argv[2] says, until its stdin closes
 _HOLD_LOCK = """
 import fcntl, sys
 with open(sys.argv[1], "a") as f:
-    fcntl.flock(f, fcntl.LOCK_EX)
+    fcntl.flock(f, getattr(fcntl, sys.argv[2]))
     print("held", flush=True)
     sys.stdin.read()
 """
 
 
-def _lock_holder(repo):
-    import subprocess
-    import sys
-    from pathlib import Path
-
+def _lock_holder(repo, mode="LOCK_EX"):
     holder = subprocess.Popen(
-        [sys.executable, "-c", _HOLD_LOCK, str(Path(repo) / ".vglock")],
+        [sys.executable, "-c", _HOLD_LOCK, str(Path(repo) / ".vglock"), mode],
         stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
     )
     assert holder.stdout.readline() == "held\n"
     return holder
+
+
+def _reads(repo):
+    return [
+        ["query", "--repo", repo, "--inline", ACCESSIBLE_Q],
+        ["log", "--repo", repo],
+        ["stats", "--repo", repo],
+        ["checkout", "--repo", repo, "--version", "1"],
+        ["bench", "--repo", repo, "--runs", "3"],
+    ]
+
+
+def _writes(repo, patches):
+    return [
+        ["commit", "--repo", repo, "--branch", "main", "--patch", patches["side"]],
+        ["branch", "--repo", repo, "other", "--at", "0"],
+        ["merge", "--repo", repo, "--branch", "side", "--from", "1"],
+        ["init", "--repo", repo, "--patch", patches["city0"]],
+    ]
 
 
 def test_locked_repository_fails_fast(repo, capsys):
@@ -425,10 +444,34 @@ def test_locked_repository_fails_fast(repo, capsys):
     ok(capsys, "stats", "--repo", repo)
 
 
-def test_a_killed_lock_holder_leaves_the_repository_usable(repo, capsys):
-    import signal
-    from pathlib import Path
+def test_readers_run_while_another_reader_holds_the_lock(repo, capsys):
+    with _lock_holder(repo, "LOCK_SH") as holder:
+        for argv in _reads(repo):
+            ok(capsys, *argv)
+        holder.stdin.close()
+        assert holder.wait() == 0
 
+
+def test_a_reader_blocks_every_writer(repo, patches, capsys):
+    before = _files(repo)
+    with _lock_holder(repo, "LOCK_SH") as holder:
+        for argv in _writes(repo, patches):
+            assert "locked" in fails(capsys, 2, *argv)
+        holder.stdin.close()
+        assert holder.wait() == 0
+    assert _files(repo) == before
+    ok(capsys, *_writes(repo, patches)[0])
+
+
+def test_a_writer_blocks_every_reader(repo, capsys):
+    with _lock_holder(repo) as holder:
+        for argv in _reads(repo):
+            assert "locked" in fails(capsys, 2, *argv)
+        holder.stdin.close()
+        assert holder.wait() == 0
+
+
+def test_a_killed_lock_holder_leaves_the_repository_usable(repo, capsys):
     with _lock_holder(repo) as holder:
         holder.send_signal(signal.SIGKILL)
         assert holder.wait() == -signal.SIGKILL
@@ -438,8 +481,6 @@ def test_a_killed_lock_holder_leaves_the_repository_usable(repo, capsys):
 
 
 def test_missing_patch_file_in_repo_dir(repo, capsys):
-    from pathlib import Path
-
     victim = Path(repo) / "deltas" / "2.patch"
     victim.unlink()
     err = fails(capsys, 2, "stats", "--repo", repo)

@@ -292,6 +292,8 @@ def test_a_constant_outside_the_term_grammar_is_a_positioned_error(text, positio
                      "raw line feed in a string", (1, 30), id="line-feed"),
         pytest.param('SELECT ?s WHERE { ?s <urn:p> "ab }',
                      "unterminated string", (1, 30), id="unterminated"),
+        pytest.param("SELECT ?s WHERE { ?s <urn:a\ud800b> ?o }",
+                     "lone surrogate U\\+D800", (1, 28), id="iri-surrogate"),
     ],
 )
 def test_an_unreadable_string_names_its_cause(text, cause, position):
