@@ -22,9 +22,9 @@ from time import perf_counter
 
 from .dag import Provenance, VersionDag
 from .engine import eval_annotated, eval_checkout, format_results
-from .errors import BenchError, ValidationError
+from .errors import BenchError, StateError, ValidationError
 from .ntriples import format_triple
-from .repo import load_repository, save_repository
+from .repo import MANIFEST_NAME, holds_history, load_repository, save_repository
 from .sparql import parse_query
 from .store import AnnotatedStore, Delta, EMPTY_DELTA
 from .terms import (
@@ -191,7 +191,12 @@ def generate(
 ) -> tuple[AnnotatedStore, VersionDag]:
     """Build a deterministic scenario repository; write it when outdir is set.
 
-    Saving appends, so an outdir holding another repository raises StateError.
+    An outdir that already holds a repository is left as it is when it holds
+    exactly this scenario, byte for byte, and raises StateError otherwise.
+    Saving recognizes the history on disk by commit metadata alone, and a
+    scenario's metadata comes from the seed only, the same for every size of
+    city, so appending to or over another scenario could mix two in one
+    directory.
     """
     rng = random.Random(params.seed)
     store = AnnotatedStore(encoding=encoding)
@@ -237,7 +242,10 @@ def generate(
             author="citygen", timestamp=stamp(seq), provenance=provenance,
         )
     if outdir is not None:
-        save_repository(store, dag, outdir)
+        if not (Path(outdir) / MANIFEST_NAME).exists():
+            save_repository(store, dag, outdir)
+        elif not holds_history(store, dag, outdir):
+            raise StateError(f"{outdir} holds another repository; generate into a new directory")
     return store, dag
 
 

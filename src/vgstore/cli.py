@@ -1,13 +1,15 @@
 """Command-line interface for versioned graph repositories.
 
 Exit codes: 0 success, 1 usage error, 2 data or repository error, 3 query
-error.  Every command takes a flock on the repository's `.vglock` file:
-shared for the commands that only read (query, log, stats, checkout, bench),
-exclusive for those that write (init, commit, branch, merge).  Readers run
-side by side; a command that cannot get its lock fails fast with exit 2.
-The file stays on disk and the lock dies with the process holding it, so a
-killed command leaves nothing to clean up.  flock makes the command
-POSIX-only.
+error.  The commands that write (init, commit, branch, merge) take an
+exclusive flock on the repository's `.vglock` file; a second concurrent
+writer fails fast with exit 2.  The commands that only read (query, log,
+stats, checkout, bench) take no lock: a save never rewrites a patch the
+manifest lists and replaces the manifest in one rename after its new
+patches are durable, so a reader sees the old history or the new one.  The
+file stays on disk and the lock dies with the process holding it, so a
+killed command leaves nothing to clean up.  flock makes the writing
+commands POSIX-only.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 @contextmanager
-def _locked(repo_dir: str, shared: bool = False, create: bool = False):
+def _locked(repo_dir: str, create: bool = False):
     path = Path(repo_dir)
     if create:
         path.mkdir(parents=True, exist_ok=True)
@@ -46,7 +48,7 @@ def _locked(repo_dir: str, shared: bool = False, create: bool = False):
     lock = path / ".vglock"
     with open(lock, "a") as f:
         try:
-            fcntl.flock(f, (fcntl.LOCK_SH if shared else fcntl.LOCK_EX) | fcntl.LOCK_NB)
+            fcntl.flock(f, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:
             raise StateError(f"repository is locked by another process: {lock}") from None
         yield
@@ -189,9 +191,8 @@ def _cmd_merge(args) -> int:
 
 
 def _cmd_checkout(args) -> int:
-    with _locked(args.repo, shared=True):
-        store, _dag = load_repository(args.repo, encoding=args.encoding)
-        text = serialize_ntriples(store.materialize(args.version), store.dictionary)
+    store, _dag = load_repository(args.repo, encoding=args.encoding)
+    text = serialize_ntriples(store.materialize(args.version), store.dictionary)
     if args.out is None:
         sys.stdout.write(text)
     else:
@@ -206,19 +207,17 @@ def _cmd_query(args) -> int:
     else:
         text = args.inline
     query = parse_query(text)
-    with _locked(args.repo, shared=True):
-        store, dag = load_repository(args.repo, encoding=args.encoding)
-        evaluate = eval_annotated if args.evaluator == "annotated" else eval_checkout
-        table = evaluate(store, dag, query, version_domain=args.versions)
+    store, dag = load_repository(args.repo, encoding=args.encoding)
+    evaluate = eval_annotated if args.evaluator == "annotated" else eval_checkout
+    table = evaluate(store, dag, query, version_domain=args.versions)
     sys.stdout.write(format_results(table, args.format))
     return 0
 
 
 def _cmd_log(args) -> int:
-    with _locked(args.repo, shared=True):
-        _store, dag = load_repository(args.repo, encoding=args.encoding)
-        branches = dag.branches
-        commits = dag.commits()
+    _store, dag = load_repository(args.repo, encoding=args.encoding)
+    branches = dag.branches
+    commits = dag.commits()
     by_head: dict[int, list[str]] = {}
     for name, head in branches.items():
         by_head.setdefault(head, []).append(name)
@@ -243,9 +242,8 @@ def _cmd_log(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    with _locked(args.repo, shared=True):
-        store, _dag = load_repository(args.repo, encoding=args.encoding)
-        stats = store.stats()
+    store, _dag = load_repository(args.repo, encoding=args.encoding)
+    stats = store.stats()
     print(f"encoding: {store.encoding}")
     print(f"distinct_triples: {stats.distinct_triples}")
     print(f"versions: {stats.versions}")
@@ -255,8 +253,7 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    with _locked(args.repo, shared=True):
-        rows = bench_mod.run(args.repo, runs=args.runs)
+    rows = bench_mod.run(args.repo, runs=args.runs)
     if args.out is None:
         sys.stdout.write(bench_mod.report_text(rows))
     else:

@@ -12,7 +12,11 @@ list the first k commits of the history being saved, and writes only the
 patches of commits k and later, from the deltas the store recorded, then the
 manifest.  A patch the manifest lists is never rewritten, so a repacked
 (renumbered) or unrelated history raises StateError and must be saved to a
-new directory.  Every file is written to a temp file, fsynced and renamed
+new directory.  The check compares commit metadata only (parents, branch,
+message, author, timestamp, provenance), never content: two histories with
+the same metadata and different graphs look like one, so a caller must not
+save different contents under the same explicit timestamps and messages
+into one directory.  Every file is written to a temp file, fsynced and renamed
 into place, patches before the manifest, so a save killed at any point
 leaves a manifest that names only complete patches: the directory loads as
 the old history or the new one.  A patch file the manifest does not list
@@ -116,7 +120,9 @@ def _saved_prefix(repo: Path, dag: VersionDag) -> int:
     """How many of dag's commits the manifest in repo already lists.
 
     0 when there is no manifest.  StateError when the listed commits are not
-    the dag's first ones: a renumbered history or another repository.
+    the dag's first ones: a renumbered history or another repository.  Only
+    metadata is compared, so another repository with the same metadata and
+    different content passes.
     """
     if not (repo / MANIFEST_NAME).exists():
         return 0
@@ -129,29 +135,8 @@ def _saved_prefix(repo: Path, dag: VersionDag) -> int:
     return len(saved)
 
 
-def save_repository(store: AnnotatedStore, dag: VersionDag, repo_dir: str | Path) -> None:
-    """Append the commits repo_dir does not hold yet, then write manifest.json.
-
-    Each new patch is the delta the store recorded for its commit (additions
-    and removals relative to the union of parents), so redundant additions
-    and ignored removals in the original input are not preserved; every
-    version's content and metadata are.  A patch the manifest already lists
-    is never rewritten.  Every file is replaced atomically, patches first and
-    the manifest last, so a save cut off at any point leaves the old manifest
-    naming only complete patches.
-    """
-    repo = Path(repo_dir)
-    saved = _saved_prefix(repo, dag)
-    deltas = repo / DELTAS_DIR
-    if not deltas.is_dir():
-        deltas.mkdir(parents=True)
-        _fsync_dir(repo)  # the patches' directory must outlive a crash too
-    commits = dag.commits()
-    for meta in commits[saved:]:
-        patch = serialize_patch(store.delta(meta.seq), store.dictionary)
-        _write_file(repo / _patch_path(meta.seq), patch.encode("utf-8"))
-    if saved < len(commits):
-        _fsync_dir(deltas)
+def _manifest_bytes(dag: VersionDag) -> bytes:
+    """The manifest.json a save of dag writes."""
     manifest = {
         "branches": {name: head for name, head in sorted(dag.branches.items())},
         "commits": [
@@ -169,10 +154,57 @@ def save_repository(store: AnnotatedStore, dag: VersionDag, repo_dir: str | Path
                 },
                 "patch": _patch_path(meta.seq),
             }
-            for meta in commits
+            for meta in dag.commits()
         ],
     }
-    _write_file(repo / MANIFEST_NAME, (json.dumps(manifest, indent=2) + "\n").encode("utf-8"))
+    return (json.dumps(manifest, indent=2) + "\n").encode("utf-8")
+
+
+def holds_history(store: AnnotatedStore, dag: VersionDag, repo_dir: str | Path) -> bool:
+    """Whether repo_dir holds exactly the files a save of this history writes.
+
+    Unlike the check a save makes, this compares content: every patch and
+    the manifest, byte for byte.
+    """
+    repo = Path(repo_dir)
+    try:
+        return (repo / MANIFEST_NAME).read_bytes() == _manifest_bytes(dag) and all(
+            (repo / _patch_path(meta.seq)).read_bytes()
+            == serialize_patch(store.delta(meta.seq), store.dictionary).encode("utf-8")
+            for meta in dag.commits()
+        )
+    except OSError:
+        return False
+
+
+def save_repository(store: AnnotatedStore, dag: VersionDag, repo_dir: str | Path) -> None:
+    """Append the commits repo_dir does not hold yet, then write manifest.json.
+
+    Each new patch is the delta the store recorded for its commit (additions
+    and removals relative to the union of parents), so redundant additions
+    and ignored removals in the original input are not preserved; every
+    version's content and metadata are.  A patch the manifest already lists
+    is never rewritten.  Every file is replaced atomically, patches first and
+    the manifest last, so a save cut off at any point leaves the old manifest
+    naming only complete patches.
+
+    The directory's history is identified by commit metadata only, not by
+    content: do not save histories with different contents but the same
+    explicit timestamps and messages into one directory.
+    """
+    repo = Path(repo_dir)
+    saved = _saved_prefix(repo, dag)
+    deltas = repo / DELTAS_DIR
+    if not deltas.is_dir():
+        deltas.mkdir(parents=True)
+        _fsync_dir(repo)  # the patches' directory must outlive a crash too
+    commits = dag.commits()
+    for meta in commits[saved:]:
+        patch = serialize_patch(store.delta(meta.seq), store.dictionary)
+        _write_file(repo / _patch_path(meta.seq), patch.encode("utf-8"))
+    if saved < len(commits):
+        _fsync_dir(deltas)
+    _write_file(repo / MANIFEST_NAME, _manifest_bytes(dag))
     _fsync_dir(repo)
 
 

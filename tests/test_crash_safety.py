@@ -13,7 +13,6 @@ import random
 import shutil
 import subprocess
 import sys
-import time
 from collections import Counter
 from pathlib import Path
 
@@ -159,41 +158,74 @@ def test_a_fresh_save_cut_off_at_any_replace_leaves_no_repository(tmp_path, monk
     assert k - 1 == len(dag) + 1
 
 
-def test_a_killed_commit_loads_as_the_old_or_the_new_state(pristine, tmp_path):
+# `vg` with its argv after the step number, pausing at a step of its saves
+# until it is killed: step 2j - 2 is just before the j-th os.replace, step
+# 2j - 1 just after it.  It prints "paused" when it gets there.
+_PAUSING_VG = """
+import os, sys, time
+from vgstore.cli import main
+step = int(sys.argv.pop(1))
+replace, calls = os.replace, []
+
+def pause_at(at):
+    if at == step:
+        print("paused", flush=True)
+        time.sleep(600)
+
+def pausing(*args):
+    calls.append(args)
+    pause_at(2 * len(calls) - 2)
+    replace(*args)
+    pause_at(2 * len(calls) - 1)
+
+os.replace = pausing
+main()
+"""
+
+
+def test_a_commit_killed_at_any_step_of_its_save_loads_as_the_old_or_the_new_state(
+    pristine, tmp_path
+):
     source, patch = pristine
     clean = tmp_path / "clean"
     shutil.copytree(source, clean)
-    argv = _commands(patch)["commit"][0]
-    old = _state(source)
+    argv, files = _commands(patch)["commit"]
+    assert _run(argv, clean) == 0
+    old, new = _state(source), _state(clean)
     env = {**os.environ, "PYTHONPATH": str(Path(vgstore.__file__).resolve().parents[1])}
-
-    def start(repo):
-        return subprocess.Popen(
-            [sys.executable, "-c", "from vgstore.cli import main; main()",
-             argv[0], "--repo", str(repo), *argv[1:]],
-            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        )
-
-    began = time.perf_counter()
-    with start(clean) as proc:
-        assert proc.wait(timeout=60) == 0
-    full = time.perf_counter() - began
-    new = _state(clean)
-    rng = random.Random(11)
-    for i in range(10):
-        repo = tmp_path / f"killed{i}"
+    seen = []
+    for step in itertools.count():
+        repo = tmp_path / f"killed{step}"
         shutil.copytree(source, repo)
         before = _patches(repo)
-        with start(repo) as proc:
-            time.sleep(rng.uniform(0.3, 1.1) * full)
-            proc.kill()
-            proc.wait(timeout=60)
+        with subprocess.Popen(
+            [sys.executable, "-c", _PAUSING_VG, str(step), argv[0], "--repo", str(repo), *argv[1:]],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+        ) as proc:
+            try:
+                if proc.stdout.readline() != "paused\n":  # ran through every step
+                    assert proc.wait(timeout=60) == 0
+                    assert _state(repo) == new
+                    break
+                # mid-save, with the writer holding the lock: readers load
+                # without waiting, another writer is turned away
+                during = _state(repo)
+                assert vg(["stats", "--repo", str(repo)]) == 0
+                assert _run(_commands(patch)["branch"][0], repo) == 2
+            finally:
+                proc.kill()
+                proc.wait(timeout=60)
         state = _state(repo)
-        assert state in (old, new)
+        assert state == during
+        seen.append("new" if state == new else "old" if state == old else state)
         assert _unchanged(before, repo)
-        assert vg(["stats", "--repo", str(repo)]) == 0
+        # the next commit reuses what the killed one left and leaves no temp file
         assert _run(argv, repo) == 0
         assert _state(repo)[0] == state[0] + 1
+        assert _unchanged(before, repo)
+        assert not list(repo.rglob("*.tmp"))
+    # before and after each replace: only the manifest's rename makes it new
+    assert seen == ["old"] * (2 * files - 1) + ["new"]
 
 
 def test_a_commit_serializes_and_writes_only_its_own_patch(tmp_path, monkeypatch):
@@ -261,19 +293,23 @@ def test_a_save_over_another_history_raises_and_writes_nothing(tmp_path, other):
     assert _state(fresh)[0] == len(dag)
 
 
-def test_generate_appends_to_its_own_history_only(tmp_path):
-    def params(versions, seed=1):
-        return ScenarioParams(buildings=4, stations=2, versions=versions, branch_prob=0.0, seed=seed)
+def test_generate_leaves_its_own_scenario_alone_and_refuses_any_other(tmp_path):
+    def params(buildings=4, versions=3):
+        return ScenarioParams(buildings=buildings, stations=2, versions=versions, seed=1)
 
-    fresh, repo = tmp_path / "fresh", tmp_path / "city"
-    generate(params(6), fresh)
-    # the first four versions of a seed's history are a prefix of its six
-    generate(params(4), repo)
-    before = _patches(repo)
-    generate(params(6), repo)
-    assert _unchanged(before, repo)
-    assert _files(repo) == _files(fresh)
-    for other in (params(4), params(6, seed=2)):
-        with pytest.raises(StateError):
+    def stats(repo):
+        return {p: (p.stat().st_ino, p.stat().st_mtime_ns) for p in Path(repo).rglob("*")}
+
+    repo = tmp_path / "city"
+    generate(params(), repo)
+    before, stamps = _files(repo), stats(repo)
+    generate(params(), repo)
+    assert stats(repo) == stamps  # the very same scenario: nothing written
+    # the same seed gives the same metadata for any size of city, so the
+    # larger cities would pass the save's prefix check; the longer history
+    # of the same city would append
+    for other in (params(buildings=6), params(buildings=6, versions=5),
+                  params(versions=5), params(versions=1)):
+        with pytest.raises(StateError, match="new directory"):
             generate(other, repo)
-        assert _files(repo) == _files(fresh)
+        assert _files(repo) == before
