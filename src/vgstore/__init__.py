@@ -1,6 +1,6 @@
 """Versioned RDF triple store with branching history and cross-version queries."""
 
-from .dag import CommitMeta, Provenance, VersionDag, parse_version_iri, repack, version_iri
+from .dag import CommitMeta, Provenance, VersionDag, parse_version_iri, version_iri
 from .engine import SolutionTable, eval_annotated, eval_checkout, format_results
 from .errors import (
     BenchError,
@@ -15,7 +15,7 @@ from .errors import (
 from .ntriples import format_term, format_triple, parse_ntriples, serialize_ntriples
 from .repo import load_repository, parse_patch, save_repository, serialize_patch
 from .sparql import parse_query
-from .store import AnnotatedStore, Delta, EMPTY_DELTA, StoreStats
+from .store import AnnotatedStore, Delta, EMPTY_DELTA, StoreStats, repack
 from .terms import BlankNode, Dictionary, Iri, Literal, Term, Triple, compare_values
 from .versionsets import ENCODINGS, ExtensionSet, IntervalSet, VersionSet, set_class
 

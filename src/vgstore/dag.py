@@ -5,15 +5,15 @@ has the IRI urn:vg:version:<seq>.  The root is an ordinary commit: the first
 one, with no parents, on branch "main", which it creates.  Every later commit
 lists one or more parents with strictly smaller numbers.  Named branches map
 to head commits; creation order is append-only, so history never rewrites,
-with one exception: repack() renumbers all versions along a depth-first walk
-so that each branch occupies a consecutive run, which is what makes the
-interval encoding cheap after heavy branching.
+with one exception: store.repack() replays it in _repack_order(), a
+depth-first walk in which each branch occupies a consecutive run, which is
+what makes the interval encoding cheap after heavy branching.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from .errors import NotFoundError, StateError, ValidationError
@@ -167,7 +167,7 @@ class VersionDag:
         return False
 
     def _set_branches(self, branches: dict[str, int]) -> None:
-        """Replace the branch map wholesale (used by repository load)."""
+        """Replace the branch map wholesale (after a repository load or repack)."""
         if "main" not in branches:
             raise ValidationError('branch map must include "main"')
         for name, head in branches.items():
@@ -175,17 +175,6 @@ class VersionDag:
                 raise ValidationError("branch name must be nonempty")
             self.commit_meta(head)
         self._branches = dict(branches)
-
-    def _remap(self, mapping: dict[int, int]) -> None:
-        n = len(self._commits)
-        renumbered: list[CommitMeta | None] = [None] * n
-        for meta in self._commits:
-            seq = mapping[meta.seq]
-            renumbered[seq] = replace(
-                meta, seq=seq, parents=tuple(mapping[p] for p in meta.parents)
-            )
-        self._commits = renumbered  # type: ignore[assignment]
-        self._branches = {name: mapping[head] for name, head in self._branches.items()}
 
 
 def _repack_order(dag: VersionDag) -> list[int]:
@@ -224,19 +213,3 @@ def _repack_order(dag: VersionDag) -> list[int]:
         stack.extend(reversed(ready))
     return order
 
-
-def repack(dag: VersionDag, store) -> dict[int, int]:
-    """Renumber all versions for interval locality; returns {old: new}.
-
-    Rewrites commit numbers, parent lists, branch heads, and every version
-    set held by the store.  Queries return the same results afterwards modulo
-    the returned bijection.  An already depth-first linear history maps to
-    itself.
-    """
-    if dag.is_empty:
-        return {}
-    order = _repack_order(dag)
-    mapping = {old: new for new, old in enumerate(order)}
-    dag._remap(mapping)
-    store.remap_versions(mapping)
-    return mapping

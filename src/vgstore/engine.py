@@ -34,6 +34,7 @@ ntriples.format_term), so sorting and formatting pay per distinct term.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Iterable, Iterator
@@ -190,62 +191,69 @@ def _graph_version(block: GraphBlock, n_versions: int) -> int | None:
     return seq if seq is not None and 0 <= seq < n_versions else None
 
 
-def _lookup(env: dict[str, TermId], dictionary: Dictionary) -> Callable[[str], Term | None]:
-    return lambda name: dictionary.resolve(env[name]) if name in env else None
+# comparison operator -> its test of compare_values's sign
+_SIGN_TESTS = {"<": operator.lt, "<=": operator.le, "=": operator.eq,
+               "!=": operator.ne, ">=": operator.ge, ">": operator.gt}
+
+
+def _comparer(
+    env: dict[str, TermId], dictionary: Dictionary
+) -> Callable[[Comparison], bool | None]:
+    """Answers the comparisons of a filter on the row env, each one once: they
+    do not depend on isHead, so the sub-rows of an annotated row share them."""
+    answers: dict[int, bool | None] = {}
+
+    def value(operand: Var | Literal) -> Term | None:
+        if isinstance(operand, Literal):
+            return operand
+        return dictionary.resolve(env[operand.name]) if operand.name in env else None
+
+    def compare(expr: Comparison) -> bool | None:
+        key = id(expr)
+        if key not in answers:
+            a, b = value(expr.lhs), value(expr.rhs)
+            c = compare_values(a, b) if isinstance(a, Literal) and isinstance(b, Literal) else None
+            answers[key] = None if c is None else _SIGN_TESTS[expr.op](c, 0)
+        return answers[key]
+
+    return compare
 
 
 def _filter(
     rows: list[_Row], expr: Expr, dictionary: Dictionary, ishead: Callable[[str], bool]
 ) -> list[_Row]:
     """The rows on which expr is true; ishead(name) answers isHead(?name)."""
-    return [row for row in rows if _eval_expr(expr, _lookup(row[0], dictionary), ishead) is True]
+    return [row for row in rows if _eval_expr(expr, _comparer(row[0], dictionary), ishead) is True]
 
 
 def _eval_expr(
     expr: Expr,
-    lookup: Callable[[str], Term | None],
+    compare: Callable[[Comparison], bool | None],
     ishead: Callable[[str], bool],
 ) -> bool | None:
     """Three-valued filter logic; None means error, which drops the row."""
     if isinstance(expr, Comparison):
-        a = expr.lhs if isinstance(expr.lhs, Literal) else lookup(expr.lhs.name)
-        b = expr.rhs if isinstance(expr.rhs, Literal) else lookup(expr.rhs.name)
-        if not isinstance(a, Literal) or not isinstance(b, Literal):
-            return None
-        c = compare_values(a, b)
-        if c is None:
-            return None
-        if expr.op == "<":
-            return c < 0
-        if expr.op == "<=":
-            return c <= 0
-        if expr.op == "=":
-            return c == 0
-        if expr.op == "!=":
-            return c != 0
-        if expr.op == ">=":
-            return c >= 0
-        return c > 0
+        return compare(expr)
     # a left side that settles && or || skips the right one: False && error
     # is False and True || error is True, so skipping changes no result
     if isinstance(expr, And):
-        left = _eval_expr(expr.lhs, lookup, ishead)
+        left = _eval_expr(expr.lhs, compare, ishead)
         if left is False:
             return False
-        right = _eval_expr(expr.rhs, lookup, ishead)
+        right = _eval_expr(expr.rhs, compare, ishead)
         if right is False:
             return False
         return None if left is None or right is None else True
     if isinstance(expr, Or):
-        left = _eval_expr(expr.lhs, lookup, ishead)
+        left = _eval_expr(expr.lhs, compare, ishead)
         if left is True:
             return True
-        right = _eval_expr(expr.rhs, lookup, ishead)
+        right = _eval_expr(expr.rhs, compare, ishead)
         if right is True:
             return True
         return None if left is None or right is None else False
     if isinstance(expr, Not):
-        inner = _eval_expr(expr.operand, lookup, ishead)
+        inner = _eval_expr(expr.operand, compare, ishead)
         return None if inner is None else not inner
     return ishead(expr.var.name)
 
@@ -381,9 +389,9 @@ def _ann_filter(
     assigns = [dict(zip(head_names, bits)) for bits in truths]
     out: list[_Row] = []
     for env, vsets in rows:
-        lookup = _lookup(env, dictionary)
+        compare = _comparer(env, dictionary)
         for assign in assigns:
-            if _eval_expr(expr, lookup, assign.__getitem__) is not True:
+            if _eval_expr(expr, compare, assign.__getitem__) is not True:
                 continue
             split = {name: vsets[name].intersect(parts[flag]) for name, flag in assign.items()}
             if all(part.cardinality() for part in split.values()):

@@ -38,7 +38,7 @@ from pathlib import Path
 from .dag import CommitMeta, Provenance, VersionDag, is_int, version_iri
 from .errors import RepositoryError, StateError, ValidationError
 from .ntriples import BlankScope, format_triple, read_statements
-from .store import AnnotatedStore, Delta
+from .store import AnnotatedStore, Delta, replay_commit
 from .terms import Dictionary
 
 MANIFEST_NAME = "manifest.json"
@@ -316,18 +316,7 @@ def load_repository(
             )
         except ValidationError as e:
             raise RepositoryError(f"{patch_path}: {e}") from None
-        if meta.parents and meta.branch not in dag.branches:
-            dag.create_branch(meta.branch, at=meta.parents[0])
-        seq = store.apply_commit(
-            dag,
-            list(meta.parents),
-            meta.branch,
-            delta,
-            message=meta.message,
-            author=meta.author,
-            timestamp=meta.timestamp,
-            provenance=meta.provenance,
-        )
+        seq = replay_commit(store, dag, meta, delta)
         if seq != meta.seq:
             raise _manifest_error(f"replay produced version {seq}, expected {meta.seq}")
     try:

@@ -17,6 +17,11 @@ in proportion to the parents' content and not to the whole store, and a save
 writes the recorded deltas.  A parent without a snapshot, such as an old
 version a new branch starts from, is rebuilt by scanning the store.
 
+Only apply_commit changes what the store holds; a read only writes out the
+runs it left open.  A repository load replays each commit through it with
+replay_commit, and so does repack, which renumbers the versions by emptying
+the dag and store and replaying the recorded deltas in the new order.
+
 TripleIndex is the package's one permutation index: SPO, POS and OSP over
 the same leaf values, read by a bound-prefix walk.  The store's leaves are
 its live VersionSets, shared by the three permutations, which keeps them
@@ -28,11 +33,11 @@ from __future__ import annotations
 
 import logging
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime
 from typing import Iterator
 
-from .dag import Provenance, VersionDag, is_int
+from .dag import CommitMeta, Provenance, VersionDag, _repack_order, is_int
 from .errors import DeltaError, NotFoundError, StateError, ValidationError
 from .ntriples import format_triple
 from .terms import Dictionary, TermId, Triple
@@ -145,10 +150,9 @@ class AnnotatedStore:
         self._n_versions = 0
         self._deltas: dict[int, Delta] = {}
         self._snapshots: dict[int, frozenset[Triple]] = {}
-        # the version applied last: its content, and for each of its triples
-        # a version from which the triple is in every version up to it;
-        # the versions of those runs from _written on are not yet in the sets
-        self._last: frozenset[Triple] = frozenset()
+        # for each triple of the version applied last, a version from which
+        # the triple is in every version up to it; the versions of those
+        # runs from _written on are not yet in the sets
         self._open: dict[Triple, int] = {}
         self._written = 0
         self._flush_lock = threading.Lock()
@@ -205,17 +209,18 @@ class AnnotatedStore:
             parents, branch,
             message=message, author=author, timestamp=timestamp, provenance=provenance,
         )
-        # seq - 1 was applied last; a triple that leaves closes its run there
+        # seq - 1 was applied last, and its snapshot is always kept; a triple
+        # that leaves closes its run there
+        last = self._snapshots[seq - 1] if seq else frozenset()
         written = self._written
-        for triple in self._last - present:
+        for triple in last - present:
             lo = max(self._open.pop(triple), written)
             if lo < seq:
                 self._sets[triple].insert(lo, seq - 1)
-        for triple in present - self._last:
+        for triple in present - last:
             if triple not in self._sets:
                 self._register(triple, self._set_cls())
             self._open[triple] = seq
-        self._last = present
         self._n_versions = seq + 1
         self._deltas[seq] = Delta(
             delta.additions - parent_union, delta.removals & parent_union
@@ -282,22 +287,6 @@ class AnnotatedStore:
             triples_sum_over_versions=total,
         )
 
-    def remap_versions(self, mapping: dict[int, int]) -> None:
-        """Rewrite every version set through a renumbering bijection."""
-        self._flush()
-        for triple, vset in self._sets.items():
-            remapped = self._set_cls.from_iterable(mapping[v] for v in vset)
-            self._register(triple, remapped)
-        # deltas are relative to each commit's parents, so renumbering
-        # re-keys them without changing them
-        self._deltas = {mapping[v]: d for v, d in self._deltas.items()}
-        self._snapshots = {mapping[v]: s for v, s in self._snapshots.items()}
-        if self._n_versions:
-            # every set is written, so the new last version's runs open there
-            last = self._n_versions - 1
-            self._last = self._content(last)
-            self._open = dict.fromkeys(self._last, last)
-
     def _flush(self) -> None:
         """Write the open runs up to the version applied last."""
         if self._written == self._n_versions:
@@ -314,3 +303,42 @@ class AnnotatedStore:
     def _register(self, t: Triple, vset: VersionSet) -> None:
         self._sets[t] = vset
         self._index.add(t, vset)
+
+
+def replay_commit(store: AnnotatedStore, dag: VersionDag, meta: CommitMeta, delta: Delta) -> int:
+    """Apply a recorded commit: delta on meta's parents, with meta's branch,
+    message, author, timestamp and provenance.  A branch dag does not have
+    yet starts at the first parent.  Returns the new version number."""
+    if meta.parents and meta.branch not in dag.branches:
+        dag.create_branch(meta.branch, at=meta.parents[0])
+    return store.apply_commit(
+        dag, list(meta.parents), meta.branch, delta, message=meta.message,
+        author=meta.author, timestamp=meta.timestamp, provenance=meta.provenance,
+    )
+
+
+def repack(dag: VersionDag, store: AnnotatedStore) -> dict[int, int]:
+    """Renumber all versions for interval locality; returns {old: new}.
+
+    The dag and store are emptied in place, then every commit is replayed
+    from its recorded delta in the new order, with renumbered parents, and
+    so are the branch heads.  Queries return the same results afterwards
+    modulo the returned bijection.  A depth-first linear history maps to
+    itself.
+    """
+    if len(dag) != store.n_versions:
+        raise StateError(f"store knows {store.n_versions} versions but dag has {len(dag)}")
+    if dag.is_empty:
+        return {}
+    order = _repack_order(dag)
+    mapping = {old: new for new, old in enumerate(order)}
+    commits = dag.commits()
+    history = [(commits[old], store.delta(old)) for old in order]
+    branches = {name: mapping[head] for name, head in dag.branches.items()}
+    dag.__init__()
+    store.__init__(store.dictionary, store.encoding)
+    for meta, delta in history:
+        parents = tuple(mapping[p] for p in meta.parents)
+        replay_commit(store, dag, replace(meta, seq=mapping[meta.seq], parents=parents), delta)
+    dag._set_branches(branches)
+    return mapping

@@ -10,6 +10,7 @@ from vgstore import (
     AnnotatedStore,
     CommitMeta,
     Delta,
+    EMPTY_DELTA,
     Iri,
     NotFoundError,
     Provenance,
@@ -20,6 +21,8 @@ from vgstore import (
     repack,
     version_iri,
 )
+
+from vgstore.store import replay_commit
 
 from helpers import EPOCH
 
@@ -342,8 +345,13 @@ def test_repack_waits_for_all_parents():
 @given(st.integers(0, 10_000), st.integers(1, 14))
 @settings(max_examples=60, deadline=None)
 def test_repack_is_a_parent_respecting_bijection(seed, n):
-    dag = random_dag(random.Random(seed), n)
-    store = AnnotatedStore()  # stays empty: only the numbering is under test
+    numbering = random_dag(random.Random(seed), n)
+    # a store holding the dag's versions, all of them empty: only the
+    # numbering is under test
+    store, dag = AnnotatedStore(), VersionDag()
+    for meta in numbering.commits():
+        replay_commit(store, dag, meta, EMPTY_DELTA)
+    dag._set_branches(numbering.branches)
     old = {m.seq: m for m in dag.commits()}
     old_branches = dag.branches
     mapping = repack(dag, store)
@@ -356,6 +364,23 @@ def test_repack_is_a_parent_respecting_bijection(seed, n):
         assert new_meta.message == meta.message
         assert new_meta.branch == meta.branch
     assert dag.branches == {k: mapping[v] for k, v in old_branches.items()}
+
+
+@pytest.mark.parametrize("dag_versions", [1, 3])
+def test_repack_refuses_a_dag_and_store_of_different_lengths(dag_versions):
+    store, own = AnnotatedStore(), VersionDag()
+    store.apply_commit(
+        own, [], "main", Delta(frozenset({triple_of(store, "x")}), frozenset())
+    )
+    store.apply_commit(own, [0], "main", EMPTY_DELTA)
+    dag = chain(dag_versions)
+    commits, branches = dag.commits(), dag.branches
+    sets = {t: list(vset) for t, vset in store.match()}
+    with pytest.raises(StateError):
+        repack(dag, store)
+    assert dag.commits() == commits and dag.branches == branches
+    assert store.n_versions == 2
+    assert {t: list(vset) for t, vset in store.match()} == sets
 
 
 def test_repack_empty_dag_is_noop():

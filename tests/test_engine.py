@@ -699,3 +699,42 @@ def test_a_settled_left_operand_skips_the_right_one(
     calls.clear()
     assert eval_checkout(store, dag, q) == annotated
     assert len(calls) == checkout_calls
+
+
+@pytest.mark.parametrize("condition", ["?h > 11.0 && isHead(?v)", "isHead(?v) && ?h > 11.0"])
+@pytest.mark.parametrize(
+    "evaluate,domain",
+    [(eval_annotated, "all"), (eval_annotated, "heads"), (eval_checkout, "heads")],
+)
+def test_a_comparison_runs_once_per_row_whatever_the_operand_order(
+    monkeypatch, condition, evaluate, domain
+):
+    """An annotated row splits into one sub-row per truth assignment of isHead,
+    and all of them share one answer per comparison.  (Over all versions the
+    checkout evaluator skips the comparison at a non-head when isHead comes
+    first, so its domain here is the heads.)"""
+    import vgstore.engine
+
+    store, dag = city()
+    q = parse_query(
+        f"SELECT ?v ?b ?h WHERE {{ GRAPH ?v {{ ?b <{EX}height> ?h }} FILTER ({condition}) }}"
+    )
+    expected = eval_checkout(store, dag, q, version_domain=domain)
+    rows_in, calls = [], []
+    for name in ("_filter", "_ann_filter"):
+
+        def entering(rows, *args, _original=getattr(vgstore.engine, name)):
+            rows_in.append(len(rows))
+            return _original(rows, *args)
+
+        monkeypatch.setattr(vgstore.engine, name, entering)
+    original = vgstore.engine.compare_values
+
+    def counted(a, b):
+        calls.append((a, b))
+        return original(a, b)
+
+    monkeypatch.setattr(vgstore.engine, "compare_values", counted)
+    assert evaluate(store, dag, q, version_domain=domain) == expected
+    assert expected.rows and sum(rows_in) > 0
+    assert len(calls) == sum(rows_in)

@@ -314,7 +314,11 @@ def test_recorded_deltas_and_snapshots_match_full_scans(seed, encoding):
     store, dag = random_repo(random.Random(seed), encoding=encoding, allow_blanks=True)
     for repacked in (False, True):
         if repacked:
-            repack(dag, store)
+            before = {x: set(vset) for x, vset in store.match()}
+            mapping = repack(dag, store)
+            assert {x: set(vset) for x, vset in store.match()} == {
+                x: {mapping[v] for v in versions} for x, versions in before.items()
+            }
         for v in range(store.n_versions):
             assert store.delta(v) == reference_delta(store, dag, v)
         assert store._snapshots and set(store._snapshots) <= dag.heads()
