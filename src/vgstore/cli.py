@@ -21,7 +21,6 @@ from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
 
-from . import bench as bench_mod
 from .dag import Provenance, VersionDag, version_iri
 from .engine import eval_annotated, eval_checkout, format_results
 from .errors import QueryError, RepositoryError, StateError, VgError
@@ -253,6 +252,8 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    from . import bench as bench_mod  # here, so other commands skip its imports
+
     rows = bench_mod.run(args.repo, runs=args.runs)
     if args.out is None:
         sys.stdout.write(bench_mod.report_text(rows))

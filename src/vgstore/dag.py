@@ -150,22 +150,6 @@ class VersionDag:
         self.commit_meta(at)
         self._branches[name] = at
 
-    def is_ancestor(self, a: int, b: int) -> bool:
-        """True when a lies on some parent path from b (reflexively)."""
-        self.commit_meta(a)
-        self.commit_meta(b)
-        stack = [b]
-        seen = set()
-        while stack:
-            cur = stack.pop()
-            if cur == a:
-                return True
-            if cur in seen or cur < a:  # parents only ever get smaller
-                continue
-            seen.add(cur)
-            stack.extend(self._commits[cur].parents)
-        return False
-
     def _set_branches(self, branches: dict[str, int]) -> None:
         """Replace the branch map wholesale (after a repository load or repack)."""
         if "main" not in branches:

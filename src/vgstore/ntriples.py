@@ -19,7 +19,9 @@ and term_failure names the cause where it can, for patches and queries alike.
 Reading a document is all-or-nothing: terms are interned only after every
 line has parsed, so a failed read leaves the dictionary untouched.  Blank
 node labels are scoped to the read and replaced with fresh labels at
-interning time.
+interning time.  The scope also keeps each IRI's and literal's id by its
+text as matched, so a repository load, which shares one scope across its
+patches, builds a term once per spelling rather than once per occurrence.
 
 Writing escapes only quotes, backslashes, and control characters, and
 format_triple writes every triple, in patches and documents alike.  Each term
@@ -44,6 +46,7 @@ from .terms import (
     Iri,
     Literal,
     Term,
+    TermId,
     Triple,
     validate_term,
 )
@@ -146,8 +149,9 @@ def term_from_match(m: re.Match) -> Term:
     return term
 
 
-def parse_statement(text: str, line: int = 1) -> tuple[Term, Term, Term]:
-    """Parse one `subject predicate object .` statement into valid terms."""
+def _match_statement(text: str, line: int) -> tuple[re.Match, re.Match, re.Match]:
+    """The matches of one statement's three terms, each of a kind its
+    position allows, followed by the final dot."""
     s = _match_term(text, 0, line, "subject")
     if s["lex"] is not None:
         raise ValidationError(f"line {line}: subject must be an IRI or blank node")
@@ -160,24 +164,40 @@ def parse_statement(text: str, line: int = 1) -> tuple[Term, Term, Term]:
         if rest.startswith("."):
             raise ValidationError(f"line {line}: trailing content after '.': {rest[1:21]!r}")
         raise ValidationError(f"line {line}: statement must end with '.', found {rest[:20]!r}")
+    return s, p, o
+
+
+def _term_at(m: re.Match, line: int) -> Term:
     try:
-        return term_from_match(s), term_from_match(p), term_from_match(o)
+        return term_from_match(m)
     except ValidationError as e:
         raise ValidationError(f"line {line}: {e}") from None
 
 
-class BlankScope:
-    """Maps document-local blank labels to dictionary-wide ones.
+def parse_statement(text: str, line: int = 1) -> tuple[Term, Term, Term]:
+    """Parse one `subject predicate object .` statement into valid terms."""
+    s, p, o = _match_statement(text, line)
+    return _term_at(s, line), _term_at(p, line), _term_at(o, line)
 
-    A source label is kept verbatim when no interned blank node uses it yet,
+
+class BlankScope:
+    """What several documents read into one dictionary share.
+
+    Blank labels: a document-local label becomes a dictionary-wide one.  A
+    source label is kept verbatim when no interned blank node uses it yet,
     so reloading a repository reproduces its labels byte-for-byte; only a
     label already taken by an earlier document is renamed.
+
+    Term texts: the id of every IRI or literal, keyed by its text as matched,
+    so a text read again is not decoded, validated or built into a term.
+    Blank nodes stay out, since their labels depend on the scope.
     """
 
     def __init__(self, dictionary: Dictionary):
         self._dictionary = dictionary
         self._mapping: dict[str, str] = {}
         self._used: set[str] = set()
+        self._ids: dict[str, TermId] = {}
 
     def rename(self, node: BlankNode) -> BlankNode:
         label = self._mapping.get(node.label)
@@ -200,10 +220,17 @@ def read_statements(
 
     With marks, every statement line starts with one of its characters and a
     space or tab, and that character is returned with the triple; otherwise
-    the mark is "".  Passing a scope shares blank-label freshening across
-    several documents; the default is a fresh scope per call.
+    the mark is "".  Passing a scope, made for this dictionary, shares
+    blank-label freshening and term texts across several documents; the
+    default is a fresh scope per call.
     """
-    parsed: list[tuple[str, tuple[Term, Term, Term]]] = []
+    if scope is None:
+        scope = BlankScope(dictionary)
+    ids = scope._ids
+    # a statement's terms as read: the id of a text the scope knows, a text
+    # first spelled in this document (its term is in new), or a blank node
+    new: dict[str, Term] = {}
+    parsed: list[tuple[str, list]] = []
     # split on real newlines only: unicode line separators (NEL, LS, PS) are
     # legal raw characters inside a literal and must not break a statement
     for lineno, line in enumerate(text.split("\n"), start=1):
@@ -217,16 +244,39 @@ def read_statements(
                 expected = " or ".join(f"'{m} '" for m in marks)
                 raise ValidationError(f"line {lineno}: lines must start with {expected}")
             mark, line = line[0], line[2:]
-        parsed.append((mark, parse_statement(line, lineno)))
-    if scope is None:
-        scope = BlankScope(dictionary)
+        row = []
+        for m in _match_statement(line, lineno):
+            key = m[0]
+            tid = ids.get(key)
+            if tid is not None:
+                row.append(tid)
+            elif m["blank"] is not None:
+                row.append(BlankNode(m["blank"]))
+            else:
+                if key not in new:
+                    new[key] = _term_at(m, lineno)
+                row.append(key)
+        parsed.append((mark, row))
+
+    # every line has parsed: intern subject, predicate and object statement
+    # by statement, so ids follow the order terms first occur in
+    def intern(x) -> TermId:
+        if type(x) is int:
+            return x
+        if type(x) is str:
+            tid = ids.get(x)
+            if tid is None:
+                tid = ids[x] = dictionary.intern(new[x])
+            return tid
+        return dictionary.intern(x)
+
     out: list[tuple[str, Triple]] = []
     for mark, (s, p, o) in parsed:
         if isinstance(s, BlankNode):
             s = scope.rename(s)
         if isinstance(o, BlankNode):
             o = scope.rename(o)
-        out.append((mark, dictionary.triple(s, p, o)))
+        out.append((mark, Triple(intern(s), intern(p), intern(o))))
     return out
 
 

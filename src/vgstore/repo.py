@@ -323,4 +323,5 @@ def load_repository(
         dag._set_branches({name: head for name, head in branches.items()})
     except Exception as e:
         raise _manifest_error(f"bad branch map: {e}") from None
+    store._prune_snapshots(dag.heads())
     return store, dag

@@ -11,11 +11,13 @@ version on the first read after a commit, under a lock so that concurrent
 readers write them once.
 
 Applying a commit also records the version's delta against the union of its
-parents and a frozen snapshot of its content.  Snapshots are kept only for
-branch heads and the version applied last, so a commit on a head costs time
-in proportion to the parents' content and not to the whole store, and a save
-writes the recorded deltas.  A parent without a snapshot, such as an old
-version a new branch starts from, is rebuilt by scanning the store.
+parents, which a save writes.  The content of the version applied last is
+the keys of the open runs, so a commit whose only parent is that version
+looks up each triple of its delta there and costs O(|delta|).  Every other
+branch head keeps a frozen snapshot, taken when it stops being the version
+applied last, so a commit on it costs time in proportion to its content and
+not to the whole store.  A parent without a snapshot, such as an old version
+a new branch starts from, is rebuilt by scanning the store.
 
 Only apply_commit changes what the store holds; a read only writes out the
 runs it left open.  A repository load replays each commit through it with
@@ -35,7 +37,7 @@ import logging
 import threading
 from dataclasses import dataclass, replace
 from datetime import datetime
-from typing import Iterator
+from typing import AbstractSet, Iterator
 
 from .dag import CommitMeta, Provenance, VersionDag, _repack_order, is_int
 from .errors import DeltaError, NotFoundError, StateError, ValidationError
@@ -194,8 +196,22 @@ class AnnotatedStore:
             raise StateError(
                 f"store knows {self._n_versions} versions but dag has {len(dag)}"
             )
-        parent_union = frozenset().union(*map(self._content, parents))
-        spurious = delta.removals - parent_union
+        for p in parents:
+            self._check_version(p)
+        last, open_ = self._n_versions - 1, self._open
+        if len(parents) == 1 and parents[0] == last:
+            # the parent's content is the keys of _open, and difference()
+            # with a dict probes it once per element: O(|delta|)
+            spurious = delta.removals.difference(open_)
+            leaving = delta.removals - spurious
+            arriving = delta.additions.difference(open_)
+            recorded = Delta(arriving, leaving)
+        else:
+            parent_union = frozenset().union(*map(self._content, parents))
+            spurious = delta.removals - parent_union
+            present = (parent_union - delta.removals) | delta.additions
+            leaving, arriving = open_.keys() - present, present.difference(open_)
+            recorded = Delta(delta.additions - parent_union, delta.removals & parent_union)
         if spurious:
             if strict:
                 sample = next(iter(spurious))
@@ -204,39 +220,37 @@ class AnnotatedStore:
                     f"e.g. {format_triple(sample, self.dictionary)}"
                 )
             log.warning("ignoring %d removal(s) absent from all parents", len(spurious))
-        present = (parent_union - delta.removals) | delta.additions
         seq = dag.commit(
             parents, branch,
             message=message, author=author, timestamp=timestamp, provenance=provenance,
         )
-        # seq - 1 was applied last, and its snapshot is always kept; a triple
-        # that leaves closes its run there
-        last = self._snapshots[seq - 1] if seq else frozenset()
+        heads = dag.heads()
+        if last in heads:
+            self._snapshots[last] = frozenset(open_)
+        # a triple that leaves closes its run at last, the old version
         written = self._written
-        for triple in last - present:
-            lo = max(self._open.pop(triple), written)
+        for triple in leaving:
+            lo = max(open_.pop(triple), written)
             if lo < seq:
                 self._sets[triple].insert(lo, seq - 1)
-        for triple in present - last:
+        for triple in arriving:
             if triple not in self._sets:
                 self._register(triple, self._set_cls())
-            self._open[triple] = seq
+            open_[triple] = seq
         self._n_versions = seq + 1
-        self._deltas[seq] = Delta(
-            delta.additions - parent_union, delta.removals & parent_union
-        )
-        heads = dag.heads()
-        self._snapshots = {v: s for v, s in self._snapshots.items() if v in heads}
-        self._snapshots[seq] = present
+        self._deltas[seq] = recorded
+        self._prune_snapshots(heads)
         return seq
 
     def materialize(self, v: int) -> set[Triple]:
         """The plain triple set of version v, as a fresh mutable set.
 
-        It is copied from v's snapshot if there is one, else reconstructed
-        by scanning every stored triple.
+        It is copied from the open runs if v was applied last, from v's
+        snapshot if there is one, else reconstructed by scanning the store.
         """
         self._check_version(v)
+        if v == self._n_versions - 1:
+            return set(self._open)
         snapshot = self._snapshots.get(v)
         if snapshot is not None:
             return set(snapshot)
@@ -256,7 +270,14 @@ class AnnotatedStore:
         if not is_int(v) or not 0 <= v < self._n_versions:
             raise NotFoundError(f"unknown version: {v}")
 
-    def _content(self, v: int) -> frozenset[Triple]:
+    def _prune_snapshots(self, heads: set[int]) -> None:
+        """Keep the snapshots of branch heads other than the version applied last."""
+        last = self._n_versions - 1
+        self._snapshots = {v: s for v, s in self._snapshots.items() if v in heads and v != last}
+
+    def _content(self, v: int) -> AbstractSet[Triple]:
+        if v == self._n_versions - 1:
+            return self._open.keys()
         snapshot = self._snapshots.get(v)
         return snapshot if snapshot is not None else frozenset(self.materialize(v))
 
@@ -341,4 +362,5 @@ def repack(dag: VersionDag, store: AnnotatedStore) -> dict[int, int]:
         parents = tuple(mapping[p] for p in meta.parents)
         replay_commit(store, dag, replace(meta, seq=mapping[meta.seq], parents=parents), delta)
     dag._set_branches(branches)
+    store._prune_snapshots(dag.heads())
     return mapping

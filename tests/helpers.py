@@ -16,13 +16,14 @@ from itertools import product
 from hypothesis import strategies as st
 
 from vgstore.dag import Provenance, VersionDag
-from vgstore.ntriples import format_term
+from vgstore.ntriples import BlankScope, format_term, parse_statement
 from vgstore.store import AnnotatedStore, Delta
 from vgstore.terms import (
     XSD_BOOLEAN,
     XSD_DECIMAL,
     XSD_INTEGER,
     BlankNode,
+    Dictionary,
     Iri,
     Literal,
     Triple,
@@ -128,6 +129,36 @@ def random_repo(
 def scan_version(store: AnnotatedStore, v: int) -> set[Triple]:
     """Version v's triples by a full scan of the store's version sets."""
     return {triple for triple, vset in store.match() if v in vset}
+
+
+def assert_snapshots_are_heads_and_scans(store: AnnotatedStore, dag: VersionDag) -> None:
+    """Every kept snapshot is of a branch head other than the version applied
+    last and equals a full scan, and the version applied last materializes
+    as a full scan."""
+    last = store.n_versions - 1
+    assert set(store._snapshots) <= dag.heads() - {last}
+    for v, snapshot in store._snapshots.items():
+        assert snapshot == scan_version(store, v)
+    if last >= 0:
+        assert store.materialize(last) == scan_version(store, last)
+
+
+def reference_interning(patches: list[str]) -> Dictionary:
+    """The dictionary a load of these patches builds, by the plain rule:
+    each statement is built into terms, then its blank labels are renamed
+    and its terms interned, statement by statement."""
+    d = Dictionary()
+    scope = BlankScope(d)
+    for text in patches:
+        lines = [line for line in text.split("\n") if line.strip() and line[0] != "#"]
+        statements = [parse_statement(line[2:], n) for n, line in enumerate(lines, 1)]
+        for s, p, o in statements:
+            if isinstance(s, BlankNode):
+                s = scope.rename(s)
+            if isinstance(o, BlankNode):
+                o = scope.rename(o)
+            d.triple(s, p, o)
+    return d
 
 
 def reference_delta(store: AnnotatedStore, dag: VersionDag, v: int) -> Delta:

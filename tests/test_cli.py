@@ -5,6 +5,7 @@ internals, and byte-level comparisons against the library wherever the
 output is specified to round-trip.
 """
 
+import os
 import signal
 import subprocess
 import sys
@@ -14,6 +15,7 @@ import pytest
 
 from vgstore import load_repository, parse_patch, serialize_ntriples
 from vgstore.bench import REPORT_HEADER, ScenarioParams, generate
+import vgstore.cli
 from vgstore.cli import run as vg
 
 from helpers import INVALID_CONSTANTS
@@ -394,6 +396,20 @@ def test_data_errors_exit_2(repo, tmp_path, capsys):
           "--branch", "main", "--patch", "x.patch")
     fails(capsys, 2, "commit", "--repo", repo, "--branch", "main",
           "--patch", str(tmp_path / "missing.patch"))
+
+
+def test_importing_the_cli_leaves_the_bench_imports_out():
+    """Only `vg bench` imports the bench module and what it pulls in."""
+    code = (
+        "import sys, vgstore.cli; "
+        "print(*(m for m in ('random', 'statistics', 'hashlib', 'csv') if m in sys.modules))"
+    )
+    src = Path(vgstore.cli.__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, check=True,
+    )
+    assert done.stdout == "\n"
 
 
 # another process holding the repository's exclusive lock until its stdin

@@ -3,7 +3,7 @@
 import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from vgstore import (
     BlankNode,
@@ -20,7 +20,7 @@ from vgstore import parse_patch
 from vgstore.ntriples import BlankScope, parse_statement
 from vgstore.terms import RDF_LANGSTRING, XSD_STRING, _escape_lex, term_text, validate_term
 
-from helpers import statement_lines
+from helpers import reference_interning, statement_lines
 
 XSD_INT = "http://www.w3.org/2001/XMLSchema#integer"
 
@@ -381,3 +381,76 @@ def test_blank_scope_never_aliases_two_source_labels():
     scope = BlankScope(d)
     out = {scope.rename(BlankNode(label)).label for label in ("a", "b", "b0", "b1")}
     assert len(out) == 4
+
+
+# --- term texts kept on the scope -------------------------------------------
+
+
+def _spelled(term, escaped: bool) -> str:
+    """The term's N-Triples text, with its first IRI character as a \\u
+    escape when escaped is set."""
+    if escaped and isinstance(term, Iri):
+        return f"<\\u{ord(term.text[0]):04X}{term.text[1:]}>"
+    return format_term(term)
+
+
+def test_two_spellings_of_one_term_get_one_id():
+    d = Dictionary()
+    scope = BlankScope(d)
+    first = parse_patch('A <urn:\\u0041> <urn:p> "x" .\nA <urn:A> <urn:p> "y" .\n', d, scope)
+    second = parse_patch('A <urn:A> <urn:p> "z" .\nA <urn:q> <urn:p> <urn:\\u0041> .\n', d, scope)
+    a = d.lookup(Iri("urn:A"))
+    assert {t.s for t in first.additions} == {a}
+    assert {t.s for t in second.additions} == {a, d.lookup(Iri("urn:q"))}
+    assert a in {t.o for t in second.additions}
+    assert len(d) == 6  # urn:A, urn:p, urn:q and the three literals
+
+
+@pytest.mark.parametrize("last_line", [
+    'A <urn:b> <urn:p> "unterminated .',  # no term match
+    'A <urn:b> <urn:p> "\\uD800" .',  # a term that fails validation
+    "A <urn:b> <urn:p> <urn:c> . extra",  # no final dot
+])
+def test_a_patch_failing_on_its_last_line_leaves_dictionary_and_scope_alone(last_line):
+    d = Dictionary()
+    scope = BlankScope(d)
+    parse_patch('A _:n <urn:p> "x" .\nA <urn:a> <urn:p> <urn:b> .\n', d, scope)
+    before = (list(d._by_id), dict(scope._ids), dict(scope._mapping), set(scope._used))
+    text = (
+        'A <urn:a> <urn:p> <urn:new> .\nA _:m <urn:p> _:n .\n'
+        f'D <urn:\\u0061> <urn:p> "x" .\n{last_line}\n'
+    )
+    with pytest.raises(ValidationError, match="line 4"):
+        parse_patch(text, d, scope)
+    assert (list(d._by_id), dict(scope._ids), dict(scope._mapping), set(scope._used)) == before
+    # the scope still reads as if the failed patch never came
+    delta = parse_patch('A _:n <urn:p> <urn:new> .\n', d, scope)
+    assert d.resolve(next(iter(delta.additions)).s) == BlankNode("n")
+
+
+patch_lists = st.lists(
+    st.tuples(term_triples, st.lists(st.booleans(), min_size=3, max_size=3)),
+    min_size=1, max_size=4,
+)
+
+
+@given(patch_lists)
+# labels a scope hands out when it renames: b0, b1 collide with them
+@example([
+    ([(BlankNode("b1"), Iri("urn:p"), BlankNode("b0"))], [False] * 3),
+    ([(BlankNode("b0"), Iri("urn:p"), Iri("urn:b0")), (Iri("urn:b0"), Iri("urn:p"),
+      BlankNode("b2"))], [True] * 3),
+])
+def test_term_ids_after_a_load_equal_those_of_a_reference_interning(patches):
+    texts = []
+    for i, (triples, escaped) in enumerate(patches):
+        mark = "AD"[i % 2]
+        texts.append("".join(
+            f"{mark} {' '.join(_spelled(t, e) for t, e in zip(triple, escaped))} .\n"
+            for triple in triples
+        ))
+    d = Dictionary()
+    scope = BlankScope(d)
+    for text in texts:
+        parse_patch(text, d, scope)
+    assert d._by_id == reference_interning(texts)._by_id

@@ -10,11 +10,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vgstore import (
+    BlankNode,
     Delta,
     Dictionary,
     Iri,
+    Literal,
     RepositoryError,
     ValidationError,
+    VersionDag,
     load_repository,
     parse_patch,
     repack,
@@ -27,7 +30,7 @@ from vgstore.cli import run as vg
 from vgstore.store import AnnotatedStore
 from vgstore.versionsets import ExtensionSet, IntervalSet
 
-from helpers import random_repo, reference_delta
+from helpers import random_repo, reference_delta, reference_interning
 
 
 def test_parse_patch_single_addition():
@@ -143,6 +146,57 @@ def test_blank_labels_survive_reload_byte_for_byte(tmp_path):
         assert after == before
         had_blanks = had_blanks or "_:" in before
     assert had_blanks  # seed chosen so the repo actually contains blank nodes
+
+
+def _files(directory: Path) -> dict[str, bytes]:
+    return {
+        str(p.relative_to(directory)): p.read_bytes()
+        for p in directory.rglob("*") if p.is_file()
+    }
+
+
+def test_blank_labels_across_patches_reload_byte_identically(tmp_path):
+    store, dag = AnnotatedStore(), VersionDag()
+    d = store.dictionary
+    # b0 and b1 are labels a scope hands out when it renames
+    b0, b1, n = BlankNode("b0"), BlankNode("b1"), BlankNode("n")
+    p, x = Iri("urn:p"), Iri("urn:x")
+    steps = [
+        ({(b0, x), (n, b1)}, set()),
+        ({(b1, b0), (x, Literal("1"))}, {(b0, x)}),
+        ({(b0, x), (x, n)}, {(n, b1)}),
+    ]
+    for seq, (added, removed) in enumerate(steps):
+        delta = Delta(
+            frozenset(d.triple(s, p, o) for s, o in added),
+            frozenset(d.triple(s, p, o) for s, o in removed),
+        )
+        store.apply_commit(dag, [seq - 1] if seq else [], "main", delta)
+    save_repository(store, dag, tmp_path / "a")
+    loaded, loaded_dag = load_repository(tmp_path / "a")
+    save_repository(loaded, loaded_dag, tmp_path / "b")
+    assert _files(tmp_path / "b") == _files(tmp_path / "a")
+    texts = [(tmp_path / "a" / "deltas" / f"{v}.patch").read_text() for v in range(3)]
+    assert "D _:b0 <urn:p> <urn:x> ." in texts[1] and "D _:n " in texts[2]
+    assert loaded.dictionary._by_id == reference_interning(texts)._by_id
+    for v in range(3):
+        assert serialize_ntriples(loaded.materialize(v), loaded.dictionary) == (
+            serialize_ntriples(store.materialize(v), d)
+        )
+
+
+@given(st.integers(0, 10_000), st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_term_ids_after_a_load_equal_those_of_a_reference_interning(seed, blanks):
+    store, dag = random_repo(random.Random(seed), allow_blanks=blanks)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_repository(store, dag, tmp)
+        texts = [
+            (Path(tmp) / "deltas" / f"{v}.patch").read_text(encoding="utf-8")
+            for v in range(len(dag))
+        ]
+        loaded, _ = load_repository(tmp)
+    assert loaded.dictionary._by_id == reference_interning(texts)._by_id
 
 
 def test_second_save_is_byte_identical(tmp_path):

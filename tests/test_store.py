@@ -6,6 +6,7 @@ import random
 import sys
 import tempfile
 import threading
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -32,7 +33,12 @@ from vgstore import (
 
 from vgstore.versionsets import set_class
 
-from helpers import random_repo, reference_delta, scan_version, triple_pool
+from helpers import (
+    assert_snapshots_are_heads_and_scans,
+    random_repo,
+    reference_delta,
+    triple_pool,
+)
 
 
 def fresh():
@@ -99,14 +105,26 @@ def test_re_adding_a_present_triple_is_fine():
 
 def test_strict_spurious_removal_fails_and_leaves_state_alone():
     store, dag = fresh()
-    t1, ghost = t(store, "1"), t(store, "ghost")
+    t1, t2, ghost = t(store, "1"), t(store, "2"), t(store, "ghost")
     store.apply_commit(dag, [], "main", adds(t1))
-    deltas, snapshots = dict(store._deltas), dict(store._snapshots)
-    with pytest.raises(DeltaError):
-        store.apply_commit(dag, [0], "main", Delta(frozenset(), frozenset({ghost})))
-    assert store.n_versions == 1 and len(dag) == 1
-    assert store.materialize(0) == {t1}
-    assert store._deltas == deltas and store._snapshots == snapshots
+    dag.create_branch("side", at=0)
+    store.apply_commit(dag, [0], "main", adds(t2))  # 1; 0 is still side's head
+
+    def state():
+        return (
+            dict(store._deltas), dict(store._snapshots), dict(store._open),
+            store._written, store.n_versions, dag.commits(), dag.branches,
+        )
+
+    before = state()
+    # on the version applied last, on another head, and a merge of both
+    for parents, branch in (([1], "main"), ([0], "side"), ([1, 0], "main")):
+        with pytest.raises(DeltaError):
+            store.apply_commit(
+                dag, parents, branch, Delta(frozenset({t(store, "3")}), frozenset({ghost}))
+            )
+        assert state() == before
+    assert store.materialize(0) == {t1} and store.materialize(1) == {t1, t2}
 
 
 def test_permissive_spurious_removal_warns_and_proceeds(caplog):
@@ -139,16 +157,50 @@ def test_delta_is_relative_to_the_parents_union():
 
 def test_snapshots_are_kept_for_heads_only():
     store, dag = fresh()
-    t1, t2 = t(store, "1"), t(store, "2")
+    t1, t2, t3 = t(store, "1"), t(store, "2"), t(store, "3")
     store.apply_commit(dag, [], "main", adds(t1))
+    assert store._snapshots == {}  # 0 is read from the open runs
     dag.create_branch("side", at=0)
     store.apply_commit(dag, [0], "main", adds(t2))
-    assert set(store._snapshots) == {0, 1}  # 0 is still side's head
+    assert store._snapshots == {0: {t1}}  # 0 is still side's head
     store.apply_commit(dag, [1], "main", EMPTY_DELTA)
-    assert set(store._snapshots) == {0, 2}
-    got = store.materialize(2)
-    got.add(t(store, "3"))  # a fresh set: the snapshot is not touched
-    assert store.materialize(2) == {t1, t2}
+    assert store._snapshots == {0: {t1}}  # 1 is no head
+    store.apply_commit(dag, [0], "side", adds(t3))
+    assert store._snapshots == {2: {t1, t2}}  # 0 is no head, 2 is main's
+    for v, content in ((2, {t1, t2}), (3, {t1, t3})):
+        got = store.materialize(v)
+        got.add(t(store, "4"))  # a fresh set: the snapshot or runs are not touched
+        assert store.materialize(v) == content
+    assert_snapshots_are_heads_and_scans(store, dag)
+
+
+def _linear_commit_peak_bytes(n_triples: int, encoding: str) -> int:
+    """The least peak allocation of five one-parent commits of two additions
+    and two removals on the version applied last, which holds n_triples."""
+    store = AnnotatedStore(encoding=encoding)
+    dag = VersionDag()
+    pool = [t(store, str(i)) for i in range(n_triples + 10)]
+    store.apply_commit(dag, [], "main", adds(*pool[:n_triples]))
+    peaks = []
+    for i in range(5):
+        delta = Delta(
+            frozenset(pool[n_triples + 2 * i : n_triples + 2 * i + 2]),
+            frozenset(pool[2 * i : 2 * i + 2]),
+        )
+        tracemalloc.start()
+        try:
+            store.apply_commit(dag, [i], "main", delta)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return min(peaks)
+
+
+@pytest.mark.parametrize("encoding", ["extension", "interval"])
+def test_a_linear_commit_allocates_for_its_delta_not_its_version(encoding):
+    # copying a version of 10,000 triples even once allocates about 0.5 MB
+    small = _linear_commit_peak_bytes(100, encoding)
+    assert _linear_commit_peak_bytes(10_000, encoding) <= small + 1024
 
 
 def test_store_dag_version_count_mismatch():
@@ -321,9 +373,7 @@ def test_recorded_deltas_and_snapshots_match_full_scans(seed, encoding):
             }
         for v in range(store.n_versions):
             assert store.delta(v) == reference_delta(store, dag, v)
-        assert store._snapshots and set(store._snapshots) <= dag.heads()
-        for v, snapshot in store._snapshots.items():
-            assert snapshot == scan_version(store, v) == store.materialize(v)
+        assert_snapshots_are_heads_and_scans(store, dag)
 
 
 def _reference_sets(model: dict[int, set[Triple]]) -> dict[Triple, set[int]]:
@@ -447,6 +497,7 @@ def _run_reference_model(encoding, seed, steps, tmp: Path):
         saved, patches = len(dag), now
         loaded, loaded_dag = load_repository(target, encoding=encoding)
         assert loaded_dag.branches == dag.branches
+        assert_snapshots_are_heads_and_scans(loaded, loaded_dag)
         assert loaded.n_versions == len(model)
         for v, content in model.items():
             assert serialize_ntriples(loaded.materialize(v), loaded.dictionary) == (
@@ -489,6 +540,7 @@ def _run_reference_model(encoding, seed, steps, tmp: Path):
         elif step == "save":
             save()
         assert _pending_view(store) == _reference_sets(model)
+        assert_snapshots_are_heads_and_scans(store, dag)
     assert {x: set(vset) for x, vset in store.match()} == _reference_sets(model)
 
 
