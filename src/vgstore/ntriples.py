@@ -226,9 +226,11 @@ def read_statements(
     """
     if scope is None:
         scope = BlankScope(dictionary)
+    elif scope._dictionary is not dictionary:
+        raise ValueError("the scope was made for another dictionary")
     ids = scope._ids
-    # a statement's terms as read: the id of a text the scope knows, a text
-    # first spelled in this document (its term is in new), or a blank node
+    # a statement's terms as read: the text of an IRI or literal (its term is
+    # in new if the scope does not know it yet), or a blank node
     new: dict[str, Term] = {}
     parsed: list[tuple[str, list]] = []
     # split on real newlines only: unicode line separators (NEL, LS, PS) are
@@ -246,29 +248,24 @@ def read_statements(
             mark, line = line[0], line[2:]
         row = []
         for m in _match_statement(line, lineno):
-            key = m[0]
-            tid = ids.get(key)
-            if tid is not None:
-                row.append(tid)
-            elif m["blank"] is not None:
+            if m["blank"] is not None:
                 row.append(BlankNode(m["blank"]))
-            else:
-                if key not in new:
-                    new[key] = _term_at(m, lineno)
-                row.append(key)
+                continue
+            key = m[0]
+            if key not in ids and key not in new:
+                new[key] = _term_at(m, lineno)
+            row.append(key)
         parsed.append((mark, row))
 
     # every line has parsed: intern subject, predicate and object statement
     # by statement, so ids follow the order terms first occur in
     def intern(x) -> TermId:
-        if type(x) is int:
-            return x
-        if type(x) is str:
-            tid = ids.get(x)
-            if tid is None:
-                tid = ids[x] = dictionary.intern(new[x])
-            return tid
-        return dictionary.intern(x)
+        if type(x) is not str:
+            return dictionary.intern(x)  # a renamed blank node
+        tid = ids.get(x)
+        if tid is None:
+            tid = ids[x] = dictionary.intern(new[x])
+        return tid
 
     out: list[tuple[str, Triple]] = []
     for mark, (s, p, o) in parsed:

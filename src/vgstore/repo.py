@@ -50,8 +50,10 @@ def parse_patch(
 ) -> Delta:
     """Parse a patch into a Delta, all or nothing.
 
-    Passing a scope shares blank-label freshening across several patches;
-    the default is a fresh scope per call.
+    Passing a scope, made for this dictionary, shares blank-label
+    freshening and term texts across several patches; the default is a
+    fresh scope per call.  A scope made for another dictionary raises
+    ValueError.
     """
     statements = read_statements(text, dictionary, scope, marks="AD")
     return Delta(

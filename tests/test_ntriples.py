@@ -428,6 +428,15 @@ def test_a_patch_failing_on_its_last_line_leaves_dictionary_and_scope_alone(last
     assert d.resolve(next(iter(delta.additions)).s) == BlankNode("n")
 
 
+def test_a_scope_made_for_another_dictionary_is_refused():
+    d, other = Dictionary(), Dictionary()
+    scope = BlankScope(other)
+    parse_patch('A <urn:a> <urn:p> "x" .\n', other, scope)
+    with pytest.raises(ValueError, match="another dictionary"):
+        parse_patch('A <urn:a> <urn:p> "x" .\n', d, scope)
+    assert len(d) == 0 and len(scope._ids) == 3
+
+
 patch_lists = st.lists(
     st.tuples(term_triples, st.lists(st.booleans(), min_size=3, max_size=3)),
     min_size=1, max_size=4,

@@ -540,7 +540,12 @@ def _run_reference_model(encoding, seed, steps, tmp: Path):
         elif step == "save":
             save()
         assert _pending_view(store) == _reference_sets(model)
-        assert_snapshots_are_heads_and_scans(store, dag)
+        # the snapshot invariant, taken without a read so that runs stay open
+        last = store.n_versions - 1
+        assert set(store._snapshots) <= dag.heads() - {last}
+        assert all(snapshot == model[v] for v, snapshot in store._snapshots.items())
+        assert store._open.keys() == model[last]
+    assert_snapshots_are_heads_and_scans(store, dag)
     assert {x: set(vset) for x, vset in store.match()} == _reference_sets(model)
 
 
