@@ -36,6 +36,7 @@ from .terms import (
     Literal,
     Triple,
 )
+from .versionsets import ENCODINGS
 
 EX = "http://ex.org/"
 
@@ -78,7 +79,7 @@ QUERIES: dict[str, tuple[str, str]] = {
     ),
 }
 
-ENCODING_NAMES = ("extension", "interval")
+ENCODING_NAMES = tuple(ENCODINGS)
 EVALUATORS = {"annotated": eval_annotated, "checkout": eval_checkout}
 
 

@@ -28,6 +28,7 @@ from .ntriples import serialize_ntriples
 from .repo import MANIFEST_NAME, load_repository, parse_patch, save_repository
 from .sparql import parse_query
 from .store import EMPTY_DELTA, AnnotatedStore
+from .versionsets import ENCODINGS
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--repo", required=True, help="repository directory")
         p.add_argument(
             "--encoding",
-            choices=("extension", "interval"),
+            choices=tuple(ENCODINGS),
             default="extension",
             help="version set encoding used in memory",
         )

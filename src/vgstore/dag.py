@@ -5,9 +5,9 @@ has the IRI urn:vg:version:<seq>.  The root is an ordinary commit: the first
 one, with no parents, on branch "main", which it creates.  Every later commit
 lists one or more parents with strictly smaller numbers.  Named branches map
 to head commits; creation order is append-only, so history never rewrites,
-with one exception: store.repack() replays it in _repack_order(), a
-depth-first walk in which each branch occupies a consecutive run, which is
-what makes the interval encoding cheap after heavy branching.
+with one exception: store.repack() replays it through store.replay in
+_repack_order(), a depth-first walk in which each branch occupies a
+consecutive run, which makes the interval encoding cheap after branching.
 """
 
 from __future__ import annotations
@@ -151,7 +151,7 @@ class VersionDag:
         self._branches[name] = at
 
     def _set_branches(self, branches: dict[str, int]) -> None:
-        """Replace the branch map wholesale (after a repository load or repack)."""
+        """Replace the branch map wholesale, as store.replay does at its end."""
         if "main" not in branches:
             raise ValidationError('branch map must include "main"')
         for name, head in branches.items():

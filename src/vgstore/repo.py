@@ -4,8 +4,9 @@ A patch holds the delta of a single commit: lines starting with "A " add the
 following N-Triples statement, lines starting with "D " remove it, and # or
 blank lines are ignored.  The manifest lists every commit in dense order with
 its metadata and patch path, plus the branch map.  Version sets are never
-persisted; loading replays all patches through the store, which rebuilds the
-annotations and revalidates every delta.
+persisted; loading checks the whole manifest, then replays all patches
+through store.replay, which rebuilds the annotations and revalidates every
+delta.
 
 Saving appends.  It reads the manifest already in the directory, which must
 list the first k commits of the history being saved, and writes only the
@@ -38,7 +39,7 @@ from pathlib import Path
 from .dag import CommitMeta, Provenance, VersionDag, is_int, version_iri
 from .errors import RepositoryError, StateError, ValidationError
 from .ntriples import BlankScope, format_triple, read_statements
-from .store import AnnotatedStore, Delta, replay_commit
+from .store import AnnotatedStore, Delta, replay
 from .terms import Dictionary
 
 MANIFEST_NAME = "manifest.json"
@@ -262,7 +263,7 @@ def _check_commit_record(record, expected_seq: int) -> None:
 
 
 def _read_manifest(repo: Path) -> tuple[list[CommitMeta], dict]:
-    """The commits manifest.json lists, every record checked, and its branch map."""
+    """The commits manifest.json lists and its branch map, all checked."""
     manifest_path = repo / MANIFEST_NAME
     if not manifest_path.is_file():
         raise RepositoryError(f"not a repository: missing {manifest_path}")
@@ -278,6 +279,11 @@ def _read_manifest(repo: Path) -> tuple[list[CommitMeta], dict]:
         raise _manifest_error("needs a nonempty commit list")
     if not isinstance(branches, dict) or "main" not in branches:
         raise _manifest_error('needs a branch map including "main"')
+    for name, head in branches.items():
+        if not name:
+            raise _manifest_error("bad branch map: branch name must be nonempty")
+        if not is_int(head) or not 0 <= head < len(records):
+            raise _manifest_error(f"bad branch map: unknown version: {head}")
     commits = []
     for seq, record in enumerate(records):
         _check_commit_record(record, seq)
@@ -305,25 +311,19 @@ def load_repository(
     repo = Path(repo_dir)
     commits, branches = _read_manifest(repo)
     dictionary = Dictionary()
-    store = AnnotatedStore(dictionary, encoding=encoding)
-    dag = VersionDag()
     scope = BlankScope(dictionary)
-    for meta in commits:
-        patch_path = repo / _patch_path(meta.seq)
-        if not patch_path.is_file():
-            raise RepositoryError(f"missing patch file: {patch_path}")
-        try:
-            delta = parse_patch(
-                patch_path.read_text(encoding="utf-8"), dictionary, scope
-            )
-        except ValidationError as e:
-            raise RepositoryError(f"{patch_path}: {e}") from None
-        seq = replay_commit(store, dag, meta, delta)
-        if seq != meta.seq:
-            raise _manifest_error(f"replay produced version {seq}, expected {meta.seq}")
-    try:
-        dag._set_branches({name: head for name, head in branches.items()})
-    except Exception as e:
-        raise _manifest_error(f"bad branch map: {e}") from None
-    store._prune_snapshots(dag.heads())
+
+    def history():  # each commit with its delta, one patch read at a time
+        for meta in commits:
+            patch_path = repo / _patch_path(meta.seq)
+            if not patch_path.is_file():
+                raise RepositoryError(f"missing patch file: {patch_path}")
+            try:
+                delta = parse_patch(patch_path.read_text(encoding="utf-8"), dictionary, scope)
+            except ValidationError as e:
+                raise RepositoryError(f"{patch_path}: {e}") from None
+            yield meta, delta
+
+    store, dag = AnnotatedStore(dictionary, encoding=encoding), VersionDag()
+    replay(store, dag, history(), branches)
     return store, dag

@@ -20,9 +20,10 @@ not to the whole store.  A parent without a snapshot, such as an old version
 a new branch starts from, is rebuilt by scanning the store.
 
 Only apply_commit changes what the store holds; a read only writes out the
-runs it left open.  A repository load replays each commit through it with
-replay_commit, and so does repack, which renumbers the versions by emptying
-the dag and store and replaying the recorded deltas in the new order.
+runs it left open.  replay, the one way a recorded history becomes a store,
+applies commits through it, then sets the branch map.  A load replays the
+parsed patches; repack renumbers the versions by emptying the dag and store
+and replaying the recorded deltas in the new order.
 
 TripleIndex is the package's one permutation index: SPO, POS and OSP over
 the same leaf values, read by a bound-prefix walk.  The store's leaves are
@@ -37,7 +38,7 @@ import logging
 import threading
 from dataclasses import dataclass, replace
 from datetime import datetime
-from typing import AbstractSet, Iterator
+from typing import Iterable, Iterator
 
 from .dag import CommitMeta, Provenance, VersionDag, _repack_order, is_int
 from .errors import DeltaError, NotFoundError, StateError, ValidationError
@@ -207,7 +208,7 @@ class AnnotatedStore:
             arriving = delta.additions.difference(open_)
             recorded = Delta(arriving, leaving)
         else:
-            parent_union = frozenset().union(*map(self._content, parents))
+            parent_union = set().union(*map(self.materialize, parents))
             spurious = delta.removals - parent_union
             present = (parent_union - delta.removals) | delta.additions
             leaving, arriving = open_.keys() - present, present.difference(open_)
@@ -235,7 +236,8 @@ class AnnotatedStore:
                 self._sets[triple].insert(lo, seq - 1)
         for triple in arriving:
             if triple not in self._sets:
-                self._register(triple, self._set_cls())
+                vset = self._sets[triple] = self._set_cls()
+                self._index.add(triple, vset)
             open_[triple] = seq
         self._n_versions = seq + 1
         self._deltas[seq] = recorded
@@ -274,12 +276,6 @@ class AnnotatedStore:
         """Keep the snapshots of branch heads other than the version applied last."""
         last = self._n_versions - 1
         self._snapshots = {v: s for v, s in self._snapshots.items() if v in heads and v != last}
-
-    def _content(self, v: int) -> AbstractSet[Triple]:
-        if v == self._n_versions - 1:
-            return self._open.keys()
-        snapshot = self._snapshots.get(v)
-        return snapshot if snapshot is not None else frozenset(self.materialize(v))
 
     def match(
         self,
@@ -321,31 +317,33 @@ class AnnotatedStore:
                 sets[triple].insert(max(start, written), n - 1)
             self._written = n
 
-    def _register(self, t: Triple, vset: VersionSet) -> None:
-        self._sets[t] = vset
-        self._index.add(t, vset)
 
-
-def replay_commit(store: AnnotatedStore, dag: VersionDag, meta: CommitMeta, delta: Delta) -> int:
-    """Apply a recorded commit: delta on meta's parents, with meta's branch,
-    message, author, timestamp and provenance.  A branch dag does not have
-    yet starts at the first parent.  Returns the new version number."""
-    if meta.parents and meta.branch not in dag.branches:
-        dag.create_branch(meta.branch, at=meta.parents[0])
-    return store.apply_commit(
-        dag, list(meta.parents), meta.branch, delta, message=meta.message,
-        author=meta.author, timestamp=meta.timestamp, provenance=meta.provenance,
-    )
+def replay(
+    store: AnnotatedStore, dag: VersionDag,
+    history: Iterable[tuple[CommitMeta, Delta]], branches: dict[str, int],
+) -> None:
+    """Apply each recorded delta on its meta's parents, with the meta's branch
+    and metadata but not its seq, after what dag and store already hold; a
+    new branch starts at its first commit's first parent.  Then branches
+    becomes the branch map, and only its heads keep snapshots."""
+    for meta, delta in history:
+        if meta.parents and meta.branch not in dag.branches:
+            dag.create_branch(meta.branch, at=meta.parents[0])
+        store.apply_commit(
+            dag, list(meta.parents), meta.branch, delta, message=meta.message,
+            author=meta.author, timestamp=meta.timestamp, provenance=meta.provenance,
+        )
+    dag._set_branches(branches)
+    store._prune_snapshots(dag.heads())
 
 
 def repack(dag: VersionDag, store: AnnotatedStore) -> dict[int, int]:
     """Renumber all versions for interval locality; returns {old: new}.
 
-    The dag and store are emptied in place, then every commit is replayed
-    from its recorded delta in the new order, with renumbered parents, and
-    so are the branch heads.  Queries return the same results afterwards
-    modulo the returned bijection.  A depth-first linear history maps to
-    itself.
+    The dag and store are emptied in place, then the recorded deltas are
+    replayed in the new order, with renumbered parents and branch heads.
+    Queries return the same results afterwards modulo the returned
+    bijection.  A depth-first linear history maps to itself.
     """
     if len(dag) != store.n_versions:
         raise StateError(f"store knows {store.n_versions} versions but dag has {len(dag)}")
@@ -353,14 +351,12 @@ def repack(dag: VersionDag, store: AnnotatedStore) -> dict[int, int]:
         return {}
     order = _repack_order(dag)
     mapping = {old: new for new, old in enumerate(order)}
-    commits = dag.commits()
-    history = [(commits[old], store.delta(old)) for old in order]
+    history = [
+        (replace(meta, parents=tuple(mapping[p] for p in meta.parents)), store.delta(meta.seq))
+        for meta in sorted(dag.commits(), key=lambda meta: mapping[meta.seq])
+    ]
     branches = {name: mapping[head] for name, head in dag.branches.items()}
     dag.__init__()
     store.__init__(store.dictionary, store.encoding)
-    for meta, delta in history:
-        parents = tuple(mapping[p] for p in meta.parents)
-        replay_commit(store, dag, replace(meta, seq=mapping[meta.seq], parents=parents), delta)
-    dag._set_branches(branches)
-    store._prune_snapshots(dag.heads())
+    replay(store, dag, history, branches)
     return mapping

@@ -14,11 +14,11 @@ from pathlib import Path
 import pytest
 
 from vgstore import load_repository, parse_patch, serialize_ntriples
-from vgstore.bench import REPORT_HEADER, ScenarioParams, generate
+from vgstore.bench import QUERIES, REPORT_HEADER, ScenarioParams, generate
 import vgstore.cli
 from vgstore.cli import run as vg
 
-from helpers import INVALID_CONSTANTS
+from helpers import INVALID_CONSTANTS, assert_snapshots_are_heads_and_scans
 
 XSD = "http://www.w3.org/2001/XMLSchema#"
 BOOL = f"^^<{XSD}boolean>"
@@ -238,6 +238,39 @@ def test_commit_with_explicit_parents_makes_a_merge(repo, tmp_path, capsys):
     assert dag.commit_meta(4).parents == (1, 2)
     merged = store.materialize(1) | store.materialize(2)
     assert store.materialize(4) > merged  # union plus the new building
+
+
+def test_commit_with_a_parent_moves_the_branch_off_its_old_head(tmp_path, capsys):
+    """--parent moves the branch to the new commit whatever its old head
+    was, so the old head can be left on no branch."""
+    params = ScenarioParams(buildings=6, stations=3, versions=2, branch_prob=0.0, churn=0.3)
+    generate(params, tmp_path / "gen")
+    station = tmp_path / "station.patch"
+    station.write_text(
+        "A <http://ex.org/st9> <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> "
+        "<http://ex.org/MetroStation> .\n"
+        f'A <http://ex.org/st9> <http://ex.org/accessible> "true"{BOOL} .\n',
+        encoding="utf-8",
+    )
+    r = str(tmp_path / "r")
+    ok(capsys, "init", "--repo", r, "--patch", str(tmp_path / "gen" / "deltas" / "0.patch"))
+    ok(capsys, "commit", "--repo", r, "--branch", "main",
+       "--patch", str(tmp_path / "gen" / "deltas" / "1.patch"))
+    out = ok(capsys, "commit", "--repo", r, "--branch", "main", "--parent", "0",
+             "--patch", str(station))
+    assert out == "committed urn:vg:version:2 on main\n"
+    store, dag = load_repository(r)
+    assert dag.branches == {"main": 2} and dag.commit_meta(2).parents == (0,)
+    assert_snapshots_are_heads_and_scans(store, dag)
+    out = ok(capsys, "query", "--repo", r, "--inline", "SELECT ?v WHERE { GRAPH ?v { } }",
+             "--versions", "heads")
+    assert out == "?v\n<urn:vg:version:2>\n"
+    for encoding in ("extension", "interval"):
+        for text, versions in QUERIES.values():
+            args = ("query", "--repo", r, "--inline", text, "--versions", versions,
+                    "--encoding", encoding)
+            annotated = ok(capsys, *args)
+            assert annotated == ok(capsys, *args, "--evaluator", "checkout")
 
 
 def test_strict_commit_rejects_spurious_removal(repo, tmp_path, capsys):

@@ -24,7 +24,8 @@ from vgstore import (
     version_iri,
 )
 
-from vgstore.store import replay_commit
+from vgstore.repo import holds_history
+from vgstore.store import replay
 
 from helpers import EPOCH, assert_snapshots_are_heads_and_scans
 
@@ -315,9 +316,7 @@ def test_repack_is_a_parent_respecting_bijection(seed, n):
     # a store holding the dag's versions, all of them empty: only the
     # numbering is under test
     store, dag = AnnotatedStore(), VersionDag()
-    for meta in numbering.commits():
-        replay_commit(store, dag, meta, EMPTY_DELTA)
-    dag._set_branches(numbering.branches)
+    replay(store, dag, ((meta, EMPTY_DELTA) for meta in numbering.commits()), numbering.branches)
     old = {m.seq: m for m in dag.commits()}
     old_branches = dag.branches
     mapping = repack(dag, store)
@@ -332,6 +331,18 @@ def test_repack_is_a_parent_respecting_bijection(seed, n):
     assert dag.branches == {k: mapping[v] for k, v in old_branches.items()}
 
 
+def random_history(rng: random.Random, numbering: VersionDag, store: AnnotatedStore):
+    """numbering's commits, each with a random delta over six triples on the
+    content its parents have in store; it must be replayed as it is drawn."""
+    pool = [triple_of(store, str(i)) for i in range(6)]
+    for meta in numbering.commits():
+        union = set().union(*(store.materialize(p) for p in meta.parents))
+        additions = set(rng.sample(pool, rng.randint(0, 2)))
+        kept = sorted(union - additions)
+        removals = set(rng.sample(kept, min(len(kept), rng.randint(0, 2))))
+        yield meta, Delta(frozenset(additions), frozenset(removals))
+
+
 def test_snapshots_after_repack_and_reload_are_heads_and_full_scans(tmp_path):
     """random_dag commits merges onto a branch whose head is neither parent,
     so a replay in repack order leaves other heads than the branch map."""
@@ -339,19 +350,45 @@ def test_snapshots_after_repack_and_reload_are_heads_and_full_scans(tmp_path):
         rng = random.Random(seed)
         numbering = random_dag(rng, 14)
         store, dag = AnnotatedStore(), VersionDag()
-        pool = [triple_of(store, str(i)) for i in range(6)]
-        for meta in numbering.commits():
-            union = set().union(*(store.materialize(p) for p in meta.parents))
-            additions = set(rng.sample(pool, rng.randint(0, 2)))
-            kept = sorted(union - additions)
-            removals = set(rng.sample(kept, min(len(kept), rng.randint(0, 2))))
-            replay_commit(store, dag, meta, Delta(frozenset(additions), frozenset(removals)))
-        assert dag.branches == numbering.branches
+        replay(store, dag, random_history(rng, numbering, store), numbering.branches)
         assert_snapshots_are_heads_and_scans(store, dag)
         repack(dag, store)
         assert_snapshots_are_heads_and_scans(store, dag)
         save_repository(store, dag, tmp_path / str(seed))
         assert_snapshots_are_heads_and_scans(*load_repository(tmp_path / str(seed)))
+
+
+@pytest.mark.parametrize("encoding", ["extension", "interval"])
+def test_a_replay_continued_after_a_prefix_equals_one_replay(tmp_path, encoding):
+    """A checkpoint load replays the commits after the checkpoint onto a
+    store that already holds the ones before it, with their branch map."""
+    for seed in range(20):
+        rng = random.Random(seed)
+        numbering = random_dag(rng, 10)
+        source, dag = AnnotatedStore(encoding=encoding), VersionDag()
+        replay(source, dag, random_history(rng, numbering, source), numbering.branches)
+        history = [(meta, source.delta(meta.seq)) for meta in dag.commits()]
+        once, once_dag = AnnotatedStore(source.dictionary, encoding), VersionDag()
+        replay(once, once_dag, history, dag.branches)
+        saved = tmp_path / f"{encoding}{seed}"
+        save_repository(once, once_dag, saved)
+        # the open runs as a replay leaves them, before a read writes them
+        runs = (once._open, once._written, once._snapshots)
+        stats, sets = once.stats(), {t: list(vset) for t, vset in once.match()}
+        for k in range(1, len(history) + 1):
+            # random_dag commits on every branch it creates, so the branch
+            # map after k commits names the last commit on each branch
+            prefix = {meta.branch: meta.seq for meta, _ in history[:k]}
+            store, split = AnnotatedStore(source.dictionary, encoding), VersionDag()
+            replay(store, split, history[:k], prefix)
+            replay(store, split, history[k:], dag.branches)
+            assert split.commits() == once_dag.commits()
+            assert split.branches == once_dag.branches
+            assert (store._open, store._written, store._snapshots) == runs
+            assert all(store.delta(v) == once.delta(v) for v in range(len(history)))
+            assert store.stats() == stats
+            assert {t: list(vset) for t, vset in store.match()} == sets
+            assert holds_history(store, split, saved)
 
 
 @pytest.mark.parametrize("dag_versions", [1, 3])

@@ -2,6 +2,7 @@
 
 import json
 import random
+import shutil
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -324,8 +325,11 @@ def _record_int(m, tmp_path):
     m["commits"][1] = 1
 
 
-def _head_bool(m, tmp_path):
-    m["branches"]["main"] = True
+def _branch(name, head):
+    def mutate(m, tmp_path):
+        m["branches"][name] = head(len(m["commits"]))
+
+    return mutate
 
 
 @pytest.mark.parametrize(
@@ -352,11 +356,16 @@ def _head_bool(m, tmp_path):
         pytest.param(_record_list, "object", id="record-list"),
         pytest.param(_record_int, "object", id="record-int"),
         pytest.param(_set(0, "branch", "dev"), "root", id="root-branch"),
-        pytest.param(_head_bool, "branch map", id="head-bool"),
+        pytest.param(_branch("main", lambda n: True), "branch map", id="head-bool"),
+        pytest.param(_branch("main", lambda n: n), "branch map", id="head-past-last"),
+        pytest.param(_branch("side", lambda n: -1), "branch map", id="head-negative"),
+        pytest.param(_branch("", lambda n: 0), "branch map", id="name-empty"),
     ],
 )
 def test_manifest_field_types_and_patch_path(tmp_path, capsys, mutate, fragment):
     outdir = corrupt(tmp_path, lambda m: mutate(m, tmp_path))
+    # the whole manifest is checked before any patch is read
+    shutil.rmtree(outdir / "deltas")
     with pytest.raises(RepositoryError, match=fragment):
         load_repository(outdir)
     assert vg(["log", "--repo", str(outdir)]) == 2
