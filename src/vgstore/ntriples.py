@@ -3,25 +3,31 @@
 The accepted grammar is the line-oriented core of RDF 1.1 N-Triples: one
 statement per line, full-line # comments, blank lines, IRIs in angle
 brackets, _:label blank nodes, and double-quoted literals with an optional
-@lang tag or ^^<datatype>.  A statement is read with one term regex,
-TERM_RE, matched three times; its IRI, blank-label and language-tag parts are
-the pattern strings of terms.py, and what a pattern cannot decide (what
-escapes decode to, a langString datatype without a tag) is left to
-terms.validate_term, so every term term_from_match returns is one the
-dictionary accepts.  Queries read their terms with the same two.  IRIs
-follow IRIREF, with the two deviations terms.IRI_CHAR records, and take only
-\\u/\\U escapes; literals take those and the string escapes.  Escapes are
-strict: \\uXXXX and \\UXXXXXXXX take exactly 4 or 8 hex digits naming a
-Unicode scalar value.  A raw lone surrogate is rejected too, since no UTF-8
-file can hold one.  Anything else is rejected with the 1-based line number,
-and term_failure names the cause where it can, for patches and queries alike.
+@lang tag or ^^<datatype>.  Terms are read with one term regex, TERM_RE,
+whose IRI, blank-label and language-tag parts are the pattern strings of
+terms.py, and what a pattern cannot decide (what escapes decode to, a
+langString datatype without a tag) is left to terms.validate_term, so every
+term term_from_match returns is one the dictionary accepts.  Queries read
+their terms with the same two.  IRIs follow IRIREF, with the two deviations
+terms.IRI_CHAR records, and take only \\u/\\U escapes; literals take those
+and the string escapes.  Escapes are strict: \\uXXXX and \\UXXXXXXXX take
+exactly 4 or 8 hex digits naming a Unicode scalar value.  A raw lone
+surrogate is rejected too, since no UTF-8 file can hold one.  Anything else
+is rejected with the 1-based line number, and term_failure names the
+cause where it can, for patches and queries alike.
+
+A document is read by one statement pattern, built from TERM_RE's parts and
+matched over the whole text.  If it misses a line that is not blank or a
+comment, or a new term is invalid, the per-line reader (three TERM_RE matches
+a line) reads it again: it alone reports errors, naming the first bad line.
 
 Reading a document is all-or-nothing: terms are interned only after every
 line has parsed, so a failed read leaves the dictionary untouched.  Blank
 node labels are scoped to the read and replaced with fresh labels at
 interning time.  The scope also keeps each IRI's and literal's id by its
-text as matched, so a repository load, which shares one scope across its
-patches, builds a term once per spelling rather than once per occurrence.
+text, without the blanks before it, so a repository load, which shares one
+scope across its patches, builds and validates a term once per spelling
+rather than once per occurrence, and interns it without validating again.
 
 Writing escapes only quotes, backslashes, and control characters, and
 format_triple writes every triple, in patches and documents alike.  Each term
@@ -32,7 +38,9 @@ per distinct term, not per occurrence.
 
 from __future__ import annotations
 
+import contextlib
 import re
+from itertools import chain
 
 from .errors import ValidationError
 from .terms import (
@@ -141,6 +149,8 @@ def term_from_match(m: re.Match) -> Term:
         return Literal(_decode_escapes(lex), RDF_LANGSTRING, lang)
     elif datatype is None:
         return Literal(_decode_escapes(lex))
+    elif "\\" not in datatype and datatype != RDF_LANGSTRING:
+        return Literal(_decode_escapes(lex), datatype)
     else:
         term = Literal(_decode_escapes(lex), _decode_escapes(datatype))
     # what escapes decode to, and a langString datatype without a tag, are
@@ -188,8 +198,9 @@ class BlankScope:
     so reloading a repository reproduces its labels byte-for-byte; only a
     label already taken by an earlier document is renamed.
 
-    Term texts: the id of every IRI or literal, keyed by its text as matched,
-    so a text read again is not decoded, validated or built into a term.
+    Term texts: the id of every IRI or literal, keyed by its text without the
+    blanks before it, so a text read again is not decoded, validated or built
+    into a term.
     Blank nodes stay out, since their labels depend on the scope.
     """
 
@@ -213,6 +224,43 @@ class BlankScope:
         return BlankNode(label)
 
 
+def _read_lines(text: str, marks: str, known: dict[str, TermId]) -> tuple[list, dict]:
+    """The per-line reader: each statement's mark and term texts, and the
+    terms of the texts not in known; ValidationError names the first bad line."""
+    rows, new = [], {}
+    # split on real newlines only: unicode line separators (NEL, LS, PS) are
+    # legal raw characters inside a literal and must not break a statement
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.removesuffix("\r")
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        mark = ""
+        if marks:
+            if len(line) < 2 or line[0] not in marks or line[1] not in " \t":
+                expected = " or ".join(f"'{m} '" for m in marks)
+                raise ValidationError(f"line {lineno}: lines must start with {expected}")
+            mark, line = line[0], line[2:]
+        row = [mark]
+        for m in _match_statement(line, lineno):
+            key = m[0].lstrip(" \t")
+            if m["blank"] is None and key not in known and key not in new:
+                new[key] = _term_at(m, lineno)
+            row.append(key)
+        rows.append(row)
+    return rows, new
+
+
+# a statement's term texts, without the blanks before them.  Each is followed
+# by a blank, "." or "<", and a shorter reading of one by none of these, so no
+# backtracking reads a line otherwise than _match_statement does
+_IRI, _BLANK = rf"<{_IRI_RAW}>", rf"_:{BLANK_LABEL}"
+_LITERAL = rf'"{_LEX_CHAR}*(?:\\[^\n]{_LEX_CHAR}*)*"(?:@{LANG_TAG}|\^\^<{_IRI_RAW}>)?'
+_STATEMENT = rf"({_IRI}|{_BLANK})[ \t]*({_IRI})[ \t]*({_IRI}|{_BLANK}|{_LITERAL})"
+# a line that is neither blank nor a comment, by the rule of _read_lines
+_STATEMENT_LINE_RE = re.compile(r"^[^\S\n]*[^\s#][^\n]*", re.MULTILINE)
+
+
 def read_statements(
     text: str, dictionary: Dictionary, scope: BlankScope | None = None, marks: str = ""
 ) -> list[tuple[str, Triple]]:
@@ -229,52 +277,33 @@ def read_statements(
     elif scope._dictionary is not dictionary:
         raise ValueError("the scope was made for another dictionary")
     ids = scope._ids
-    # a statement's terms as read: the text of an IRI or literal (its term is
-    # in new if the scope does not know it yet), or a blank node
-    new: dict[str, Term] = {}
-    parsed: list[tuple[str, list]] = []
-    # split on real newlines only: unicode line separators (NEL, LS, PS) are
-    # legal raw characters inside a literal and must not break a statement
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        line = line.removesuffix("\r")
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        mark = ""
-        if marks:
-            if len(line) < 2 or line[0] not in marks or line[1] not in " \t":
-                expected = " or ".join(f"'{m} '" for m in marks)
-                raise ValidationError(f"line {lineno}: lines must start with {expected}")
-            mark, line = line[0], line[2:]
-        row = []
-        for m in _match_statement(line, lineno):
-            if m["blank"] is not None:
-                row.append(BlankNode(m["blank"]))
-                continue
-            key = m[0]
-            if key not in ids and key not in new:
-                new[key] = _term_at(m, lineno)
-            row.append(key)
-        parsed.append((mark, row))
+    mark = f"([{re.escape(marks)}])[ \t]" if marks else "()"  # re caches the compiled pattern
+    rows = re.findall(rf"^{mark}[ \t]*{_STATEMENT}[ \t]*\.[ \t]*\r?$", text, re.MULTILINE)
+    new = None
+    if len(rows) == len(_STATEMENT_LINE_RE.findall(text)):  # no line left over
+        with contextlib.suppress(ValidationError):
+            new = {
+                key: term_from_match(TERM_RE.match(key))
+                for key in dict.fromkeys(chain.from_iterable(rows))
+                if key not in ids and key[:1] in ("<", '"')
+            }
+    if new is None:  # the per-line reader raises the first error, with its line
+        rows, new = _read_lines(text, marks, ids)
 
-    # every line has parsed: intern subject, predicate and object statement
-    # by statement, so ids follow the order terms first occur in
-    def intern(x) -> TermId:
-        if type(x) is not str:
-            return dictionary.intern(x)  # a renamed blank node
-        tid = ids.get(x)
+    # every line has parsed: intern each text where it first occurs, statement
+    # by statement; the terms above are valid, and so are a scope's blank labels
+    tids: dict[str, TermId] = {}
+    for key in dict.fromkeys(chain.from_iterable(rows)):
+        tid = ids.get(key)
         if tid is None:
-            tid = ids[x] = dictionary.intern(new[x])
-        return tid
-
-    out: list[tuple[str, Triple]] = []
-    for mark, (s, p, o) in parsed:
-        if isinstance(s, BlankNode):
-            s = scope.rename(s)
-        if isinstance(o, BlankNode):
-            o = scope.rename(o)
-        out.append((mark, Triple(intern(s), intern(p), intern(o))))
-    return out
+            if key in new:
+                tid = ids[key] = dictionary.intern_valid(new[key])
+            elif key.startswith("_:"):
+                tid = dictionary.intern_valid(scope.rename(BlankNode(key[2:])))
+            else:
+                continue  # a mark
+        tids[key] = tid
+    return [(mark, Triple(tids[s], tids[p], tids[o])) for mark, s, p, o in rows]
 
 
 def parse_ntriples(text: str, dictionary: Dictionary) -> list[Triple]:

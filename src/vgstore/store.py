@@ -6,9 +6,9 @@ number onto everything present in it.  Each triple of the version applied
 last has an open run of versions; a commit closes a triple's run with one
 range insert when the triple leaves, and opens one when a triple arrives.
 A commit's work is therefore its difference from the version applied last,
-which on a linear chain is its delta.  Open runs are written up to the last
-version on the first read after a commit, under a lock so that concurrent
-readers write them once.
+which on a linear chain is its delta.  The first read after commits writes
+the open runs up to the last version and indexes the new triples, under a
+lock so that concurrent readers do it once; a commit alone indexes nothing.
 
 Applying a commit also records the version's delta against the union of its
 parents, which a save writes.  The content of the version applied last is
@@ -20,10 +20,10 @@ not to the whole store.  A parent without a snapshot, such as an old version
 a new branch starts from, is rebuilt by scanning the store.
 
 Only apply_commit changes what the store holds; a read only writes out the
-runs it left open.  replay, the one way a recorded history becomes a store,
-applies commits through it, then sets the branch map.  A load replays the
-parsed patches; repack renumbers the versions by emptying the dag and store
-and replaying the recorded deltas in the new order.
+runs it left open and indexes new triples.  replay, the one way a recorded
+history becomes a store, applies commits through it, then sets the branch
+map.  A load replays the parsed patches; repack renumbers the versions by
+emptying the dag and store and replaying the recorded deltas in the new order.
 
 TripleIndex is the package's one permutation index: SPO, POS and OSP over
 the same leaf values, read by a bound-prefix walk.  The store's leaves are
@@ -158,6 +158,8 @@ class AnnotatedStore:
         # runs from _written on are not yet in the sets
         self._open: dict[Triple, int] = {}
         self._written = 0
+        # triples stored since the last read, which has yet to index them
+        self._unindexed: list[Triple] = []
         self._flush_lock = threading.Lock()
 
     @property
@@ -236,8 +238,8 @@ class AnnotatedStore:
                 self._sets[triple].insert(lo, seq - 1)
         for triple in arriving:
             if triple not in self._sets:
-                vset = self._sets[triple] = self._set_cls()
-                self._index.add(triple, vset)
+                self._sets[triple] = self._set_cls()
+                self._unindexed.append(triple)
             open_[triple] = seq
         self._n_versions = seq + 1
         self._deltas[seq] = recorded
@@ -305,14 +307,18 @@ class AnnotatedStore:
         )
 
     def _flush(self) -> None:
-        """Write the open runs up to the version applied last."""
+        """Write the open runs up to the version applied last and index the
+        triples stored since; every commit adds a version, so both wait on it."""
         if self._written == self._n_versions:
             return
         with self._flush_lock:
             n, written = self._n_versions, self._written
             if written == n:
                 return  # another reader wrote them first
-            sets = self._sets
+            sets, index = self._sets, self._index
+            for triple in self._unindexed:
+                index.add(triple, sets[triple])
+            self._unindexed = []
             for triple, start in self._open.items():
                 sets[triple].insert(max(start, written), n - 1)
             self._written = n

@@ -179,12 +179,17 @@ class Dictionary:
     def intern(self, term: Term) -> TermId:
         """Return the id for term, assigning the next dense id if new."""
         tid = self._by_term.get(term)
-        if tid is not None:
-            return tid
-        validate_term(term)
-        tid = len(self._by_id)
-        self._by_term[term] = tid
-        self._by_id.append(term)
+        if tid is None:
+            validate_term(term)
+            tid = self.intern_valid(term)
+        return tid
+
+    def intern_valid(self, term: Term) -> TermId:
+        """intern for a term the caller has validated: it is not checked again."""
+        tid = self._by_term.get(term)
+        if tid is None:
+            tid = self._by_term[term] = len(self._by_id)
+            self._by_id.append(term)
         return tid
 
     def lookup(self, term: Term) -> TermId | None:

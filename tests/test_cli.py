@@ -13,9 +13,10 @@ from pathlib import Path
 
 import pytest
 
-from vgstore import load_repository, parse_patch, serialize_ntriples
+from vgstore import format_triple, load_repository, parse_patch, serialize_ntriples
 from vgstore.bench import QUERIES, REPORT_HEADER, ScenarioParams, generate
 import vgstore.cli
+from vgstore.store import TripleIndex
 from vgstore.cli import run as vg
 
 from helpers import INVALID_CONSTANTS, assert_snapshots_are_heads_and_scans
@@ -285,6 +286,33 @@ def test_strict_commit_rejects_spurious_removal(repo, tmp_path, capsys):
     out = ok(capsys, "commit", "--repo", repo, "--branch", "main",
              "--patch", str(ghost), "--permissive")
     assert out == "committed urn:vg:version:4 on main\n"
+
+
+def test_commit_removes_loaded_terms_and_builds_no_index(tmp_path, capsys, patches, monkeypatch):
+    """vg commit reads its patch with a fresh scope over the loaded
+    dictionary: the removal's terms keep their ids, spelled however the patch
+    spells them; and a commit on a linear history reads nothing, so it
+    indexes nothing."""
+    repo = str(tmp_path / "r")
+    ok(capsys, "init", "--repo", repo, "--patch", patches["city0"])
+    ok(capsys, "commit", "--repo", repo, "--branch", "main", "--patch", patches["city1"])
+    terms = len(load_repository(repo)[0].dictionary)
+    edit = tmp_path / "edit.patch"
+    edit.write_text(
+        f'# spelled otherwise\r\n\r\nD\t<urn:ex:\\u0062\\u0031>\t<urn:ex:height>"10.5"{DEC}.\r\n',
+        encoding="utf-8",
+    )
+    indexed: list = []
+    monkeypatch.setattr(TripleIndex, "add", lambda self, triple, leaf: indexed.append(triple))
+    ok(capsys, "commit", "--repo", repo, "--branch", "main", "--patch", str(edit))
+    assert indexed == []
+    monkeypatch.undo()
+    store, _dag = load_repository(repo)
+    assert len(store.dictionary) == terms
+    gone = store.materialize(1) - store.materialize(2)
+    assert [format_triple(x, store.dictionary) + " ." for x in gone] == [
+        stmt("b1", "height", f'"10.5"{DEC}')
+    ]
 
 
 HEIGHTS_Q = "SELECT ?v ?b ?h WHERE { GRAPH ?v { ?b <urn:ex:height> ?h } }"

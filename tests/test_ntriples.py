@@ -1,9 +1,10 @@
 """Line-based N-Triples reader/writer and blank label scoping."""
 
 import sys
+from unittest import mock
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from vgstore import (
     BlankNode,
@@ -16,8 +17,8 @@ from vgstore import (
     parse_ntriples,
     serialize_ntriples,
 )
-from vgstore import parse_patch
-from vgstore.ntriples import BlankScope, parse_statement
+from vgstore import ntriples, parse_patch
+from vgstore.ntriples import BlankScope, parse_statement, read_statements
 from vgstore.terms import RDF_LANGSTRING, XSD_STRING, _escape_lex, term_text, validate_term
 
 from helpers import reference_interning, statement_lines
@@ -463,3 +464,141 @@ def test_term_ids_after_a_load_equal_those_of_a_reference_interning(patches):
     for text in texts:
         parse_patch(text, d, scope)
     assert d._by_id == reference_interning(texts)._by_id
+
+
+def _read_per_line(texts: list[str], marks: str, d: Dictionary) -> list:
+    """What read_statements makes of each document in turn, sharing one scope,
+    by the per-line rule: every line that is not blank or a comment is one
+    _match_statement, its terms are built by term_from_match, and a
+    document's triples are interned statement by statement once all its
+    lines have parsed.  A document that fails ends the list with its error."""
+    scope, out = BlankScope(d), []
+    for text in texts:
+        statements = []
+        try:
+            for n, line in enumerate(text.split("\n"), start=1):
+                line = line.removesuffix("\r")
+                if not line.strip() or line.strip().startswith("#"):
+                    continue
+                mark = ""
+                if marks:
+                    if len(line) < 2 or line[0] not in marks or line[1] not in " \t":
+                        raise ValidationError(f"line {n}: lines must start with 'A ' or 'D '")
+                    mark, line = line[0], line[2:]
+                statements.append((mark, parse_statement(line, n)))
+        except ValidationError as e:
+            return out + [str(e)]
+        triples = []
+        for mark, (s, p, o) in statements:
+            s = scope.rename(s) if isinstance(s, BlankNode) else s
+            o = scope.rename(o) if isinstance(o, BlankNode) else o
+            triples.append((mark, d.triple(s, p, o)))
+        out.append(triples)
+    return out
+
+
+_bodies = st.text(st.sampled_from('au:é\\"<>@^_.# \t\r\x85\u2028'), max_size=5)
+
+
+def _weighted(*choices):
+    """A draw from one of the (strategy, weight) choices, picked by weight."""
+    return st.sampled_from([s for s, w in choices for _ in range(w)]).flatmap(lambda s: s)
+
+
+def _mostly(good: list[str], bad: list[str]):
+    """One of good nine times in ten, else one of bad or a random body."""
+    return _weighted((st.sampled_from(good), 9), (st.sampled_from(bad) | _bodies, 1))
+
+
+_iris = st.builds("<{}>".format, _mostly(
+    ["urn:a", "urn:b", "a", "urn:\\u0061", "urn:\\U0001F600", "urn:é"],
+    ["urn:a\\u00", "urn:\\uD800", "urn:a b", ""],
+))
+_blank_nodes = st.builds("_:{}".format, _mostly(["b", "b0", "x_1"], ["1", "", "b-"]))
+_literals = st.builds(
+    '"{}"{}'.format,
+    _mostly(["x", "a\tb", "a\rb", "a\u2028b\x85c", '\\n\\"', "\\u0061", "\\U0001F600"],
+            ["\\uD800", "\\q", "a\\", "a\ud800"]),
+    st.one_of(
+        st.just(""),
+        st.builds("@{}".format, _mostly(["en", "en-US", "e1"], ["-x", "en-"])),
+        st.builds("^^<{}>".format, _mostly(
+            ["urn:dt", "urn:\\u0061"], [RDF_LANGSTRING, "urn:\\uD800", "urn:\\u00"]
+        )),
+    ),
+)
+_gaps = st.sampled_from(["", " ", "\t", " \t"])
+
+
+def _lines(marks: str):
+    """A statement line, mostly well formed, or a blank or comment line."""
+    return _weighted((st.builds(
+        "{}{}{}{}{}{}{}{}".format,
+        _mostly(["A ", "D\t", "A \t"] if marks else [""], ["A", "X ", "a ", "", "\x0bA "]),
+        _gaps,
+        _weighted((_iris, 6), (_blank_nodes, 3), (_literals, 1)),
+        _gaps,
+        _weighted((_iris, 9), (_blank_nodes | _literals, 1)),
+        _gaps,
+        _weighted((_iris, 1), (_blank_nodes, 1), (_literals, 2)),
+        _mostly([" .", ".", "\t. ", " . \r"], [" . extra", " .x", "", " .\r\r", " .\x0b"]),
+    ), 4), (st.sampled_from(
+        ["", "  ", "# comment", " \t# c", "\x0b", "\x1c", "\x85", "\u2028", "\x85# c", "\r"]
+    ), 1))
+
+
+def _documents(marks: str):
+    return st.builds(
+        lambda lines, sep, end: sep.join(lines) + end,
+        st.lists(_lines(marks), max_size=5),
+        st.sampled_from(["\n", "\r\n"]),
+        st.sampled_from(["", "\n"]),
+    )
+
+
+_marked_documents = st.sampled_from(["", "AD"]).flatmap(
+    lambda marks: st.tuples(st.lists(_documents(marks), min_size=1, max_size=2), st.just(marks))
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_marked_documents)
+@example((["A <a><b><c>.\r\nD\t<urn:a>\t<urn:b>\t\"a\rb\"\t.\r\n"], "AD"))
+@example((["# c\n\x0b\n\x1c\n\x85\n<urn:a> <urn:b> \"a\u2028b\x85c\" .\n"], ""))
+@example((["<urn:\\u0061> <urn:b> \"\\U0001F600\"@en-US .\n_:b <urn:a> \"1\"^^<urn:dt> .\n"], ""))
+@example((["<urn:a> <urn:b> <urn:c> .\n<urn:a> <urn:b> <urn:c> . extra\n"], ""))
+@example((["A <urn:a> <urn:b> _:b .\n", "A _:b <urn:a> \"x\"^^<urn:\\uD800> .\n"], "AD"))
+@example((["A <urn:a> <urn:b> <urn:c> .\nX <urn:a> <urn:b> <urn:c> .\n"], "AD"))
+def test_the_one_pattern_reader_reads_as_the_per_line_reader(documents):
+    texts, marks = documents
+    d, reference = Dictionary(), Dictionary()
+    for dictionary in (d, reference):  # a blank label and an IRI the documents use
+        dictionary.intern(BlankNode("b"))
+        dictionary.intern(Iri("urn:a"))
+    expected = _read_per_line(texts, marks, reference)
+    scope, got = BlankScope(d), []
+    with mock.patch.object(ntriples, "_read_lines", wraps=ntriples._read_lines) as per_line:
+        for text in texts:
+            try:
+                got.append(read_statements(text, d, scope, marks))
+            except ValidationError as e:
+                got.append(str(e))
+                break
+    assert got == expected
+    assert d._by_id == reference._by_id
+    # the pattern misses no statement line: only a document the per-line
+    # reader rejects is read again by it
+    assert per_line.called == isinstance(expected[-1], str)
+
+
+def test_a_fresh_scope_over_a_full_dictionary_adds_no_term():
+    """A commit reads its patch with a fresh scope over the loaded dictionary."""
+    d = Dictionary()
+    text = 'A <urn:a> <urn:p> "x"^^<urn:dt> .\nA <urn:\\u0062> <urn:p> "y"@en .\n'
+    first = parse_patch(text, d, BlankScope(d))
+    terms = list(d._by_id)
+    again = parse_patch(
+        'D\t<urn:a>\t<urn:p> "x"^^<urn:dt> .\r\nD <urn:b><urn:p>"y"@en.\n', d, BlankScope(d)
+    )
+    assert d._by_id == terms
+    assert again.removals == first.additions

@@ -31,6 +31,7 @@ from vgstore import (
     serialize_ntriples,
 )
 
+from vgstore.store import TripleIndex
 from vgstore.versionsets import set_class
 
 from helpers import (
@@ -545,8 +546,48 @@ def _run_reference_model(encoding, seed, steps, tmp: Path):
         assert set(store._snapshots) <= dag.heads() - {last}
         assert all(snapshot == model[v] for v, snapshot in store._snapshots.items())
         assert store._open.keys() == model[last]
+        assert _indexed(store) | set(store._unindexed) == store._sets.keys()
     assert_snapshots_are_heads_and_scans(store, dag)
     assert {x: set(vset) for x, vset in store.match()} == _reference_sets(model)
+
+
+def _indexed(store: AnnotatedStore) -> set[Triple]:
+    """The triples the index holds, taken without a read."""
+    return {triple for triple, _ in store._index.match()}
+
+
+@pytest.mark.parametrize("first_read", ["match", "version_set", "stats"])
+def test_a_load_indexes_nothing_before_the_first_read(tmp_path, first_read):
+    store, dag = fresh()  # a linear history, whose load scans no version
+    for v in range(5):
+        gone = frozenset({t(store, str(v - 1))} if v else ())
+        delta = Delta(frozenset({t(store, str(v))}), gone)
+        store.apply_commit(dag, [v - 1] if v else [], "main", delta)
+    save_repository(store, dag, tmp_path)
+    store, dag = load_repository(tmp_path)
+    assert _indexed(store) == set()
+    if first_read == "match":
+        next(store.match())
+    elif first_read == "version_set":
+        store.version_set(next(iter(store._sets)))
+    else:
+        store.stats()
+    assert _indexed(store) == store._sets.keys() and store._unindexed == []
+    assert all(vset is store._sets[x] for x, vset in store._index.match())
+
+
+@pytest.mark.parametrize("encoding", ["extension", "interval"])
+def test_match_finds_what_a_commit_after_a_read_or_a_repack_stored(encoding):
+    store, dag = random_repo(random.Random(5), encoding=encoding)
+    before = {x for x, _ in store.match()}
+    new = t(store, "new")
+    store.apply_commit(dag, [dag.branch_head("main")], "main", adds(new))
+    assert [x for x, _ in store.match(s=new.s)] == [new]
+    repack(dag, store)  # its scans of merge parents read the store on the way
+    newer = t(store, "newer")
+    store.apply_commit(dag, [dag.branch_head("main")], "main", adds(newer))
+    assert {x for x, _ in store.match()} == before | {new, newer}
+    assert [x for x, _ in store.match(o=newer.o)] == [newer]
 
 
 def _linear_store(rng: random.Random, encoding: str, n_triples: int, versions: int):
@@ -582,12 +623,22 @@ def test_concurrent_first_reads_write_open_runs_once(encoding, monkeypatch):
         insert(self, *args)
 
     monkeypatch.setattr(set_cls, "insert", counted_insert)
+    indexed: list = []
+    add = TripleIndex.add
+
+    def counted_add(self, triple, leaf):
+        indexed.append(triple)
+        add(self, triple, leaf)
+
+    monkeypatch.setattr(TripleIndex, "add", counted_add)
     rng = random.Random(7)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
+            indexed.clear()
             store, expected = _linear_store(rng, encoding, n_triples=400, versions=30)
+            assert indexed == []  # commits index nothing
             barrier = threading.Barrier(8)
             results: list = []
 
@@ -610,7 +661,8 @@ def test_concurrent_first_reads_write_open_runs_once(encoding, monkeypatch):
             assert not any(thread.is_alive() for thread in threads)
             assert len(results) == 8
             assert all(got == expected for got in results)
-            # one thread wrote each open run, once
+            # one thread wrote each open run, once, and indexed each triple once
             assert len(writes) == len(store._open)
+            assert sorted(indexed) == sorted(store._sets)
     finally:
         sys.setswitchinterval(interval)
