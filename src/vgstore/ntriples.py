@@ -17,9 +17,10 @@ is rejected with the 1-based line number, and term_failure names the
 cause where it can, for patches and queries alike.
 
 A document is read by one statement pattern, built from TERM_RE's parts and
-matched over the whole text.  If it misses a line that is not blank or a
-comment, or a new term is invalid, the per-line reader (three TERM_RE matches
-a line) reads it again: it alone reports errors, naming the first bad line.
+matched over the whole text; it alone yields statements.  If it misses a line
+that is not blank or a comment, or a new term is invalid, the per-line reader
+(three TERM_RE matches a line) reads the document again only to report the
+first bad line.
 
 Reading a document is all-or-nothing: terms are interned only after every
 line has parsed, so a failed read leaves the dictionary untouched.  Blank
@@ -136,8 +137,10 @@ def _match_term(text: str, pos: int, line: int, where: str) -> re.Match:
     return m
 
 
-def term_from_match(m: re.Match) -> Term:
+def term_from_match(m: re.Match | None) -> Term:
     """The valid term a TERM_RE match spells; ValidationError if there is none."""
+    if m is None:
+        raise ValidationError("not a term")
     iri, blank, lex, lang, datatype = m.groups()
     if blank is not None:
         return BlankNode(blank)
@@ -224,10 +227,9 @@ class BlankScope:
         return BlankNode(label)
 
 
-def _read_lines(text: str, marks: str, known: dict[str, TermId]) -> tuple[list, dict]:
-    """The per-line reader: each statement's mark and term texts, and the
-    terms of the texts not in known; ValidationError names the first bad line."""
-    rows, new = [], {}
+def _raise_first_error(text: str, marks: str) -> None:
+    """The per-line reader, which only reports errors: it raises a
+    ValidationError naming the first line that is not a valid statement."""
     # split on real newlines only: unicode line separators (NEL, LS, PS) are
     # legal raw characters inside a literal and must not break a statement
     for lineno, line in enumerate(text.split("\n"), start=1):
@@ -235,29 +237,26 @@ def _read_lines(text: str, marks: str, known: dict[str, TermId]) -> tuple[list, 
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        mark = ""
         if marks:
             if len(line) < 2 or line[0] not in marks or line[1] not in " \t":
                 expected = " or ".join(f"'{m} '" for m in marks)
                 raise ValidationError(f"line {lineno}: lines must start with {expected}")
-            mark, line = line[0], line[2:]
-        row = [mark]
+            line = line[2:]
         for m in _match_statement(line, lineno):
-            key = m[0].lstrip(" \t")
-            if m["blank"] is None and key not in known and key not in new:
-                new[key] = _term_at(m, lineno)
-            row.append(key)
-        rows.append(row)
-    return rows, new
+            _term_at(m, lineno)
 
 
 # a statement's term texts, without the blanks before them.  Each is followed
 # by a blank, "." or "<", and a shorter reading of one by none of these, so no
-# backtracking reads a line otherwise than _match_statement does
+# backtracking reads a line otherwise than _match_statement does.  Its
+# classes let lone surrogates through, which stop TERM_RE short of a whole
+# text: with the surrogate range, re takes several ms to compile the pattern
 _IRI, _BLANK = rf"<{_IRI_RAW}>", rf"_:{BLANK_LABEL}"
 _LITERAL = rf'"{_LEX_CHAR}*(?:\\[^\n]{_LEX_CHAR}*)*"(?:@{LANG_TAG}|\^\^<{_IRI_RAW}>)?'
-_STATEMENT = rf"({_IRI}|{_BLANK})[ \t]*({_IRI})[ \t]*({_IRI}|{_BLANK}|{_LITERAL})"
-# a line that is neither blank nor a comment, by the rule of _read_lines
+_STATEMENT = rf"({_IRI}|{_BLANK})[ \t]*({_IRI})[ \t]*({_IRI}|{_BLANK}|{_LITERAL})".replace(
+    r"\ud800-\udfff", ""
+)
+# a line that is neither blank nor a comment, by the rule of _raise_first_error
 _STATEMENT_LINE_RE = re.compile(r"^[^\S\n]*[^\s#][^\n]*", re.MULTILINE)
 
 
@@ -283,12 +282,13 @@ def read_statements(
     if len(rows) == len(_STATEMENT_LINE_RE.findall(text)):  # no line left over
         with contextlib.suppress(ValidationError):
             new = {
-                key: term_from_match(TERM_RE.match(key))
+                key: term_from_match(TERM_RE.fullmatch(key))
                 for key in dict.fromkeys(chain.from_iterable(rows))
                 if key not in ids and key[:1] in ("<", '"')
             }
     if new is None:  # the per-line reader raises the first error, with its line
-        rows, new = _read_lines(text, marks, ids)
+        _raise_first_error(text, marks)
+        raise AssertionError("the statement pattern missed a statement the per-line reader reads")
 
     # every line has parsed: intern each text where it first occurs, statement
     # by statement; the terms above are valid, and so are a scope's blank labels

@@ -178,11 +178,9 @@ class Dictionary:
 
     def intern(self, term: Term) -> TermId:
         """Return the id for term, assigning the next dense id if new."""
-        tid = self._by_term.get(term)
-        if tid is None:
+        if term not in self._by_term:
             validate_term(term)
-            tid = self.intern_valid(term)
-        return tid
+        return self.intern_valid(term)
 
     def intern_valid(self, term: Term) -> TermId:
         """intern for a term the caller has validated: it is not checked again."""

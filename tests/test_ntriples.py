@@ -512,7 +512,7 @@ def _mostly(good: list[str], bad: list[str]):
 
 _iris = st.builds("<{}>".format, _mostly(
     ["urn:a", "urn:b", "a", "urn:\\u0061", "urn:\\U0001F600", "urn:é"],
-    ["urn:a\\u00", "urn:\\uD800", "urn:a b", ""],
+    ["urn:a\\u00", "urn:\\uD800", "urn:a b", "", "urn:\ud800"],
 ))
 _blank_nodes = st.builds("_:{}".format, _mostly(["b", "b0", "x_1"], ["1", "", "b-"]))
 _literals = st.builds(
@@ -523,7 +523,7 @@ _literals = st.builds(
         st.just(""),
         st.builds("@{}".format, _mostly(["en", "en-US", "e1"], ["-x", "en-"])),
         st.builds("^^<{}>".format, _mostly(
-            ["urn:dt", "urn:\\u0061"], [RDF_LANGSTRING, "urn:\\uD800", "urn:\\u00"]
+            ["urn:dt", "urn:\\u0061"], [RDF_LANGSTRING, "urn:\\uD800", "urn:\\u00", "urn:\udfff"]
         )),
     ),
 )
@@ -543,7 +543,7 @@ def _lines(marks: str):
         _weighted((_iris, 1), (_blank_nodes, 1), (_literals, 2)),
         _mostly([" .", ".", "\t. ", " . \r"], [" . extra", " .x", "", " .\r\r", " .\x0b"]),
     ), 4), (st.sampled_from(
-        ["", "  ", "# comment", " \t# c", "\x0b", "\x1c", "\x85", "\u2028", "\x85# c", "\r"]
+        ["", "  ", "# comment", " \t# c", "\x0b", "\x1c", "\x85", "\u2028", "\x85# c", "\r", "# \ud800"]
     ), 1))
 
 
@@ -569,6 +569,9 @@ _marked_documents = st.sampled_from(["", "AD"]).flatmap(
 @example((["<urn:a> <urn:b> <urn:c> .\n<urn:a> <urn:b> <urn:c> . extra\n"], ""))
 @example((["A <urn:a> <urn:b> _:b .\n", "A _:b <urn:a> \"x\"^^<urn:\\uD800> .\n"], "AD"))
 @example((["A <urn:a> <urn:b> <urn:c> .\nX <urn:a> <urn:b> <urn:c> .\n"], "AD"))
+# lone surrogates: in a comment, and where the statement pattern lets one through
+@example((["# \ud800\n<urn:a> <urn:b> \"x\"^^<urn:\ud800> .\n"], ""))
+@example((["<urn:a> <urn:\udfff> \"a\\\ud800\" .\n"], ""))
 def test_the_one_pattern_reader_reads_as_the_per_line_reader(documents):
     texts, marks = documents
     d, reference = Dictionary(), Dictionary()
@@ -577,7 +580,10 @@ def test_the_one_pattern_reader_reads_as_the_per_line_reader(documents):
         dictionary.intern(Iri("urn:a"))
     expected = _read_per_line(texts, marks, reference)
     scope, got = BlankScope(d), []
-    with mock.patch.object(ntriples, "_read_lines", wraps=ntriples._read_lines) as per_line:
+    per_line_reader = mock.patch.object(
+        ntriples, "_raise_first_error", wraps=ntriples._raise_first_error
+    )
+    with per_line_reader as per_line:
         for text in texts:
             try:
                 got.append(read_statements(text, d, scope, marks))
@@ -587,8 +593,16 @@ def test_the_one_pattern_reader_reads_as_the_per_line_reader(documents):
     assert got == expected
     assert d._by_id == reference._by_id
     # the pattern misses no statement line: only a document the per-line
-    # reader rejects is read again by it
+    # reader rejects is read again by it, and a document it accepts is read
+    # by the pattern alone
     assert per_line.called == isinstance(expected[-1], str)
+
+
+def test_the_statement_pattern_leaves_the_surrogate_range_out():
+    """The range takes re several ms to compile; each process compiles the
+    statement pattern on its first read."""
+    assert r"\ud800-\udfff" in ntriples.TERM_RE.pattern
+    assert r"\ud800" not in ntriples._STATEMENT
 
 
 def test_a_fresh_scope_over_a_full_dictionary_adds_no_term():
