@@ -24,7 +24,7 @@ from pathlib import Path
 from .dag import Provenance, VersionDag, version_iri
 from .engine import eval_annotated, eval_checkout, format_results
 from .errors import QueryError, RepositoryError, StateError, VgError
-from .ntriples import serialize_ntriples
+from .ntriples import BlankScope, serialize_ntriples
 from .repo import MANIFEST_NAME, load_repository, parse_patch, save_repository
 from .sparql import parse_query
 from .store import EMPTY_DELTA, AnnotatedStore
@@ -63,7 +63,8 @@ def _commit(args, store: AnnotatedStore, dag: VersionDag, parents: list[int],
     """Apply args.patch, or no change, as one commit and save the repository."""
     delta = EMPTY_DELTA
     if args.patch:
-        delta = parse_patch(Path(args.patch).read_text(encoding="utf-8"), store.dictionary)
+        text = Path(args.patch).read_text(encoding="utf-8")
+        delta = parse_patch(text, store.dictionary, BlankScope.of_history(store.dictionary))
     seq = store.apply_commit(
         dag, parents, branch, delta,
         message=message, author=args.author, timestamp=_now(),

@@ -21,7 +21,8 @@ the core correctness check of the whole package; divergence is a bug.  It
 binds every version variable, so each of its rows has multiplicity 1.
 
 Both evaluators extend rows through the one join step, _join, over a
-store.TripleIndex (the store's own, or one built per checked-out version).
+store.TripleIndex (the store's own, or one per checked-out version, which
+builds only the permutations the query probes).
 They differ only in how a matched triple's leaf changes a row's version
 annotation: a contains test for a constant version, an intersection for a
 version variable, and no change at all in a checkout.
@@ -517,9 +518,7 @@ def eval_checkout(
             return _EMPTY_INDEX
         g = graphs.get(seq)
         if g is None:
-            g = graphs[seq] = TripleIndex()
-            for t in store.materialize(seq):
-                g.add(t, True)
+            g = graphs[seq] = TripleIndex(dict.fromkeys(store.materialize(seq), True))
         return g
 
     iri = _version_iris()

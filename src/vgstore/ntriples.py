@@ -213,6 +213,16 @@ class BlankScope:
         self._used: set[str] = set()
         self._ids: dict[str, TermId] = {}
 
+    @classmethod
+    def of_history(cls, dictionary: Dictionary) -> BlankScope:
+        """The scope a load of a saved history leaves: each blank label the
+        dictionary holds names its own node, so a later patch that writes it
+        means that node."""
+        scope = cls(dictionary)
+        scope._used = {term.label for term in dictionary._by_id if isinstance(term, BlankNode)}
+        scope._mapping = {label: label for label in scope._used}
+        return scope
+
     def rename(self, node: BlankNode) -> BlankNode:
         label = self._mapping.get(node.label)
         if label is None:

@@ -25,7 +25,9 @@ yet is not part of the repository, and the next save replaces it.
 
 Blank node labels are freshened once per loaded repository, not once per
 patch file, so a blank-node triple added by one commit can be removed by a
-later one.  Standalone patch parsing keeps per-document freshening.
+later one.  vg commit and vg merge read their patch in the scope such a load
+leaves (BlankScope.of_history), where a label the history uses names its
+node.  Standalone patch parsing keeps per-document freshening.
 """
 
 from __future__ import annotations

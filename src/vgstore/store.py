@@ -7,8 +7,9 @@ last has an open run of versions; a commit closes a triple's run with one
 range insert when the triple leaves, and opens one when a triple arrives.
 A commit's work is therefore its difference from the version applied last,
 which on a linear chain is its delta.  The first read after commits writes
-the open runs up to the last version and indexes the new triples, under a
-lock so that concurrent readers do it once; a commit alone indexes nothing.
+the open runs up to the last version and adds the new triples to the index
+permutations already built, under a lock so that concurrent readers do it
+once; a commit alone indexes nothing.
 
 Applying a commit also records the version's delta against the union of its
 parents, which a save writes.  The content of the version applied last is
@@ -20,16 +21,18 @@ not to the whole store.  A parent without a snapshot, such as an old version
 a new branch starts from, is rebuilt by scanning the store.
 
 Only apply_commit changes what the store holds; a read only writes out the
-runs it left open and indexes new triples.  replay, the one way a recorded
+runs it left open and indexes triples.  replay, the one way a recorded
 history becomes a store, applies commits through it, then sets the branch
 map.  A load replays the parsed patches; repack renumbers the versions by
 emptying the dag and store and replaying the recorded deltas in the new order.
 
-TripleIndex is the package's one permutation index: SPO, POS and OSP over
-the same leaf values, read by a bound-prefix walk.  The store's leaves are
-its live VersionSets, shared by the three permutations, which keeps them
-consistent by construction; the checkout evaluator indexes one materialized
-version with the leaf True.
+TripleIndex is the package's one permutation index: a dict from each triple
+to its leaf value, and SPO, POS and OSP permutations over it, read by a
+bound-prefix walk.  A permutation is built from the leaves by the first match
+that reads it, so a query pays only for the permutations it probes.  The
+store's leaves dict is its own dict of live VersionSets, shared by every
+permutation, which keeps them consistent by construction; the checkout
+evaluator indexes one materialized version with the leaf True.
 """
 
 from __future__ import annotations
@@ -50,20 +53,44 @@ log = logging.getLogger(__name__)
 
 _Index = dict[int, dict[int, dict[int, object]]]
 
+# each permutation by name, with the triple positions of its three levels
+_ORDERS = {"spo": (0, 1, 2), "pos": (1, 2, 0), "osp": (2, 0, 1)}
+
 
 class TripleIndex:
-    """Triples indexed three ways (SPO, POS, OSP), each carrying a leaf value."""
+    """Triples with their leaf values, read through SPO, POS and OSP
+    permutations, each built from the leaves by the first match that needs it.
 
-    def __init__(self):
-        self._spo: _Index = {}
-        self._pos: _Index = {}
-        self._osp: _Index = {}
+    leaves, if given, is the triple -> leaf dict the index reads and add
+    writes.  A caller that writes it directly must pass the same triples to
+    add before the next match, if a permutation is built by then.
+    """
+
+    def __init__(self, leaves: dict[Triple, object] | None = None):
+        self._leaves = {} if leaves is None else leaves
+        self._built: dict[str, _Index] = {}
+        self._build_lock = threading.Lock()
 
     def add(self, t: Triple, leaf: object) -> None:
-        """Index t with the given leaf, replacing any leaf it had."""
-        self._spo.setdefault(t.s, {}).setdefault(t.p, {})[t.o] = leaf
-        self._pos.setdefault(t.p, {}).setdefault(t.o, {})[t.s] = leaf
-        self._osp.setdefault(t.o, {}).setdefault(t.s, {})[t.p] = leaf
+        """Index t with the given leaf, replacing any leaf it had, in every
+        permutation built so far."""
+        self._leaves[t] = leaf
+        for name, perm in self._built.items():
+            i, j, k = _ORDERS[name]
+            perm.setdefault(t[i], {}).setdefault(t[j], {})[t[k]] = leaf
+
+    def _permutation(self, name: str) -> _Index:
+        """The permutation, built on first use under a lock, so that
+        concurrent first readers build it once."""
+        if name not in self._built:
+            with self._build_lock:
+                if name not in self._built:
+                    i, j, k = _ORDERS[name]
+                    perm: _Index = {}
+                    for t, leaf in self._leaves.items():
+                        perm.setdefault(t[i], {}).setdefault(t[j], {})[t[k]] = leaf
+                    self._built[name] = perm
+        return self._built[name]
 
     def match(
         self,
@@ -78,16 +105,16 @@ class TripleIndex:
         pattern scans SPO.
         """
         if s is not None:
-            for pp, oo, leaf in _walk(self._spo, s, p, o):
+            for pp, oo, leaf in _walk(self._permutation("spo"), s, p, o):
                 yield Triple(s, pp, oo), leaf
         elif p is not None:
-            for oo, ss, leaf in _walk(self._pos, p, o, None):
+            for oo, ss, leaf in _walk(self._permutation("pos"), p, o, None):
                 yield Triple(ss, p, oo), leaf
         elif o is not None:
-            for ss, pp, leaf in _walk(self._osp, o, None, None):
+            for ss, pp, leaf in _walk(self._permutation("osp"), o, None, None):
                 yield Triple(ss, pp, o), leaf
         else:
-            for ss, level2 in self._spo.items():
+            for ss, level2 in self._permutation("spo").items():
                 for pp, level3 in level2.items():
                     for oo, leaf in level3.items():
                         yield Triple(ss, pp, oo), leaf
@@ -149,7 +176,7 @@ class AnnotatedStore:
         self.encoding = encoding
         self._set_cls = set_class(encoding)
         self._sets: dict[Triple, VersionSet] = {}
-        self._index = TripleIndex()
+        self._index = TripleIndex(self._sets)
         self._n_versions = 0
         self._deltas: dict[int, Delta] = {}
         self._snapshots: dict[int, frozenset[Triple]] = {}
@@ -158,7 +185,8 @@ class AnnotatedStore:
         # runs from _written on are not yet in the sets
         self._open: dict[Triple, int] = {}
         self._written = 0
-        # triples stored since the last read, which has yet to index them
+        # triples stored since the last read, which has yet to add them to
+        # the permutations built
         self._unindexed: list[Triple] = []
         self._flush_lock = threading.Lock()
 
@@ -307,8 +335,9 @@ class AnnotatedStore:
         )
 
     def _flush(self) -> None:
-        """Write the open runs up to the version applied last and index the
-        triples stored since; every commit adds a version, so both wait on it."""
+        """Write the open runs up to the version applied last and add the
+        triples stored since to the permutations built; every commit adds a
+        version, so both wait on it."""
         if self._written == self._n_versions:
             return
         with self._flush_lock:
@@ -316,8 +345,9 @@ class AnnotatedStore:
             if written == n:
                 return  # another reader wrote them first
             sets, index = self._sets, self._index
-            for triple in self._unindexed:
-                index.add(triple, sets[triple])
+            if index._built:  # one built later is built from all of sets
+                for triple in self._unindexed:
+                    index.add(triple, sets[triple])
             self._unindexed = []
             for triple, start in self._open.items():
                 sets[triple].insert(max(start, written), n - 1)

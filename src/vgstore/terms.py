@@ -43,10 +43,15 @@ NUMERIC_DATATYPES = frozenset({XSD_INTEGER, XSD_DECIMAL, XSD_DOUBLE, XSD_FLOAT})
 # tokenizer build on; validate_term matches them against whole strings.
 # IRI_CHAR is the character class of RDF 1.1 N-Triples IRIREF (no #x00-#x20,
 # <, >, ", {, }, |, ^, backtick or backslash), narrowed by two deliberate
-# deviations: no whitespace above #x20 either (\s matches exactly the
-# characters for which str.isspace() is true) and no lone surrogate, which no
-# UTF-8 file can hold.  IRI_TEXT is one or more of them: an IRI is never empty.
-IRI_CHAR = r'[^\s\x00-\x20<>"{}|^`\\\ud800-\udfff]'
+# deviations: no whitespace above #x20 either and no lone surrogate, which no
+# UTF-8 file can hold.  The whitespace is spelled out as the 19 code points
+# above #x20 for which str.isspace() is true: a class holding \s makes re test
+# a Unicode category for every character it reads.  IRI_TEXT is one or more
+# IRI characters: an IRI is never empty.
+IRI_CHAR = (
+    r'[^\x00-\x20\x85\xa0\u1680\u2000-\u200a\u2028\u2029\u202f\u205f\u3000'
+    r'<>"{}|^`\\\ud800-\udfff]'
+)
 IRI_TEXT = IRI_CHAR + "+"
 BLANK_LABEL = r"[A-Za-z_][A-Za-z0-9_]*"
 LANG_TAG = r"[A-Za-z]+(?:-[A-Za-z0-9]+)*"

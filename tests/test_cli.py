@@ -289,10 +289,9 @@ def test_strict_commit_rejects_spurious_removal(repo, tmp_path, capsys):
 
 
 def test_commit_removes_loaded_terms_and_builds_no_index(tmp_path, capsys, patches, monkeypatch):
-    """vg commit reads its patch with a fresh scope over the loaded
-    dictionary: the removal's terms keep their ids, spelled however the patch
-    spells them; and a commit on a linear history reads nothing, so it
-    indexes nothing."""
+    """vg commit reads its patch in the loaded history's scope: the
+    removal's terms keep their ids, spelled however the patch spells them;
+    and a commit on a linear history reads nothing, so it indexes nothing."""
     repo = str(tmp_path / "r")
     ok(capsys, "init", "--repo", repo, "--patch", patches["city0"])
     ok(capsys, "commit", "--repo", repo, "--branch", "main", "--patch", patches["city1"])
@@ -313,6 +312,38 @@ def test_commit_removes_loaded_terms_and_builds_no_index(tmp_path, capsys, patch
     assert [format_triple(x, store.dictionary) + " ." for x in gone] == [
         stmt("b1", "height", f'"10.5"{DEC}')
     ]
+
+
+def test_commit_and_merge_patches_name_the_history_s_blank_nodes(tmp_path, capsys):
+    """A blank label the history holds names that node in a later patch; a
+    new label is kept as written."""
+    repo, patch = str(tmp_path / "r"), tmp_path / "p.patch"
+
+    def commit(text, *extra, code=0):
+        patch.write_text(text, encoding="utf-8")
+        argv = ("commit", "--repo", repo, "--branch", "main", "--patch", str(patch), *extra)
+        return fails(capsys, code, *argv) if code else ok(capsys, *argv)
+
+    patch.write_text('A _:b <urn:p> "x" .\n', encoding="utf-8")
+    ok(capsys, "init", "--repo", repo, "--patch", str(patch))
+    commit('D _:b <urn:p> "x" .\nA _:b <urn:q> "y" .\nA _:new <urn:q> "z" .\n')
+    store, dag = load_repository(repo)
+    assert serialize_ntriples(store.materialize(1), store.dictionary) == (
+        '_:b <urn:q> "y" .\n_:new <urn:q> "z" .\n'
+    )
+    assert (Path(repo) / "deltas" / "1.patch").read_text(encoding="utf-8") == (
+        'D _:b <urn:p> "x" .\nA _:b <urn:q> "y" .\nA _:new <urn:q> "z" .\n'
+    )
+    # a strict removal of a blank node the history lacks is still refused
+    err = commit('D _:other <urn:q> "y" .\n', code=2)
+    assert "removal(s) not present" in err and "_:other" in err
+    # a merge reads its patch in the same scope
+    patch.write_text('D _:b <urn:p> "x" .\n', encoding="utf-8")
+    ok(capsys, "merge", "--repo", repo, "--branch", "main", "--from", "0",
+       "--patch", str(patch))
+    store, dag = load_repository(repo)
+    assert len(dag) == 3
+    assert store.materialize(2) == store.materialize(1)
 
 
 HEIGHTS_Q = "SELECT ?v ?b ?h WHERE { GRAPH ?v { ?b <urn:ex:height> ?h } }"

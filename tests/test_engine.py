@@ -31,6 +31,7 @@ from vgstore import (
 )
 from vgstore.dag import parse_version_iri
 from vgstore.sparql import Aggregate, And, Comparison, GraphBlock, IsHead, Not, Or, TriplePattern, Var
+from vgstore.store import TripleIndex
 from vgstore.terms import XSD_INTEGER
 
 from helpers import random_query, random_repo
@@ -305,6 +306,33 @@ def test_evaluators_match_the_reference(seed):
             table = evaluate(store, dag, query, version_domain=domain)
             assert table.header == header
             assert table.rows == rows
+
+
+def test_a_checkout_builds_only_the_permutations_its_query_probes(monkeypatch):
+    """Each checked-out version builds a permutation when a pattern first
+    probes it: POS for a bound predicate, OSP only for an object alone."""
+    store, dag = random_repo(random.Random(8))
+    built: list = []
+    permutation = TripleIndex._permutation
+
+    def recorded_permutation(self, name):
+        if name not in self._built:
+            built.append(name)
+        return permutation(self, name)
+
+    monkeypatch.setattr(TripleIndex, "_permutation", recorded_permutation)
+    by_predicate = parse_query("SELECT ?v ?s WHERE { GRAPH ?v { ?s ?p ?o . ?s ?p ?o2 } }")
+    eval_checkout(store, dag, by_predicate)
+    assert built.count("spo") == store.n_versions and set(built) == {"spo"}
+    built.clear()
+    a = next(iter(store.materialize(0)))
+    p = format_term(store.dictionary.resolve(a.p))
+    o = format_term(store.dictionary.resolve(a.o))
+    eval_checkout(store, dag, parse_query(f"SELECT ?v WHERE {{ GRAPH ?v {{ ?s {p} {o} }} }}"))
+    assert built.count("pos") == store.n_versions and set(built) == {"pos"}
+    built.clear()
+    eval_checkout(store, dag, parse_query(f"SELECT ?v WHERE {{ GRAPH ?v {{ ?s ?q {o} }} }}"))
+    assert built.count("osp") == store.n_versions and set(built) == {"osp"}
 
 
 # --- targeted semantic properties -----------------------------------------

@@ -606,7 +606,8 @@ def test_the_statement_pattern_leaves_the_surrogate_range_out():
 
 
 def test_a_fresh_scope_over_a_full_dictionary_adds_no_term():
-    """A commit reads its patch with a fresh scope over the loaded dictionary."""
+    """A patch read again in a new scope over the dictionary it filled
+    interns no new IRI or literal, however it spells them."""
     d = Dictionary()
     text = 'A <urn:a> <urn:p> "x"^^<urn:dt> .\nA <urn:\\u0062> <urn:p> "y"@en .\n'
     first = parse_patch(text, d, BlankScope(d))

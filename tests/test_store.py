@@ -31,6 +31,9 @@ from vgstore import (
     serialize_ntriples,
 )
 
+from vgstore.bench import QUERIES, ScenarioParams, generate
+from vgstore.engine import eval_annotated
+from vgstore.sparql import parse_query
 from vgstore.store import TripleIndex
 from vgstore.versionsets import set_class
 
@@ -361,6 +364,41 @@ def test_all_arity_patterns_on_a_small_store():
         assert got == expected
 
 
+_IDS = st.integers(0, 3)  # few ids, so that triples share prefixes and recur
+_INDEX_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.tuples(_IDS, _IDS, _IDS), st.integers(0, 2)),
+        st.tuples(st.just("match"), st.tuples(_IDS, _IDS, _IDS)),
+    ),
+    max_size=30,
+)
+
+
+@given(st.dictionaries(st.tuples(_IDS, _IDS, _IDS), st.integers(0, 2), max_size=12), _INDEX_OPS)
+@settings(max_examples=200, deadline=None)
+def test_triple_index_agrees_with_a_scan_of_its_leaves(leaves, ops):
+    """Adds, some replacing a leaf, interleaved with matches of every
+    bound/unbound mask, against a scan of a plain dict."""
+    reference = {Triple(*x): leaf for x, leaf in leaves.items()}
+    index = TripleIndex(dict(reference))
+    for op in ops:
+        if op[0] == "add":
+            x, leaf = Triple(*op[1]), op[2]
+            index.add(x, leaf)
+            reference[x] = leaf
+            continue
+        for mask in itertools.product([False, True], repeat=3):
+            pattern = [value if bound else None for bound, value in zip(mask, op[1])]
+            got = list(index.match(*pattern))
+            expected = [
+                (x, leaf)
+                for x, leaf in reference.items()
+                if all(want is None or have == want for want, have in zip(pattern, x))
+            ]
+            assert sorted(got) == sorted(expected)
+    assert index._leaves == reference
+
+
 @given(st.integers(0, 10_000), st.sampled_from(["extension", "interval"]))
 @settings(max_examples=40, deadline=None)
 def test_recorded_deltas_and_snapshots_match_full_scans(seed, encoding):
@@ -462,6 +500,14 @@ def _run_reference_model(encoding, seed, steps, tmp: Path):
         expected = _reference_sets(model)
         if kind == "match":
             assert {x: set(vset) for x, vset in store.match()} == expected
+            # a probe through a random permutation, which builds it or
+            # reads what the flush added to it
+            probe, position = rng.choice(pool), rng.randrange(3)
+            pattern = [None, None, None]
+            pattern[position] = probe[position]
+            assert {x: set(vset) for x, vset in store.match(*pattern)} == {
+                x: versions for x, versions in expected.items() if x[position] == probe[position]
+            }
         elif kind == "version_set":
             probe = rng.choice(pool)
             got = store.version_set(probe)
@@ -546,14 +592,36 @@ def _run_reference_model(encoding, seed, steps, tmp: Path):
         assert set(store._snapshots) <= dag.heads() - {last}
         assert all(snapshot == model[v] for v, snapshot in store._snapshots.items())
         assert store._open.keys() == model[last]
-        assert _indexed(store) | set(store._unindexed) == store._sets.keys()
+        assert store._index._leaves is store._sets
+        for held in _built(store).values():
+            assert held.keys() | set(store._unindexed) == store._sets.keys()
+            assert all(vset is store._sets[x] for x, vset in held.items())
     assert_snapshots_are_heads_and_scans(store, dag)
     assert {x: set(vset) for x, vset in store.match()} == _reference_sets(model)
 
 
-def _indexed(store: AnnotatedStore) -> set[Triple]:
-    """The triples the index holds, taken without a read."""
-    return {triple for triple, _ in store._index.match()}
+def _built(store: AnnotatedStore) -> dict[str, dict[Triple, object]]:
+    """Each permutation the store's index has built, as the triples it holds
+    with their leaves, taken without a read."""
+    out = {}
+    for name, perm in store._index._built.items():
+        held = out[name] = {}
+        for a, level2 in perm.items():
+            for b, level3 in level2.items():
+                for c, leaf in level3.items():
+                    x = [0, 0, 0]
+                    for letter, value in zip(name, (a, b, c)):
+                        x["spo".index(letter)] = value
+                    held[Triple(*x)] = leaf
+    return out
+
+
+def _assert_built_permutations_hold_the_store(store: AnnotatedStore) -> None:
+    """Every permutation built holds every stored triple with its live set."""
+    assert store._unindexed == []
+    for held in _built(store).values():
+        assert held.keys() == store._sets.keys()
+        assert all(vset is store._sets[x] for x, vset in held.items())
 
 
 @pytest.mark.parametrize("first_read", ["match", "version_set", "stats"])
@@ -565,15 +633,58 @@ def test_a_load_indexes_nothing_before_the_first_read(tmp_path, first_read):
         store.apply_commit(dag, [v - 1] if v else [], "main", delta)
     save_repository(store, dag, tmp_path)
     store, dag = load_repository(tmp_path)
-    assert _indexed(store) == set()
+    assert _built(store) == {}
     if first_read == "match":
         next(store.match())
     elif first_read == "version_set":
         store.version_set(next(iter(store._sets)))
     else:
         store.stats()
-    assert _indexed(store) == store._sets.keys() and store._unindexed == []
-    assert all(vset is store._sets[x] for x, vset in store._index.match())
+    # a full scan reads SPO; the other reads read no permutation
+    assert set(_built(store)) == ({"spo"} if first_read == "match" else set())
+    _assert_built_permutations_hold_the_store(store)
+    x = next(iter(store._sets))
+    for pattern in ((x.s, None, None), (None, x.p, None), (None, None, x.o)):
+        assert x in {y for y, _ in store.match(*pattern)}
+    assert set(_built(store)) == {"spo", "pos", "osp"}
+    _assert_built_permutations_hold_the_store(store)
+
+
+@pytest.mark.parametrize("encoding", ["extension", "interval"])
+def test_a_load_or_a_commit_builds_no_permutation(tmp_path, encoding):
+    # a branching history, whose load scans a version without a snapshot
+    store, dag = random_repo(random.Random(5), encoding=encoding, allow_blanks=True)
+    save_repository(store, dag, tmp_path)
+    store, dag = load_repository(tmp_path, encoding=encoding)
+    assert store._written > 0  # the scan wrote the open runs
+    assert _built(store) == {}
+    main = dag.branch_head("main")
+    store.apply_commit(dag, [main], "main", adds(t(store, "a")))
+    store.apply_commit(dag, [main], "main", adds(t(store, "b")))  # not on the last
+    assert _built(store) == {}
+    x = t(store, "a")
+    assert [y for y, _ in store.match(p=x.p, o=x.o)] == [x]
+    assert set(_built(store)) == {"pos"}
+    # a commit leaves what is built alone; the next read adds to it
+    before = _built(store)
+    new = t(store, "c")
+    store.apply_commit(dag, [dag.branch_head("main")], "main", adds(new))
+    assert _built(store) == before
+    assert [y for y, _ in store.match(p=new.p, o=new.o)] == [new]
+    assert set(_built(store)) == {"pos"}
+    _assert_built_permutations_hold_the_store(store)
+
+
+def test_the_first_accessible_pairs_read_builds_only_pos(tmp_path):
+    params = ScenarioParams(buildings=20, stations=6, versions=12, branch_prob=0.3,
+                            churn=0.1, seed=4)
+    generate(params, tmp_path)
+    store, dag = load_repository(tmp_path)
+    text, domain = QUERIES["accessible-pairs"]
+    table = eval_annotated(store, dag, parse_query(text), domain)
+    assert table.rows
+    assert set(_built(store)) == {"pos"}
+    _assert_built_permutations_hold_the_store(store)
 
 
 @pytest.mark.parametrize("encoding", ["extension", "interval"])
@@ -591,7 +702,7 @@ def test_match_finds_what_a_commit_after_a_read_or_a_repack_stored(encoding):
 
 
 def _linear_store(rng: random.Random, encoding: str, n_triples: int, versions: int):
-    """A store with a linear history and its reference version sets."""
+    """A store with a linear history, its dag and each version's content."""
     store, dag = AnnotatedStore(encoding=encoding), VersionDag()
     d = store.dictionary
     pool = [
@@ -608,12 +719,13 @@ def _linear_store(rng: random.Random, encoding: str, n_triples: int, versions: i
         )
         content = (content - rems) | adds
         model[v] = content
-    return store, _reference_sets(model)
+    return store, dag, model
 
 
 @pytest.mark.parametrize("encoding", ["extension", "interval"])
 def test_concurrent_first_reads_write_open_runs_once(encoding, monkeypatch):
-    """Eight threads make the first read after a replay at the same time."""
+    """Eight threads make the first read after a replay at the same time,
+    and again after more commits."""
     set_cls = set_class(encoding)
     writes: list = []
     insert = set_cls.insert
@@ -631,38 +743,77 @@ def test_concurrent_first_reads_write_open_runs_once(encoding, monkeypatch):
         add(self, triple, leaf)
 
     monkeypatch.setattr(TripleIndex, "add", counted_add)
+    permutations: list = []
+    permutation = TripleIndex._permutation
+
+    def recorded_permutation(self, name):
+        perm = permutation(self, name)
+        permutations.append((name, id(perm)))  # the index keeps perm alive
+        return perm
+
+    monkeypatch.setattr(TripleIndex, "_permutation", recorded_permutation)
     rng = random.Random(7)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
+    def read_concurrently(store, expected):
+        """Eight threads make the first read at the same time, through
+        version_set or through each permutation."""
+        barrier = threading.Barrier(8)
+        results: list = []
+
+        def first_read(i):
+            barrier.wait()
+            if i % 2:
+                got = {x: set(store.version_set(x)) for x in expected}
+            elif i == 0:
+                got = {x: set(vset) for x, vset in store.match()}
+            else:
+                # by subject (SPO, as the full scan), predicate or object
+                position, got = i // 2 - 1, {}
+                for value in {x[position] for x in expected}:
+                    pattern = [None, None, None]
+                    pattern[position] = value
+                    got.update((x, set(vset)) for x, vset in store.match(*pattern))
+            results.append(got)
+
+        threads = [threading.Thread(target=first_read, args=(i,)) for i in range(8)]
+        writes.clear()
+        indexed.clear()
+        permutations.clear()
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(results) == 8
+        assert all(got == expected for got in results)
+        # one thread wrote each open run, once
+        assert len(writes) == len(store._open)
+
     try:
         for _ in range(5):
             indexed.clear()
-            store, expected = _linear_store(rng, encoding, n_triples=400, versions=30)
+            store, dag, model = _linear_store(rng, encoding, n_triples=400, versions=30)
             assert indexed == []  # commits index nothing
-            barrier = threading.Barrier(8)
-            results: list = []
-
-            def first_read(i):
-                barrier.wait()
-                if i % 2:
-                    got = {x: set(store.version_set(x)) for x in expected}
-                else:
-                    got = {x: set(vset) for x, vset in store.match()}
-                results.append(got)
-
-            threads = [
-                threading.Thread(target=first_read, args=(i,)) for i in range(8)
-            ]
-            writes.clear()
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=30)
-            assert not any(thread.is_alive() for thread in threads)
-            assert len(results) == 8
-            assert all(got == expected for got in results)
-            # one thread wrote each open run, once, and indexed each triple once
-            assert len(writes) == len(store._open)
-            assert sorted(indexed) == sorted(store._sets)
+            # after the replay: each permutation was built once, from the
+            # store's sets whole, and read by every probe; nothing was added
+            read_concurrently(store, _reference_sets(model))
+            assert indexed == []
+            assert {name for name, _ in permutations} == {"spo", "pos", "osp"}
+            assert len(set(permutations)) == 3
+            built = set(permutations)
+            # after commits that store new triples: one thread added each of
+            # them, once, to the permutations built, and none was built again
+            new: set = set()
+            for k in range(3):
+                more = {t(store, f"{k}.{i}") for i in range(20)}
+                last = len(dag) - 1
+                model[last + 1] = model[last] | more
+                store.apply_commit(dag, [last], "main", adds(*more))
+                new |= more
+            read_concurrently(store, _reference_sets(model))
+            assert sorted(indexed) == sorted(new)
+            assert set(permutations) == built
+            _assert_built_permutations_hold_the_store(store)
     finally:
         sys.setswitchinterval(interval)

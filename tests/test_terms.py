@@ -1,5 +1,6 @@
 """Term model, interning dictionary, and literal value comparison."""
 
+import re
 import sys
 
 import pytest
@@ -14,6 +15,7 @@ from vgstore.terms import (
     XSD_FLOAT,
     XSD_INTEGER,
     XSD_STRING,
+    IRI_CHAR,
     BlankNode,
     Dictionary,
     Iri,
@@ -227,25 +229,40 @@ def test_fresh_blank_labels_skip_taken():
     assert d.fresh_blank_label() not in ("b0", label)
 
 
-def test_iri_check_agrees_with_the_per_character_predicate_on_every_code_point():
+def _iri_forbidden(ch: str) -> bool:
     # RDF 1.1 IRIREF, plus two deviations: no whitespace above #x20 and no
     # lone surrogate
-    def forbidden(ch: str) -> bool:
-        return (
-            ord(ch) <= 0x20
-            or ch in '<>"{}|^`\\'
-            or ch.isspace()
-            or 0xD800 <= ord(ch) <= 0xDFFF
-        )
+    return (
+        ord(ch) <= 0x20
+        or ch in '<>"{}|^`\\'
+        or ch.isspace()
+        or 0xD800 <= ord(ch) <= 0xDFFF
+    )
 
+
+def test_iri_check_agrees_with_the_per_character_predicate_on_every_code_point():
     disagree = [
         cp
         for cp in range(sys.maxunicode + 1)
-        if iri_text_ok(chr(cp)) == forbidden(chr(cp))
+        if iri_text_ok(chr(cp)) == _iri_forbidden(chr(cp))
     ]
     assert disagree == []
     assert not iri_text_ok("")
     assert iri_text_ok("urn:ex:a") and not iri_text_ok("urn:ex:a\u2028b")
+
+
+def test_the_iri_class_lists_its_whitespace_and_agrees_on_every_code_point():
+    """IRI_CHAR names the whitespace above #x20 one code point at a time, not
+    as \\s; the statement pattern's copy of it, without the surrogate range,
+    admits the surrogates besides."""
+    assert r"\s" not in IRI_CHAR
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    allowed = {ch for ch in every if not _iri_forbidden(ch)}
+    assert set(re.findall(IRI_CHAR, every)) == allowed
+    without_surrogates = IRI_CHAR.replace(r"\ud800-\udfff", "")
+    assert without_surrogates != IRI_CHAR
+    surrogates = set(map(chr, range(0xD800, 0xE000)))
+    assert set(re.findall(without_surrogates, every)) == allowed | surrogates
 
 
 def test_triple_hashes_and_compares_as_a_plain_tuple():
