@@ -23,7 +23,6 @@ from time import perf_counter
 from .dag import Provenance, VersionDag
 from .engine import eval_annotated, eval_checkout, format_results
 from .errors import BenchError, StateError, ValidationError
-from .ntriples import format_triple
 from .repo import MANIFEST_NAME, holds_history, load_repository, save_repository
 from .sparql import parse_query
 from .store import AnnotatedStore, Delta, EMPTY_DELTA
@@ -142,31 +141,52 @@ def _root_triples(params: ScenarioParams, d: Dictionary, rng: random.Random) -> 
     return triples
 
 
+def _value_slots(triples: set[Triple], d: Dictionary) -> list[tuple[int, int]]:
+    """The (subject, predicate) slots of the value triples, sorted by the
+    texts of their subject and predicate.
+
+    That is the order of the triples' joined lines: no two slots share both
+    texts, and no subject or predicate text goes on from a prefix with a
+    space.
+    """
+    preds = (d.lookup(Iri(EX + "height")), d.lookup(Iri(EX + "accessible")))
+    keys = {t[:2] for t in triples if t.p in preds}
+    return sorted(keys, key=lambda k: (d.resolve(k[0]).nt, d.resolve(k[1]).nt))
+
+
 def _churn_delta(
     params: ScenarioParams,
     store: AnnotatedStore,
     parent: int,
+    slots: list[tuple[int, int]],
     rng: random.Random,
 ) -> Delta:
     """Edit ceil(churn x graph size) value triples as remove+add pairs.
 
-    At most one triple per (subject, predicate) slot is eligible, so no two
-    picks touch the same slot and an addition can never coincide with a
-    removal (a merge can leave a slot with several values; only the one with
-    the smallest serialization is editable).
+    slots are the parent's (subject, predicate) value slots in the order of
+    their text, as _value_slots gives them: the root makes every slot, an
+    edit replaces a value within its slot and a merge unions its parents',
+    so they are the same for every version and generate sorts them once.  A
+    commit costs one pass over the parent's triples by term id, plus the
+    edits.
+
+    At most one triple per slot is eligible, so no two picks touch the same
+    slot and an addition can never coincide with a removal.  A merge can
+    leave a slot with several values; only the one with the smallest
+    serialization is editable, and only such a slot compares object texts.
     """
     d = store.dictionary
     height = d.lookup(Iri(EX + "height"))
     accessible = d.lookup(Iri(EX + "accessible"))
     graph = store.materialize(parent)
-    by_slot: dict[tuple[int, int], tuple[str, Triple]] = {}
-    for t in graph:
-        if t.p in (height, accessible):
-            key = (t.s, t.p)
-            entry = (format_triple(t, d), t)
-            if key not in by_slot or entry < by_slot[key]:
-                by_slot[key] = entry
-    eligible = [t for _, t in sorted(by_slot.values())]
+    values = [t for t in graph if t.p in (height, accessible)]
+    pick = {t[:2]: t for t in values}
+    if len(pick) < len(values):  # some slot holds several values
+        for t in values:
+            kept = pick[t[:2]]
+            if kept is not t and d.resolve(t.o).nt < d.resolve(kept.o).nt:
+                pick[t[:2]] = t
+    eligible = [pick[slot] for slot in slots]
     edits = min(math.ceil(params.churn * len(graph)), len(eligible))
     removals: set[Triple] = set()
     additions: set[Triple] = set()
@@ -192,6 +212,11 @@ def generate(
 ) -> tuple[AnnotatedStore, VersionDag]:
     """Build a deterministic scenario repository; write it when outdir is set.
 
+    A generated commit formats no triple and sorts nothing: the value slots
+    are sorted by text once, from the root, and each commit's churn step
+    makes one pass over its parent's triples by term id, comparing object
+    texts only in a slot a merge left with several values (see _churn_delta).
+
     An outdir that already holds a repository is left as it is when it holds
     exactly this scenario, byte for byte, and raises StateError otherwise.
     Saving recognizes the history on disk by commit metadata alone, and a
@@ -209,6 +234,7 @@ def generate(
         return epoch + timedelta(minutes=seq)
 
     root = _root_triples(params, store.dictionary, rng)
+    slots = _value_slots(root, store.dictionary)
     store.apply_commit(
         dag, [], "main", Delta(frozenset(root), frozenset()),
         message="initial city graph", author="citygen",
@@ -236,7 +262,7 @@ def generate(
         else:
             branch = "main"
         parent = dag.branch_head(branch)
-        delta = _churn_delta(params, store, parent, rng)
+        delta = _churn_delta(params, store, parent, slots, rng)
         store.apply_commit(
             dag, [parent], branch, delta,
             message=f"edit {len(delta.removals)} values on {branch}",
