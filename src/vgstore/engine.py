@@ -46,8 +46,8 @@ from .sparql import (
     Aggregate,
     And,
     Comparison,
+    Expr,
     GraphBlock,
-    IsHead,
     Not,
     Or,
     Query,
@@ -68,8 +68,6 @@ from .terms import (
     Triple,
     compare_values,
 )
-
-Expr = Comparison | And | Or | Not | IsHead
 
 _DOMAINS = ("all", "heads")
 
@@ -262,15 +260,17 @@ def _eval_expr(
 def _extremum(values: Iterable[Term], want_max: bool) -> Term | None:
     """MIN/MAX over distinct values; None if any pair is incomparable.
 
-    The all-pairs check makes the outcome independent of iteration order, so
-    both evaluators agree on which groups are dropped.  Value ties are broken
-    by the smallest term serialization.
+    A pair may be one value twice: a numeric literal that does not parse is
+    incomparable with itself, so a group holding only it is dropped too.  The
+    all-pairs check makes the outcome independent of iteration order, so both
+    evaluators agree on which groups are dropped.  Value ties are broken by the
+    smallest term serialization.
     """
     vals = list(values)
     if not vals or any(not isinstance(v, Literal) for v in vals):
         return None
     for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
+        for j in range(i, len(vals)):
             if compare_values(vals[i], vals[j]) is None:
                 return None
     best = vals[0]

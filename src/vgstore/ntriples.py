@@ -187,12 +187,6 @@ def _term_at(m: re.Match, line: int) -> Term:
         raise ValidationError(f"line {line}: {e}") from None
 
 
-def parse_statement(text: str, line: int = 1) -> tuple[Term, Term, Term]:
-    """Parse one `subject predicate object .` statement into valid terms."""
-    s, p, o = _match_statement(text, line)
-    return _term_at(s, line), _term_at(p, line), _term_at(o, line)
-
-
 class BlankScope:
     """What several documents read into one dictionary share.
 

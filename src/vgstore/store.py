@@ -6,10 +6,9 @@ number onto everything present in it.  Each triple of the version applied
 last has an open run of versions; a commit closes a triple's run with one
 range insert when the triple leaves, and opens one when a triple arrives.
 A commit's work is therefore its difference from the version applied last,
-which on a linear chain is its delta.  The first read after commits writes
-the open runs up to the last version and adds the new triples to the index
-permutations already built, under a lock so that concurrent readers do it
-once; a commit alone indexes nothing.
+which on a linear chain is its delta, plus one index add per triple new to
+the store.  The first read after commits writes the open runs up to the last
+version, under a lock so that concurrent readers do it once.
 
 Applying a commit also records the version's delta against the union of its
 parents, which a save writes.  The content of the version applied last is
@@ -21,18 +20,20 @@ not to the whole store.  A parent without a snapshot, such as an old version
 a new branch starts from, is rebuilt by scanning the store.
 
 Only apply_commit changes what the store holds; a read only writes out the
-runs it left open and indexes triples.  replay, the one way a recorded
-history becomes a store, applies commits through it, then sets the branch
-map.  A load replays the parsed patches; repack renumbers the versions by
-emptying the dag and store and replaying the recorded deltas in the new order.
+runs it left open and builds the permutations it reads.  replay, the one way
+a recorded history becomes a store, applies commits through it, then sets
+the branch map.  A load replays the parsed patches; repack renumbers the
+versions by emptying the dag and store and replaying the recorded deltas in
+the new order.
 
 TripleIndex is the package's one permutation index: a dict from each triple
 to its leaf value, and SPO, POS and OSP permutations over it, read by a
 bound-prefix walk.  A permutation is built from the leaves by the first match
 that reads it, so a query pays only for the permutations it probes.  The
 store's leaves dict is its own dict of live VersionSets, shared by every
-permutation, which keeps them consistent by construction; the checkout
-evaluator indexes one materialized version with the leaf True.
+permutation, and a commit stores a new triple through the index's add, so
+every permutation built holds every stored triple; the checkout evaluator
+indexes one materialized version with the leaf True.
 """
 
 from __future__ import annotations
@@ -62,8 +63,7 @@ class TripleIndex:
     permutations, each built from the leaves by the first match that needs it.
 
     leaves, if given, is the triple -> leaf dict the index reads and add
-    writes.  A caller that writes it directly must pass the same triples to
-    add before the next match, if a permutation is built by then.
+    writes.
     """
 
     def __init__(self, leaves: dict[Triple, object] | None = None):
@@ -185,9 +185,6 @@ class AnnotatedStore:
         # runs from _written on are not yet in the sets
         self._open: dict[Triple, int] = {}
         self._written = 0
-        # triples stored since the last read, which has yet to add them to
-        # the permutations built
-        self._unindexed: list[Triple] = []
         self._flush_lock = threading.Lock()
 
     @property
@@ -266,8 +263,7 @@ class AnnotatedStore:
                 self._sets[triple].insert(lo, seq - 1)
         for triple in arriving:
             if triple not in self._sets:
-                self._sets[triple] = self._set_cls()
-                self._unindexed.append(triple)
+                self._index.add(triple, self._set_cls())
             open_[triple] = seq
         self._n_versions = seq + 1
         self._deltas[seq] = recorded
@@ -335,20 +331,15 @@ class AnnotatedStore:
         )
 
     def _flush(self) -> None:
-        """Write the open runs up to the version applied last and add the
-        triples stored since to the permutations built; every commit adds a
-        version, so both wait on it."""
+        """Write the open runs up to the version applied last; every commit
+        adds a version, so they wait on it."""
         if self._written == self._n_versions:
             return
         with self._flush_lock:
             n, written = self._n_versions, self._written
             if written == n:
                 return  # another reader wrote them first
-            sets, index = self._sets, self._index
-            if index._built:  # one built later is built from all of sets
-                for triple in self._unindexed:
-                    index.add(triple, sets[triple])
-            self._unindexed = []
+            sets = self._sets
             for triple, start in self._open.items():
                 sets[triple].insert(max(start, written), n - 1)
             self._written = n

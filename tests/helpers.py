@@ -16,7 +16,7 @@ from itertools import product
 from hypothesis import strategies as st
 
 from vgstore.dag import Provenance, VersionDag
-from vgstore.ntriples import BlankScope, format_term, parse_statement
+from vgstore.ntriples import BlankScope, _match_statement, _term_at, format_term
 from vgstore.store import AnnotatedStore, Delta
 from vgstore.terms import (
     XSD_BOOLEAN,
@@ -26,6 +26,7 @@ from vgstore.terms import (
     Dictionary,
     Iri,
     Literal,
+    Term,
     Triple,
 )
 
@@ -141,6 +142,14 @@ def assert_snapshots_are_heads_and_scans(store: AnnotatedStore, dag: VersionDag)
         assert snapshot == scan_version(store, v)
     if last >= 0:
         assert store.materialize(last) == scan_version(store, last)
+
+
+def parse_statement(text: str, line: int = 1) -> tuple[Term, Term, Term]:
+    """Parse one `subject predicate object .` statement into valid terms, the
+    way the per-line reader reads it: the reference for the statement
+    pattern."""
+    s, p, o = _match_statement(text, line)
+    return _term_at(s, line), _term_at(p, line), _term_at(o, line)
 
 
 def reference_interning(patches: list[str]) -> Dictionary:

@@ -180,6 +180,24 @@ def test_query_with_no_matches_prints_header_only(repo, capsys):
     assert out == "?v\n"
 
 
+@pytest.mark.parametrize("encoding", ["extension", "interval"])
+@pytest.mark.parametrize("evaluator", ["annotated", "checkout"])
+def test_min_or_max_over_a_lone_unparsed_number_prints_header_only(
+    tmp_path, capsys, encoding, evaluator
+):
+    """A numeric literal that does not parse is incomparable with itself, so
+    a group holding only it is dropped, as a group with an incomparable pair
+    is."""
+    repo, patch = str(tmp_path / "r"), tmp_path / "p.patch"
+    patch.write_text(f'A <urn:a> <urn:h> "NaN"^^<{XSD}double> .\n', encoding="utf-8")
+    ok(capsys, "init", "--repo", repo, "--patch", str(patch))
+    for func in ("MIN", "MAX"):
+        out = ok(capsys, "query", "--repo", repo, "--encoding", encoding,
+                 "--evaluator", evaluator, "--inline",
+                 f"SELECT ({func}(?h) AS ?m) WHERE {{ GRAPH ?v {{ ?s <urn:h> ?h }} }}")
+        assert out == "?m\n"
+
+
 def test_log_is_newest_first_with_branch_markers(repo, capsys):
     out = ok(capsys, "log", "--repo", repo)
     headers = [l for l in out.splitlines() if l.startswith("commit ")]
@@ -291,7 +309,8 @@ def test_strict_commit_rejects_spurious_removal(repo, tmp_path, capsys):
 def test_commit_removes_loaded_terms_and_builds_no_index(tmp_path, capsys, patches, monkeypatch):
     """vg commit reads its patch in the loaded history's scope: the
     removal's terms keep their ids, spelled however the patch spells them;
-    and a commit on a linear history reads nothing, so it indexes nothing."""
+    and a commit on a linear history reads nothing, so it builds no index
+    permutation."""
     repo = str(tmp_path / "r")
     ok(capsys, "init", "--repo", repo, "--patch", patches["city0"])
     ok(capsys, "commit", "--repo", repo, "--branch", "main", "--patch", patches["city1"])
@@ -301,10 +320,16 @@ def test_commit_removes_loaded_terms_and_builds_no_index(tmp_path, capsys, patch
         f'# spelled otherwise\r\n\r\nD\t<urn:ex:\\u0062\\u0031>\t<urn:ex:height>"10.5"{DEC}.\r\n',
         encoding="utf-8",
     )
-    indexed: list = []
-    monkeypatch.setattr(TripleIndex, "add", lambda self, triple, leaf: indexed.append(triple))
+    built: list = []
+    permutation = TripleIndex._permutation
+
+    def recorded_permutation(self, name):
+        built.append(name)
+        return permutation(self, name)
+
+    monkeypatch.setattr(TripleIndex, "_permutation", recorded_permutation)
     ok(capsys, "commit", "--repo", repo, "--branch", "main", "--patch", str(edit))
-    assert indexed == []
+    assert built == []
     monkeypatch.undo()
     store, _dag = load_repository(repo)
     assert len(store.dictionary) == terms

@@ -32,9 +32,9 @@ from vgstore import (
 from vgstore.dag import parse_version_iri
 from vgstore.sparql import Aggregate, And, Comparison, GraphBlock, IsHead, Not, Or, TriplePattern, Var
 from vgstore.store import TripleIndex
-from vgstore.terms import XSD_INTEGER
+from vgstore.terms import XSD_DOUBLE, XSD_INTEGER
 
-from helpers import random_query, random_repo
+from helpers import LITERAL_OBJECTS, random_query, random_repo
 
 BOTH = (eval_annotated, eval_checkout)
 
@@ -95,7 +95,7 @@ def _ref_extremum(values, want_max):
     vals = sorted(values, key=format_term)
     if not vals or any(not isinstance(v, Literal) for v in vals):
         return None
-    for a, b in itertools.combinations(vals, 2):
+    for a, b in itertools.combinations_with_replacement(vals, 2):
         if compare_values(a, b) is None:
             return None
     best = vals[0]
@@ -471,6 +471,43 @@ def test_extremum_value_ties_break_by_serialization():
     q = parse_query(f"SELECT (MAX(?o) AS ?m) WHERE {{ ?s <{EX}p> ?o }}")
     for evaluate in BOTH:
         assert evaluate(store, dag, q).rows == [(Literal("01", XSD_INTEGER),)]
+
+
+# numeric literals that do not parse, so each is incomparable even with itself
+_UNPARSED = [Literal("NaN", XSD_DOUBLE), Literal("x", XSD_INTEGER)]
+
+
+@given(
+    st.lists(
+        st.sets(st.tuples(st.integers(0, 2), st.sampled_from(LITERAL_OBJECTS + _UNPARSED))),
+        min_size=1,
+        max_size=4,
+    ),
+    st.sampled_from(["s", "v", "o"]),
+    st.sampled_from(["COUNT", "MIN", "MAX"]),
+)
+@settings(max_examples=60, deadline=None)
+def test_aggregates_over_incomparable_values_match_the_reference(versions, group, func):
+    """A group whose values include one incomparable with another or with
+    itself is dropped by MIN and MAX and counted by COUNT, in both
+    evaluators and both encodings."""
+    query = parse_query(
+        f"SELECT ?{group} ({func}(?o) AS ?a) "
+        f"WHERE {{ GRAPH ?v {{ ?s <{EX}p> ?o }} }} GROUP BY ?{group}"
+    )
+    for encoding in ("extension", "interval"):
+        store, dag = AnnotatedStore(encoding=encoding), VersionDag()
+        d = store.dictionary
+        content: set = set()
+        for v, pairs in enumerate(versions):
+            now = {d.triple(Iri(f"{EX}s{i}"), Iri(EX + "p"), value) for i, value in pairs}
+            delta = Delta(frozenset(now - content), frozenset(content - now))
+            store.apply_commit(dag, [v - 1] if v else [], "main", delta)
+            content = now
+        expected = ref_eval(store, dag, query)
+        for evaluate in BOTH:
+            table = evaluate(store, dag, query)
+            assert (table.header, table.rows) == expected
 
 
 def test_aggregating_non_literals_drops_the_group():

@@ -18,10 +18,10 @@ from vgstore import (
     serialize_ntriples,
 )
 from vgstore import ntriples, parse_patch
-from vgstore.ntriples import BlankScope, parse_statement, read_statements
+from vgstore.ntriples import BlankScope, read_statements
 from vgstore.terms import RDF_LANGSTRING, XSD_STRING, _escape_lex, term_text, validate_term
 
-from helpers import reference_interning, statement_lines
+from helpers import parse_statement, reference_interning, statement_lines
 
 XSD_INT = "http://www.w3.org/2001/XMLSchema#integer"
 

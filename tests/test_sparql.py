@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vgstore import BlankNode, Iri, Literal, QueryError, ValidationError
-from vgstore.ntriples import parse_statement
 from vgstore.sparql import (
     Aggregate,
     And,
@@ -20,7 +19,7 @@ from vgstore.sparql import (
 )
 from vgstore.terms import RDF_TYPE, XSD_BOOLEAN, XSD_DECIMAL, XSD_INTEGER, term_text
 
-from helpers import INVALID_CONSTANTS, statement_lines
+from helpers import INVALID_CONSTANTS, parse_statement, statement_lines
 
 Q1_SKELETON = 'SELECT ?v WHERE { GRAPH ?v { ?s <http://ex.org/accessible> "true" } }'
 

@@ -594,7 +594,7 @@ def _run_reference_model(encoding, seed, steps, tmp: Path):
         assert store._open.keys() == model[last]
         assert store._index._leaves is store._sets
         for held in _built(store).values():
-            assert held.keys() | set(store._unindexed) == store._sets.keys()
+            assert held.keys() == store._sets.keys()
             assert all(vset is store._sets[x] for x, vset in held.items())
     assert_snapshots_are_heads_and_scans(store, dag)
     assert {x: set(vset) for x, vset in store.match()} == _reference_sets(model)
@@ -618,7 +618,6 @@ def _built(store: AnnotatedStore) -> dict[str, dict[Triple, object]]:
 
 def _assert_built_permutations_hold_the_store(store: AnnotatedStore) -> None:
     """Every permutation built holds every stored triple with its live set."""
-    assert store._unindexed == []
     for held in _built(store).values():
         assert held.keys() == store._sets.keys()
         assert all(vset is store._sets[x] for x, vset in held.items())
@@ -665,11 +664,12 @@ def test_a_load_or_a_commit_builds_no_permutation(tmp_path, encoding):
     x = t(store, "a")
     assert [y for y, _ in store.match(p=x.p, o=x.o)] == [x]
     assert set(_built(store)) == {"pos"}
-    # a commit leaves what is built alone; the next read adds to it
-    before = _built(store)
+    # a commit adds what it stores to the permutations already built
     new = t(store, "c")
     store.apply_commit(dag, [dag.branch_head("main")], "main", adds(new))
-    assert _built(store) == before
+    assert set(_built(store)) == {"pos"}
+    assert new in _built(store)["pos"]
+    _assert_built_permutations_hold_the_store(store)
     assert [y for y, _ in store.match(p=new.p, o=new.o)] == [new]
     assert set(_built(store)) == {"pos"}
     _assert_built_permutations_hold_the_store(store)
@@ -793,17 +793,23 @@ def test_concurrent_first_reads_write_open_runs_once(encoding, monkeypatch):
     try:
         for _ in range(5):
             indexed.clear()
+            permutations.clear()
             store, dag, model = _linear_store(rng, encoding, n_triples=400, versions=30)
-            assert indexed == []  # commits index nothing
+            # the commits built no permutation and added each triple they
+            # stored once
+            assert permutations == [] and _built(store) == {}
+            assert sorted(indexed) == sorted(store._sets)
             # after the replay: each permutation was built once, from the
-            # store's sets whole, and read by every probe; nothing was added
+            # store's sets whole, and read by every probe; no read added a
+            # triple
             read_concurrently(store, _reference_sets(model))
             assert indexed == []
             assert {name for name, _ in permutations} == {"spo", "pos", "osp"}
             assert len(set(permutations)) == 3
             built = set(permutations)
-            # after commits that store new triples: one thread added each of
-            # them, once, to the permutations built, and none was built again
+            # commits that store new triples add each of them once, to every
+            # permutation built, before any read; no read adds one, and none
+            # builds a permutation again
             new: set = set()
             for k in range(3):
                 more = {t(store, f"{k}.{i}") for i in range(20)}
@@ -811,8 +817,10 @@ def test_concurrent_first_reads_write_open_runs_once(encoding, monkeypatch):
                 model[last + 1] = model[last] | more
                 store.apply_commit(dag, [last], "main", adds(*more))
                 new |= more
-            read_concurrently(store, _reference_sets(model))
             assert sorted(indexed) == sorted(new)
+            _assert_built_permutations_hold_the_store(store)
+            read_concurrently(store, _reference_sets(model))
+            assert indexed == []
             assert set(permutations) == built
             _assert_built_permutations_hold_the_store(store)
     finally:
