@@ -1,7 +1,7 @@
 """Command-line interface for versioned graph repositories.
 
 Exit codes: 0 success, 1 usage error, 2 data or repository error, 3 query
-error.  The commands that write (init, commit, branch, merge) take an
+error, 4 internal error (a fault of vg itself).  The commands that write (init, commit, branch, merge) take an
 exclusive flock on the repository's `.vglock` file; a second concurrent
 writer fails fast with exit 2.  The commands that only read (query, log,
 stats, checkout, bench) take no lock: a save never rewrites a patch the
@@ -296,6 +296,9 @@ def run(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"vg: error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a fault of vg itself, told apart from usage errors
+        print(f"vg: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 def main() -> None:

@@ -3,22 +3,16 @@
 eval_annotated answers a query for every version in one pass: each partial
 solution carries, per version variable, the set of versions it still holds
 in.  Joining two patterns intersects those sets; an empty intersection kills
-the row.  Only at the end is a row expanded, and only over the version
-variables the SELECT reads (projects, groups or aggregates): each of those is
-bound to every member of its set, so DISTINCT, aggregation, and projection
-see plain rows.  A version variable the SELECT does not read is never bound;
-the cardinality of its set becomes the row's multiplicity, the number of
-solutions the row stands for.  COUNT adds the multiplicity and a projection
-without DISTINCT repeats the row that often, while DISTINCT, MIN and MAX
-ignore it.  So `SELECT DISTINCT ?b` or a COUNT per data value builds no
-version IRI at all, and `accessible-pairs` emits each row once per version
-without a dict per version.
+the row.  When a FILTER's top-level && operands include isHead(?v), the head
+set is ?v's domain from the pattern that introduces ?v on, so a row that
+holds at no head dies in the join instead of reaching the filter; the
+filter itself is evaluated as written.  isHead under || or ! is left to the
+filter, which splits a row's sets into their head and non-head parts.
 
 eval_checkout is the baseline with identical semantics by construction: it
 materializes every candidate version, evaluates the query with the version
 variables fixed, and unions the row multisets.  Agreement between the two is
-the core correctness check of the whole package; divergence is a bug.  It
-binds every version variable, so each of its rows has multiplicity 1.
+the core correctness check of the whole package; divergence is a bug.
 
 Both evaluators extend rows through the one join step, _join, over a
 store.TripleIndex (the store's own, or one per checked-out version, which
@@ -27,18 +21,29 @@ They differ only in how a matched triple's leaf changes a row's version
 annotation: a contains test for a constant version, an intersection for a
 version variable, and no change at all in a checkout.
 
-Both produce a SolutionTable whose rows are sorted by the tuple of term
-serializations, so equal results are byte-equal after formatting.  _finish
-sorts the distinct rows only, and each term is serialized once (see
-ntriples.format_term), so sorting and formatting pay per distinct term.
+Both end in one finish, _finish, on compact rows: a row's data term ids plus
+the members of each version variable (one member in a checkout).  Each data
+term and each version is serialized once, and a row's output keys are the
+tuples of texts from the product of the columns the SELECT reads (projects,
+groups, or takes the MIN or MAX of).  A version variable it does not read
+is never bound: the size of its set multiplies the count of the row's keys,
+the number of solutions each stands for.  COUNT adds those counts and a
+projection without DISTINCT repeats its row that often, while DISTINCT, MIN
+and MAX ignore them, so `SELECT DISTINCT ?b` or a COUNT per data value
+builds no version IRI at all.  Serialization is injective, so the keys
+group, dedupe and sort as the terms would; only the sorted distinct keys are
+turned back into term rows, so sorting pays per distinct row and
+serializing per distinct term.  The rows of both SolutionTables are sorted
+by the tuple of term serializations, so equal results are byte-equal after
+formatting.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import product
-from typing import Callable, Iterable, Iterator
+from itertools import chain, product, repeat
+from typing import Callable, Iterable
 
 from .dag import VersionDag, parse_version_iri, version_iri
 from .ntriples import format_term
@@ -47,7 +52,9 @@ from .sparql import (
     And,
     Comparison,
     Expr,
+    Filter,
     GraphBlock,
+    IsHead,
     Not,
     Or,
     Query,
@@ -177,9 +184,7 @@ def _over_var(name: str, domain: VersionSet | None) -> _Combine:
             vset = previous.intersect(vset)
         elif domain is not None:
             vset = vset.intersect(domain)
-        if vset.cardinality() == 0:
-            return None
-        return {**ann, name: vset}
+        return {**ann, name: vset} if vset else None
 
     return combine
 
@@ -257,6 +262,18 @@ def _eval_expr(
     return ishead(expr.var.name)
 
 
+def _required_heads(expr: Expr) -> set[str]:
+    """The variables of the isHead tests among expr's top-level && operands.
+
+    The filter is false on a row where such a test is false, so those
+    variables can range over the heads from where they are introduced on.
+    An isHead under || or ! is not required.
+    """
+    if isinstance(expr, And):
+        return _required_heads(expr.lhs) | _required_heads(expr.rhs)
+    return {expr.var.name} if isinstance(expr, IsHead) else set()
+
+
 def _extremum(values: Iterable[Term], want_max: bool) -> Term | None:
     """MIN/MAX over distinct values; None if any pair is incomparable.
 
@@ -282,88 +299,97 @@ def _extremum(values: Iterable[Term], want_max: bool) -> Term | None:
     return min(ties, key=format_term)
 
 
-def _read_names(query: Query) -> set[str]:
-    """The variables the SELECT projects, groups or aggregates."""
-    select = query.select
-    names = {v.name for v in select.group_by}
-    for item in select.items:
-        names.add(item.name if isinstance(item, Var) else item.arg.name)
-    return names
+class _Texts(dict):
+    """The serialization of each key's term, made once; `terms` maps it back."""
+
+    def __init__(self, make: Callable[[int], Term], terms: dict[str, Term]):
+        super().__init__()
+        self.make, self.terms = make, terms
+
+    def __missing__(self, key: int) -> str:
+        term = self.make(key)
+        text = self[key] = format_term(term)
+        self.terms[text] = term
+        return text
 
 
-def _aggregate(
-    rows: Iterable[tuple[dict[str, Term], int]], select: SelectClause, aggs: list[Aggregate]
-) -> list[tuple[Term, ...]]:
-    """One output row per surviving group; COUNT adds the multiplicities."""
-    group_names = [v.name for v in select.group_by]
-    groups: dict[tuple[Term, ...], list] = {}
-    for row, mult in rows:
-        key = tuple(row[name] for name in group_names)
-        acc = groups.get(key)
-        if acc is None:
-            acc = [0 if a.func == "COUNT" else set() for a in aggs]
-            groups[key] = acc
-        for i, agg in enumerate(aggs):
-            if agg.func == "COUNT":
-                acc[i] += mult
-            else:
-                acc[i].add(row[agg.arg.name])
-    if not groups and not group_names and all(a.func == "COUNT" for a in aggs):
-        groups[()] = [0 for _ in aggs]
-    out: list[tuple[Term, ...]] = []
-    for key, acc in groups.items():
-        by_name = dict(zip(group_names, key))
-        cells: list[Term] = []
-        dead = False
-        agg_index = 0
-        for item in select.items:
-            if isinstance(item, Var):
-                cells.append(by_name[item.name])
-                continue
-            value = acc[agg_index]
-            agg_index += 1
-            if item.func == "COUNT":
-                cells.append(Literal(str(value), XSD_INTEGER))
-            else:
-                extremum = _extremum(value, want_max=item.func == "MAX")
-                if extremum is None:
-                    dead = True
-                    break
-                cells.append(extremum)
-        if not dead:
-            out.append(tuple(cells))
-    return out
+def _finish(
+    rows: Iterable[tuple[dict[str, TermId], dict[str, Iterable[int]]]],
+    dictionary: Dictionary,
+    query: Query,
+) -> SolutionTable:
+    """Aggregate, project, dedupe and sort compact rows on term serializations.
 
-
-def _finish(rows: Iterable[tuple[dict[str, Term], int]], query: Query) -> SolutionTable:
-    """Aggregate, project, dedupe, and sort rows given with their multiplicity."""
+    A row is its data ids plus the members of each version variable.  Each
+    column the SELECT reads becomes a list of texts, one per data id or per
+    version, each serialized once; the product of those lists gives the
+    row's keys.  A version variable the SELECT does not read multiplies the
+    count of each key by its size.  Serializations are equal exactly when
+    terms are, so keys group, dedupe, count and sort as the rows would.
+    """
     select = query.select
     header = tuple(
         item.name if isinstance(item, Var) else item.alias.name
         for item in select.items
     )
     aggs = [item for item in select.items if isinstance(item, Aggregate)]
+    group = list(dict.fromkeys(v.name for v in select.group_by))
+    # COUNT ignores its argument's value: only groups and MIN/MAX read one
+    names = list(dict.fromkeys(
+        group + [a.arg.name for a in aggs if a.func != "COUNT"] if aggs else header
+    ))
+    terms: dict[str, Term] = {}
+    data = _Texts(dictionary.resolve, terms)
+    versions = _Texts(lambda seq: Iri(version_iri(seq)), terms)
+    counts: dict[tuple[str, ...], int] = {}
+    for env, vsets in rows:
+        mult = 1
+        for name, members in vsets.items():
+            if name not in names:
+                mult *= len(members)
+        columns = [
+            [data[env[name]]] if name in env else list(map(versions.__getitem__, vsets[name]))
+            for name in names
+        ]
+        for key in product(*columns):
+            counts[key] = counts.get(key, 0) + mult
     if aggs:
-        projected: Iterable[tuple[tuple[Term, ...], int]] = (
-            (out_row, 1) for out_row in _aggregate(rows, select, aggs)
-        )
-    else:
-        names = [item.name for item in select.items if isinstance(item, Var)]
-        projected = ((tuple(row[name] for name in names), mult) for row, mult in rows)
-    # each output row under its serialization, with how many times it occurs;
-    # serializations are equal exactly when rows are, and cheaper to hash
-    counts: dict[tuple[str, ...], list] = {}
-    for out_row, mult in projected:
-        text = tuple(map(format_term, out_row))
-        entry = counts.get(text)
-        if entry is None:
-            counts[text] = [out_row, mult]
-        else:
-            entry[1] += mult
-    ordered = [counts[text] for text in sorted(counts)]
-    if select.distinct:
-        return SolutionTable(header, [out_row for out_row, _ in ordered])
-    return SolutionTable(header, [out_row for out_row, n in ordered for _ in range(n)])
+        # one accumulator per aggregate and group: COUNT adds the counts,
+        # MIN and MAX collect the distinct texts of their argument
+        groups: dict[tuple[str, ...], list] = {}
+        for key, n in counts.items():
+            acc = groups.get(key[:len(group)])
+            if acc is None:
+                acc = groups[key[:len(group)]] = [0 if a.func == "COUNT" else set() for a in aggs]
+            for i, agg in enumerate(aggs):
+                if agg.func == "COUNT":
+                    acc[i] += n
+                else:
+                    acc[i].add(key[names.index(agg.arg.name)])
+        if not groups and not group and all(a.func == "COUNT" for a in aggs):
+            groups[()] = [0 for _ in aggs]
+        numbers = _Texts(lambda n: Literal(str(n), XSD_INTEGER), terms)
+        counts = {}
+        for key, acc in groups.items():
+            cells = dict(zip(group, key))
+            for agg, value in zip(aggs, acc):
+                if agg.func == "COUNT":
+                    cells[agg.alias.name] = numbers[value]
+                    continue
+                term = _extremum(map(terms.__getitem__, value), want_max=agg.func == "MAX")
+                if term is None:
+                    break  # the group is dropped
+                cells[agg.alias.name] = format_term(term)
+            else:
+                out = tuple(map(cells.__getitem__, header))
+                counts[out] = counts.get(out, 0) + 1
+    ordered = sorted(counts)
+    # zip builds the row tuples column by column, cheaper than a tuple() per row
+    table = list(zip(*(map(terms.__getitem__, map(operator.itemgetter(i), ordered))
+                       for i in range(len(header)))))
+    if not select.distinct and sum(counts.values()) > len(table):
+        table = list(chain.from_iterable(map(repeat, table, map(counts.__getitem__, ordered))))
+    return SolutionTable(header, table)
 
 
 # --- annotated evaluation ------------------------------------------------
@@ -372,74 +398,33 @@ def _finish(rows: Iterable[tuple[dict[str, Term], int]], query: Query) -> Soluti
 def _ann_filter(
     rows: list[_Row],
     expr: Expr,
-    parts: dict[bool, VersionSet],
+    parts: Callable[[], dict[bool, VersionSet]],
     dictionary: Dictionary,
 ) -> list[_Row]:
     """Filter annotated rows, partitioning version sets around isHead().
 
     A row whose set mixes head and non-head versions cannot answer an
     isHead test as a whole, so it splits into at most 2^k sub-rows, one per
-    truth assignment of the k isHead variables; parts[flag] holds the
-    versions whose isHead is flag.  The sub-rows are disjoint, so the later
-    expansion sees each (binding, version) pair exactly once.
+    truth assignment of the k isHead variables; parts()[flag] holds the
+    versions whose isHead is flag.  The sub-rows are disjoint, so the finish
+    sees each (binding, version) pair exactly once.
     """
     head_names = sorted(_expr_vars(expr)[1])
     if not head_names:
         return _filter(rows, expr, dictionary, {}.__getitem__)
     truths = product((True, False), repeat=len(head_names))
     assigns = [dict(zip(head_names, bits)) for bits in truths]
+    sides = parts()
     out: list[_Row] = []
     for env, vsets in rows:
         compare = _comparer(env, dictionary)
         for assign in assigns:
             if _eval_expr(expr, compare, assign.__getitem__) is not True:
                 continue
-            split = {name: vsets[name].intersect(parts[flag]) for name, flag in assign.items()}
-            if all(part.cardinality() for part in split.values()):
+            split = {name: vsets[name].intersect(sides[flag]) for name, flag in assign.items()}
+            if all(split.values()):
                 out.append((env, {**vsets, **split}))
     return out
-
-
-def _version_iris() -> Callable[[int], Iri]:
-    """One version IRI per version number, made on first use."""
-    iris: dict[int, Iri] = {}
-
-    def iri(seq: int) -> Iri:
-        term = iris.get(seq)
-        if term is None:
-            term = iris[seq] = Iri(version_iri(seq))
-        return term
-
-    return iri
-
-
-def _expand(
-    rows: list[_Row], dictionary: Dictionary, read: set[str]
-) -> Iterator[tuple[dict[str, Term], int]]:
-    """Bind each read version variable to every member of its set.
-
-    A version variable outside `read` stays unbound: its set's cardinality
-    multiplies the multiplicity each expanded row is yielded with.
-    """
-    iri = _version_iris()
-    for env, vsets in rows:
-        data = {name: dictionary.resolve(tid) for name, tid in env.items() if name in read}
-        mult = 1
-        names: list[str] = []
-        for name, vset in vsets.items():
-            if name in read:
-                names.append(name)
-            else:
-                mult *= vset.cardinality()
-        if not names:
-            yield data, mult
-            continue
-        names.sort()
-        for combo in product(*(vsets[name] for name in names)):
-            row = dict(data)
-            for name, member in zip(names, combo):
-                row[name] = iri(member)
-            yield row, mult
 
 
 def eval_annotated(
@@ -454,11 +439,13 @@ def eval_annotated(
     heads = dag.heads()
     set_cls = set_class(store.encoding)
     head_set = set_cls.from_iterable(heads)
-    parts = {
-        True: head_set,
-        False: set_cls.from_iterable(v for v in range(store.n_versions) if v not in heads),
-    }
     domain = head_set if version_domain == "heads" else None
+    # a variable some FILTER requires at a head ranges over the heads (_required_heads)
+    pushed = set().union(*(_required_heads(e.expr) for e in query.where if isinstance(e, Filter)))
+
+    def parts() -> dict[bool, VersionSet]:
+        rest = set_cls.from_iterable(v for v in range(store.n_versions) if v not in heads)
+        return {True: head_set, False: rest}
 
     def at(seq: int | None) -> tuple[Callable, _Combine]:
         if seq is None:
@@ -475,21 +462,24 @@ def eval_annotated(
         elif isinstance(element, GraphBlock):
             if not isinstance(element.name, Var):
                 match, combine = at(_graph_version(element, store.n_versions))
-            elif element.patterns:
-                match, combine = store.match, _over_var(element.name.name, domain)
             else:
-                # an empty GRAPH ?v {} block ranges ?v over the whole domain
-                full = set_cls.from_iterable(range(store.n_versions)) if domain is None else domain
-                widen = _over_var(element.name.name, None)
-                rows = [(env, a) for env, ann in rows if (a := widen(ann, full)) is not None]
-                continue
+                name = element.name.name
+                within = head_set if name in pushed else domain
+                if not element.patterns:
+                    # an empty GRAPH ?v {} block ranges ?v over the whole domain
+                    if within is None:
+                        within = set_cls.from_iterable(range(store.n_versions))
+                    widen = _over_var(name, None)
+                    rows = [(env, a) for env, ann in rows if (a := widen(ann, within)) is not None]
+                    continue
+                match, combine = store.match, _over_var(name, within)
             for pattern in element.patterns:
                 rows = _join(rows, pattern, dictionary, match, combine)
                 if not rows:
                     break
         else:
             rows = _ann_filter(rows, element.expr, parts, dictionary)
-    return _finish(_expand(rows, dictionary, _read_names(query)), query)
+    return _finish(rows, dictionary, query)
 
 
 # --- checkout evaluation -------------------------------------------------
@@ -521,11 +511,11 @@ def eval_checkout(
             g = graphs[seq] = TripleIndex(dict.fromkeys(store.materialize(seq), True))
         return g
 
-    iri = _version_iris()
     main_head = dag.branches.get("main")
-    collected: list[tuple[dict[str, Term], int]] = []
+    collected: list[tuple[dict[str, TermId], dict[str, list[int]]]] = []
     for combo in product(domain, repeat=len(version_names)):
         assign = dict(zip(version_names, combo))
+        members = {name: [seq] for name, seq in assign.items()}
         rows: list[_Row] = [({}, {})]
         for element in query.where:
             if not rows:
@@ -543,12 +533,8 @@ def eval_checkout(
                         break
             else:
                 rows = _filter(rows, element.expr, dictionary, lambda name: assign[name] in heads)
-        for env, _ in rows:
-            row = {name: dictionary.resolve(tid) for name, tid in env.items()}
-            for name, seq in assign.items():
-                row[name] = iri(seq)
-            collected.append((row, 1))
-    return _finish(collected, query)
+        collected.extend((env, members) for env, _ in rows)
+    return _finish(collected, dictionary, query)
 
 
 # --- result formatting ---------------------------------------------------

@@ -6,7 +6,10 @@ form, so structural equality is set equality.  insert(lo, hi) adds the closed
 range [lo, hi] (one version when hi is omitted) and is the only mutator;
 everything else returns new sets, which lets a store hand out live references
 safely.  Appending a range past the last member is a list extend for an
-extension and one run merge or append for intervals.
+extension and one run merge or append for intervals.  An intersection costs
+the smaller operand: an extension hashes the smaller member list and only
+reads the larger one, and each run of the smaller interval list bisects into
+the larger one.
 
 scalar_cost is the stored footprint of a set: the member count for an extension,
 twice the run count for intervals.  It is the quantity the benchmark compares
@@ -19,6 +22,8 @@ from abc import ABC, abstractmethod
 from bisect import bisect_left, bisect_right
 from operator import itemgetter
 from typing import Iterable, Iterator
+
+_HI = itemgetter(1)
 
 
 class VersionSet(ABC):
@@ -89,9 +94,13 @@ class ExtensionSet(VersionSet):
         members[bisect_left(members, lo):bisect_right(members, hi)] = range(lo, hi + 1)
 
     def intersect(self, other: VersionSet) -> "ExtensionSet":
-        theirs = other._members if isinstance(other, ExtensionSet) else other
+        small = self._members
+        large = other._members if isinstance(other, ExtensionSet) else list(other)
+        if len(small) > len(large):
+            small, large = large, small
+        # hash the smaller side; the larger one is only read
         out = ExtensionSet()
-        out._members = sorted(set(self._members).intersection(theirs))
+        out._members = sorted(set(small).intersection(large))
         return out
 
     def union(self, other: VersionSet) -> "ExtensionSet":
@@ -104,6 +113,9 @@ class ExtensionSet(VersionSet):
 
     def cardinality(self) -> int:
         return len(self._members)
+
+    def __bool__(self) -> bool:
+        return bool(self._members)
 
     def scalar_cost(self) -> int:
         return len(self._members)
@@ -166,17 +178,18 @@ class IntervalSet(VersionSet):
     def intersect(self, other: VersionSet) -> "IntervalSet":
         if not isinstance(other, IntervalSet):
             other = IntervalSet.from_iterable(other)
-        a, b = self._runs, other._runs
+        small, large = self._runs, other._runs
+        if len(small) > len(large):
+            small, large = large, small
+        # each run of the smaller side bisects to the first run of the larger
+        # one that ends inside or after it, and clips the runs it overlaps;
+        # the clipped runs are disjoint and non-adjacent, like their sources
         out: list[list[int]] = []
-        i = j = 0
-        while i < len(a) and j < len(b):
-            lo = max(a[i][0], b[j][0])
-            hi = min(a[i][1], b[j][1])
-            if lo <= hi:
-                out.append([lo, hi])
-            if a[i][1] < b[j][1]:
-                i += 1
-            else:
+        for lo, hi in small:
+            j = bisect_left(large, lo, key=_HI)
+            while j < len(large) and large[j][0] <= hi:
+                start, end = large[j]
+                out.append([lo if lo > start else start, hi if hi < end else end])
                 j += 1
         return IntervalSet._from_runs(out)
 
@@ -202,6 +215,9 @@ class IntervalSet(VersionSet):
 
     def cardinality(self) -> int:
         return sum(hi - lo + 1 for lo, hi in self._runs)
+
+    def __bool__(self) -> bool:
+        return bool(self._runs)
 
     def scalar_cost(self) -> int:
         return 2 * len(self._runs)

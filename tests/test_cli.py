@@ -198,6 +198,15 @@ def test_min_or_max_over_a_lone_unparsed_number_prints_header_only(
         assert out == "?m\n"
 
 
+def test_an_internal_fault_exits_4_not_the_usage_code(repo, capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(vgstore.cli._COMMANDS, "log", broken)
+    err = fails(capsys, 4, "log", "--repo", repo)
+    assert err == "vg: internal error: RuntimeError: boom\n"
+
+
 def test_log_is_newest_first_with_branch_markers(repo, capsys):
     out = ok(capsys, "log", "--repo", repo)
     headers = [l for l in out.splitlines() if l.startswith("commit ")]

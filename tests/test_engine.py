@@ -736,8 +736,10 @@ def test_sorting_and_formatting_20000_rows_serializes_each_term_once(monkeypatch
 @pytest.mark.parametrize(
     "condition,annotated_calls,checkout_calls",
     [
-        # rows: 10.5 in versions 0 and 1, 12.0 in version 2, the only head
-        ("isHead(?v) && ?h > 11.0", 2, 1),
+        # rows: 10.5 in versions 0 and 1, 12.0 in version 2, the only head;
+        # a required isHead leaves the 10.5 row out before the filter
+        ("isHead(?v) && ?h > 11.0", 1, 1),
+        ("!isHead(?v) && ?h > 11.0", 2, 2),
         ("?h < 0 && ?h > 1", 2, 3),
         ("?h > 0 || ?h < 1", 2, 3),
     ],
@@ -803,3 +805,119 @@ def test_a_comparison_runs_once_per_row_whatever_the_operand_order(
     assert evaluate(store, dag, q, version_domain=domain) == expected
     assert expected.rows and sum(rows_in) > 0
     assert len(calls) == sum(rows_in)
+
+
+# --- isHead pushed below the join -----------------------------------------
+
+_TRIPLE = "GRAPH ?v { ?s ?p ?o }"
+PUSHDOWN_QUERIES = {
+    # pushed: isHead(?v) is a top-level && operand
+    "head-and-x": f"SELECT ?v ?s ?o WHERE {{ {_TRIPLE} FILTER (isHead(?v) && ?o > 1) }}",
+    "x-and-head": f"SELECT ?v ?s ?o WHERE {{ {_TRIPLE} FILTER (?o > 1 && isHead(?v)) }}",
+    "nested-and": (
+        f"SELECT ?v ?s ?o WHERE {{ {_TRIPLE} FILTER ((isHead(?v) && ?o > 1) && ?o < 12.5) }}"
+    ),
+    # not pushed: isHead under || or !
+    "head-or-x": f"SELECT ?v ?s ?o WHERE {{ {_TRIPLE} FILTER (isHead(?v) || ?o > 1) }}",
+    "not-head": f"SELECT ?v ?s ?o WHERE {{ {_TRIPLE} FILTER (!isHead(?v)) }}",
+    "not-head-and-x": (
+        f"SELECT ?v ?s ?o WHERE {{ {_TRIPLE} FILTER (!(isHead(?v) && ?o > 1)) }}"
+    ),
+    # where ?v is introduced
+    "empty-block": (
+        "SELECT ?v ?s ?o WHERE { GRAPH ?v { } GRAPH ?v { ?s ?p ?o } "
+        "FILTER (isHead(?v) && ?o != 2) }"
+    ),
+    "empty-block-only": (
+        "SELECT ?v ?o WHERE { <urn:ex:s0> ?p ?o GRAPH ?v { } FILTER (isHead(?v) && ?o > 1) }"
+    ),
+    "two-blocks": (
+        "SELECT ?v ?s ?x WHERE { GRAPH ?v { ?s ?p ?o } GRAPH ?v { ?x ?q ?o } "
+        "FILTER (isHead(?v) && ?o >= 1) }"
+    ),
+    "second-var": (
+        "SELECT ?v ?w ?s WHERE { GRAPH ?v { ?s ?p ?o } GRAPH ?w { ?s ?q ?y } "
+        "FILTER (isHead(?w) && ?o > 1) }"
+    ),
+    "both-vars": (
+        "SELECT ?v ?w (COUNT(?s) AS ?n) WHERE { GRAPH ?v { ?s ?p ?o } GRAPH ?w { ?s ?q ?y } "
+        "FILTER (isHead(?v) && !isHead(?w)) } GROUP BY ?v ?w"
+    ),
+}
+
+
+# the version variable each query requires at a head
+PUSHED = {"head-and-x": "v", "x-and-head": "v", "nested-and": "v", "empty-block": "v",
+          "empty-block-only": "v", "two-blocks": "v", "second-var": "w", "both-vars": "v"}
+
+
+@pytest.mark.parametrize("qid", sorted(PUSHDOWN_QUERIES))
+def test_ishead_push_down_keeps_the_checkout_result(monkeypatch, qid):
+    """Rows that reach the filter hold the required variable at heads only."""
+    import vgstore.engine
+
+    query = parse_query(PUSHDOWN_QUERIES[qid])
+    reaching = []
+    original = vgstore.engine._ann_filter
+
+    def entering(rows, *args):
+        reaching.extend(rows)
+        return original(rows, *args)
+
+    monkeypatch.setattr(vgstore.engine, "_ann_filter", entering)
+    seen_rows = 0
+    for seed in range(6):
+        for encoding in ("extension", "interval"):
+            store, dag = random_repo(random.Random(seed), encoding=encoding, max_versions=9)
+            for domain in ("all", "heads"):
+                reaching.clear()
+                expected = eval_checkout(store, dag, query, version_domain=domain)
+                assert eval_annotated(store, dag, query, version_domain=domain) == expected
+                assert expected.rows == ref_eval(store, dag, query, domain)[1]
+                seen_rows += len(expected.rows)
+                if qid in PUSHED:
+                    assert all(set(vsets[PUSHED[qid]]) <= dag.heads() for _, vsets in reaching)
+    assert seen_rows > 0
+
+
+@pytest.mark.parametrize("encoding", ["extension", "interval"])
+def test_only_rows_alive_at_a_head_reach_the_ishead_filter(monkeypatch, encoding):
+    """tall-at-heads: with isHead(?v) required, ?v ranges over the heads from
+    its first pattern on, so a (building, height) row that holds at no head
+    never reaches the filter."""
+    import vgstore.engine
+    from vgstore.bench import ScenarioParams, generate
+
+    params = ScenarioParams(buildings=12, stations=3, versions=40, branch_prob=0.3, churn=0.1)
+    store, dag = generate(params, None, encoding=encoding)
+    ex, rdf = "http://ex.org/", "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
+    query = parse_query(
+        f"SELECT ?v ?b ?h WHERE {{ GRAPH ?v {{ ?b <{rdf}type> <{ex}Building> . "
+        f"?b <{ex}height> ?h }} FILTER (isHead(?v) && ?h > 100.0) }}"
+    )
+    heads = dag.heads()
+    reaching = []
+    original = vgstore.engine._ann_filter
+
+    def entering(rows, *args):
+        reaching.extend(rows)
+        return original(rows, *args)
+
+    monkeypatch.setattr(vgstore.engine, "_ann_filter", entering)
+    assert eval_annotated(store, dag, query) == eval_checkout(store, dag, query)
+
+    def pairs(versions):
+        """(building, height) id pairs held, with the building's type, at some version."""
+        out = set()
+        for v in versions:
+            graph = store.materialize(v)
+            typed = {t.s for t in graph if store.dictionary.resolve(t.o) == Iri(ex + "Building")}
+            out |= {(t.s, t.o) for t in graph
+                    if t.s in typed and store.dictionary.resolve(t.p) == Iri(ex + "height")}
+        return out
+
+    at_heads = pairs(heads)
+    assert len(at_heads) < len(pairs(range(store.n_versions)))
+    assert sorted((env["b"], env["h"]) for env, _ in reaching) == sorted(at_heads)
+    for _, vsets in reaching:
+        assert vsets["v"] and set(vsets["v"]) <= heads

@@ -140,6 +140,41 @@ def test_extension_intersect_matches_oracle_on_unequal_sizes(cls, seed, flip):
         assert list(got) == sorted(x & y)
 
 
+def scattered_runs(rng: random.Random, n_runs: int) -> set[int]:
+    """Members forming about n_runs runs in range(4000); two cuts may touch."""
+    cuts = sorted(rng.sample(range(4000), 2 * n_runs))
+    return {v for lo, hi in zip(cuts[::2], cuts[1::2]) for v in range(lo, hi + 1)}
+
+
+def assert_normal_form(s: IntervalSet) -> None:
+    runs = s.runs()
+    assert all(lo <= hi for lo, hi in runs)
+    assert all(hi + 1 < lo for (_, hi), (lo, _) in zip(runs, runs[1:]))
+
+
+@given(encodings, st.integers(0, 10_000), st.booleans())
+def test_interval_intersect_matches_oracle_on_unequal_run_counts(cls, seed, flip):
+    rng = random.Random(seed)
+    small = scattered_runs(rng, rng.randint(1, 3))
+    large = scattered_runs(rng, rng.randint(50, 200))
+    a, b = (large, small) if flip else (small, large)
+    for x, y in ((a, b), (a, set()), (set(), b)):
+        got = IntervalSet.from_iterable(x).intersect(cls.from_iterable(y))
+        assert isinstance(got, IntervalSet)
+        assert list(got) == sorted(x & y)
+        assert_normal_form(got)
+        assert got == IntervalSet.from_iterable(x & y)
+        assert bool(got) == (got.cardinality() > 0)
+
+
+@given(encodings, encodings, members, members)
+def test_truth_is_non_emptiness(cls_a, cls_b, a, b):
+    for s in (cls_a.from_iterable(a), cls_a.from_iterable(a).intersect(cls_b.from_iterable(b))):
+        assert bool(s) == (s.cardinality() > 0) == bool(set(s))
+        if isinstance(s, IntervalSet):
+            assert_normal_form(s)
+
+
 def test_insert_merges_adjacent_runs():
     s = IntervalSet.from_iterable([1, 2, 3, 5, 6])
     s.insert(4)
