@@ -5,9 +5,9 @@ solution carries, per version variable, the set of versions it still holds
 in.  Joining two patterns intersects those sets; an empty intersection kills
 the row.  When a FILTER's top-level && operands include isHead(?v), the head
 set is ?v's domain from the pattern that introduces ?v on, so a row that
-holds at no head dies in the join instead of reaching the filter; the
-filter itself is evaluated as written.  isHead under || or ! is left to the
-filter, which splits a row's sets into their head and non-head parts.
+holds at no head dies in the join instead of reaching the filter, where
+its isHead is True.  isHead under || or ! is left to the filter, which
+splits a row's sets into their head and non-head parts.
 
 eval_checkout is the baseline with identical semantics by construction: it
 materializes every candidate version, evaluates the query with the version
@@ -19,7 +19,14 @@ store.TripleIndex (the store's own, or one per checked-out version, which
 builds only the permutations the query probes).
 They differ only in how a matched triple's leaf changes a row's version
 annotation: a contains test for a constant version, an intersection for a
-version variable, and no change at all in a checkout.
+version variable, and no change at all in a checkout.  Every row at one step
+binds the same variables, so _join plans a pattern once: each slot probes
+with a constant or a bound variable, binds a new one, or repeats a new one.
+
+Each FILTER is compiled once per evaluation into a tree of closures with
+three-valued logic.  A comparison reads each operand's value key
+(terms.value_key), made at most once per term id per evaluation, or at
+compile time for a constant; MIN and MAX compare the same keys in one pass.
 
 Both end in one finish, _finish, on compact rows: a row's data term ids plus
 the members of each version variable (one member in a checkout).  Each data
@@ -72,8 +79,8 @@ from .terms import (
     Literal,
     Term,
     TermId,
-    Triple,
-    compare_values,
+    compare_keys,
+    value_key,
 )
 
 _DOMAINS = ("all", "heads")
@@ -100,41 +107,6 @@ _Combine = Callable[[dict[str, object], object], dict[str, object] | None]
 _EMPTY_INDEX = TripleIndex()
 
 
-def _unify(
-    pattern: TriplePattern, triple: Triple, env: dict[str, TermId]
-) -> dict[str, TermId] | None:
-    """New bindings a matched triple contributes, or None on a repeated-var clash."""
-    bind: dict[str, TermId] = {}
-    for slot, value in ((pattern.s, triple.s), (pattern.p, triple.p), (pattern.o, triple.o)):
-        if isinstance(slot, Var) and slot.name not in env:
-            prev = bind.get(slot.name)
-            if prev is None:
-                bind[slot.name] = value
-            elif prev != value:
-                return None
-    return bind
-
-
-def _constant_ids(
-    pattern: TriplePattern, dictionary: Dictionary
-) -> dict[str, TermId] | None:
-    """Ids of the pattern's constant slots; None if any term is unknown."""
-    out: dict[str, TermId] = {}
-    for key, slot in (("s", pattern.s), ("p", pattern.p), ("o", pattern.o)):
-        if not isinstance(slot, Var):
-            tid = dictionary.lookup(slot)
-            if tid is None:
-                return None
-            out[key] = tid
-    return out
-
-
-def _slot_id(slot, key: str, env: dict[str, TermId], const_ids: dict[str, TermId]):
-    if isinstance(slot, Var):
-        return env.get(slot.name)
-    return const_ids[key]
-
-
 def _join(
     rows: list[_Row],
     pattern: TriplePattern,
@@ -144,24 +116,50 @@ def _join(
 ) -> list[_Row]:
     """Extend each row by every triple `match` finds for the pattern.
 
+    Every row binds the same variables, so the plan is made once, from the
+    first row: a slot probes with a constant or a bound variable's id, binds
+    a new variable, or must equal the earlier slot that binds its variable.
     combine(annotation, leaf) gives the extended row's version annotation,
     or None when the matched triple holds in none of the row's versions.
     """
-    const_ids = _constant_ids(pattern, dictionary)
-    if const_ids is None:
+    slots = (pattern.s, pattern.p, pattern.o)
+    # the constants' ids, None at the variables; a constant never interned matches nothing
+    base = [None if isinstance(slot, Var) else dictionary.lookup(slot) for slot in slots]
+    if not rows or any(t is None and not isinstance(v, Var) for v, t in zip(slots, base)):
         return []
+    probes: list[tuple[int, str]] = []  # (slot, bound variable) read per row
+    binds: dict[str, int] = {}  # new variable -> the first slot it fills
+    same: list[tuple[int, int]] = []  # (slot, earlier slot) a new variable repeats
+    for i, slot in enumerate(slots):
+        if not isinstance(slot, Var):
+            continue
+        if slot.name in rows[0][0]:
+            probes.append((i, slot.name))
+        elif slot.name in binds:
+            same.append((i, binds[slot.name]))
+        else:
+            binds[slot.name] = i
+    new = tuple(binds.items())
     out: list[_Row] = []
     for env, ann in rows:
-        s = _slot_id(pattern.s, "s", env, const_ids)
-        p = _slot_id(pattern.p, "p", env, const_ids)
-        o = _slot_id(pattern.o, "o", env, const_ids)
-        for triple, leaf in match(s, p, o):
-            bind = _unify(pattern, triple, env)
-            if bind is None:
+        probe = base
+        if probes:
+            probe = base.copy()
+            for i, name in probes:
+                probe[i] = env[name]
+        for triple, leaf in match(*probe):
+            if same and any(triple[i] != triple[j] for i, j in same):
                 continue
             new_ann = combine(ann, leaf)
-            if new_ann is not None:
-                out.append(({**env, **bind} if bind else env, new_ann))
+            if new_ann is None:
+                continue
+            if new:
+                extended = env.copy()
+                for name, i in new:
+                    extended[name] = triple[i]
+                out.append((extended, new_ann))
+            else:
+                out.append((env, new_ann))
     return out
 
 
@@ -195,71 +193,81 @@ def _graph_version(block: GraphBlock, n_versions: int) -> int | None:
     return seq if seq is not None and 0 <= seq < n_versions else None
 
 
-# comparison operator -> its test of compare_values's sign
+# comparison operator -> its test of compare_keys's sign
 _SIGN_TESTS = {"<": operator.lt, "<=": operator.le, "=": operator.eq,
                "!=": operator.ne, ">=": operator.ge, ">": operator.gt}
 
 
-def _comparer(
-    env: dict[str, TermId], dictionary: Dictionary
-) -> Callable[[Comparison], bool | None]:
-    """Answers the comparisons of a filter on the row env, each one once: they
-    do not depend on isHead, so the sub-rows of an annotated row share them."""
-    answers: dict[int, bool | None] = {}
+class _Memo(dict):
+    """make(key) for each key, made on its first read and kept."""
 
-    def value(operand: Var | Literal) -> Term | None:
-        if isinstance(operand, Literal):
-            return operand
-        return dictionary.resolve(env[operand.name]) if operand.name in env else None
+    def __init__(self, make: Callable[[object], object]):
+        super().__init__()
+        self.make = make
 
-    def compare(expr: Comparison) -> bool | None:
-        key = id(expr)
-        if key not in answers:
-            a, b = value(expr.lhs), value(expr.rhs)
-            c = compare_values(a, b) if isinstance(a, Literal) and isinstance(b, Literal) else None
-            answers[key] = None if c is None else _SIGN_TESTS[expr.op](c, 0)
-        return answers[key]
-
-    return compare
+    def __missing__(self, key: object):
+        value = self[key] = self.make(key)
+        return value
 
 
-def _filter(
-    rows: list[_Row], expr: Expr, dictionary: Dictionary, ishead: Callable[[str], bool]
-) -> list[_Row]:
-    """The rows on which expr is true; ishead(name) answers isHead(?name)."""
-    return [row for row in rows if _eval_expr(expr, _comparer(row[0], dictionary), ishead) is True]
+_Test = Callable[[dict[str, TermId], dict[str, bool]], bool | None]
 
 
-def _eval_expr(
-    expr: Expr,
-    compare: Callable[[Comparison], bool | None],
-    ishead: Callable[[str], bool],
-) -> bool | None:
-    """Three-valued filter logic; None means error, which drops the row."""
+def _compile(expr: Expr, keys: _Memo) -> _Test:
+    """expr as test(env, at_head): three-valued, None meaning an error, which
+    drops the row; at_head[name] answers isHead(?name)."""
     if isinstance(expr, Comparison):
-        return compare(expr)
-    # a left side that settles && or || skips the right one: False && error
-    # is False and True || error is True, so skipping changes no result
-    if isinstance(expr, And):
-        left = _eval_expr(expr.lhs, compare, ishead)
-        if left is False:
-            return False
-        right = _eval_expr(expr.rhs, compare, ishead)
-        if right is False:
-            return False
-        return None if left is None or right is None else True
-    if isinstance(expr, Or):
-        left = _eval_expr(expr.lhs, compare, ishead)
-        if left is True:
-            return True
-        right = _eval_expr(expr.rhs, compare, ishead)
-        if right is True:
-            return True
-        return None if left is None or right is None else False
+        # a variable operand reads its bound term's key; a constant's is made here
+        (a, key_a), (b, key_b) = (
+            (t.name, None) if isinstance(t, Var) else (None, value_key(t))
+            for t in (expr.lhs, expr.rhs)
+        )
+        sign = _SIGN_TESTS[expr.op]
+
+        def compare(env, at_head):
+            c = compare_keys(key_a if a is None else keys[env[a]],
+                             key_b if b is None else keys[env[b]])
+            return None if c is None else sign(c, 0)
+
+        return compare
+    if isinstance(expr, IsHead):
+        name = expr.var.name
+        return lambda env, at_head: at_head[name]
     if isinstance(expr, Not):
-        inner = _eval_expr(expr.operand, compare, ishead)
-        return None if inner is None else not inner
-    return ishead(expr.var.name)
+        inner = _compile(expr.operand, keys)
+
+        def negate(env, at_head):
+            value = inner(env, at_head)
+            return None if value is None else not value
+
+        return negate
+    left_test, right_test = _compile(expr.lhs, keys), _compile(expr.rhs, keys)
+    # the value that settles the connective: a left side that settles it skips
+    # the right one, since False && error is False and True || error is True
+    settles = isinstance(expr, Or)
+
+    def connect(env, at_head):
+        left = left_test(env, at_head)
+        if left is settles:
+            return settles
+        right = right_test(env, at_head)
+        if right is settles:
+            return settles
+        return None if left is None or right is None else not settles
+
+    return connect
+
+
+def _tests(query: Query, dictionary: Dictionary) -> list[_Test | None]:
+    """Each FILTER's test, compiled once per evaluation over one key per term
+    id; None for the other WHERE elements."""
+    keys = _Memo(lambda tid: value_key(dictionary.resolve(tid)))
+    return [_compile(e.expr, keys) if isinstance(e, Filter) else None for e in query.where]
+
+
+def _filter(rows: list[_Row], test: _Test, at_head: dict[str, bool]) -> list[_Row]:
+    """The rows on which test is true, with isHead(?name) answered by at_head."""
+    return [row for row in rows if test(row[0], at_head) is True]
 
 
 def _required_heads(expr: Expr) -> set[str]:
@@ -274,43 +282,24 @@ def _required_heads(expr: Expr) -> set[str]:
     return {expr.var.name} if isinstance(expr, IsHead) else set()
 
 
-def _extremum(values: Iterable[Term], want_max: bool) -> Term | None:
-    """MIN/MAX over distinct values; None if any pair is incomparable.
+def _extremum(texts: Iterable[str], keys: dict[str, object], want_max: bool) -> str | None:
+    """MIN/MAX over distinct values given by their texts; None if the group
+    is not comparable.
 
-    A pair may be one value twice: a numeric literal that does not parse is
-    incomparable with itself, so a group holding only it is dropped too.  The
-    all-pairs check makes the outcome independent of iteration order, so both
-    evaluators agree on which groups are dropped.  Value ties are broken by the
-    smallest term serialization.
+    It is exactly when every pair of values, a value with itself included,
+    compares: no key is None (a non-literal or a number that does not parse)
+    and the keys are all numbers or all of one non-numeric datatype.  That
+    makes the outcome independent of iteration order, so both evaluators
+    agree on which groups are dropped.  Value ties are broken by the
+    smallest text.
     """
-    vals = list(values)
-    if not vals or any(not isinstance(v, Literal) for v in vals):
+    keyed = [(keys[text], text) for text in texts]
+    kinds = {None if key is None else key[0] if key.__class__ is tuple else float
+             for key, _ in keyed}
+    if len(kinds) != 1 or None in kinds:
         return None
-    for i in range(len(vals)):
-        for j in range(i, len(vals)):
-            if compare_values(vals[i], vals[j]) is None:
-                return None
-    best = vals[0]
-    for v in vals[1:]:
-        c = compare_values(v, best)
-        if (c > 0) if want_max else (c < 0):
-            best = v
-    ties = [v for v in vals if compare_values(v, best) == 0]
-    return min(ties, key=format_term)
-
-
-class _Texts(dict):
-    """The serialization of each key's term, made once; `terms` maps it back."""
-
-    def __init__(self, make: Callable[[int], Term], terms: dict[str, Term]):
-        super().__init__()
-        self.make, self.terms = make, terms
-
-    def __missing__(self, key: int) -> str:
-        term = self.make(key)
-        text = self[key] = format_term(term)
-        self.terms[text] = term
-        return text
+    best = (max if want_max else min)(key for key, _ in keyed)
+    return min(text for key, text in keyed if key == best)
 
 
 def _finish(
@@ -338,9 +327,15 @@ def _finish(
     names = list(dict.fromkeys(
         group + [a.arg.name for a in aggs if a.func != "COUNT"] if aggs else header
     ))
-    terms: dict[str, Term] = {}
-    data = _Texts(dictionary.resolve, terms)
-    versions = _Texts(lambda seq: Iri(version_iri(seq)), terms)
+    terms: dict[str, Term] = {}  # each text the finish made -> its term
+
+    def text(term: Term) -> str:
+        out = format_term(term)
+        terms[out] = term
+        return out
+
+    data = _Memo(lambda tid: text(dictionary.resolve(tid)))
+    versions = _Memo(lambda seq: text(Iri(version_iri(seq))))
     counts: dict[tuple[str, ...], int] = {}
     for env, vsets in rows:
         mult = 1
@@ -368,7 +363,8 @@ def _finish(
                     acc[i].add(key[names.index(agg.arg.name)])
         if not groups and not group and all(a.func == "COUNT" for a in aggs):
             groups[()] = [0 for _ in aggs]
-        numbers = _Texts(lambda n: Literal(str(n), XSD_INTEGER), terms)
+        numbers = _Memo(lambda n: text(Literal(str(n), XSD_INTEGER)))
+        keys = _Memo(lambda key: value_key(terms[key]))
         counts = {}
         for key, acc in groups.items():
             cells = dict(zip(group, key))
@@ -376,10 +372,10 @@ def _finish(
                 if agg.func == "COUNT":
                     cells[agg.alias.name] = numbers[value]
                     continue
-                term = _extremum(map(terms.__getitem__, value), want_max=agg.func == "MAX")
-                if term is None:
+                best = _extremum(value, keys, want_max=agg.func == "MAX")
+                if best is None:
                     break  # the group is dropped
-                cells[agg.alias.name] = format_term(term)
+                cells[agg.alias.name] = best
             else:
                 out = tuple(map(cells.__getitem__, header))
                 counts[out] = counts.get(out, 0) + 1
@@ -397,31 +393,34 @@ def _finish(
 
 def _ann_filter(
     rows: list[_Row],
-    expr: Expr,
+    test: _Test,
+    names: list[str],
+    pushed: set[str],
     parts: Callable[[], dict[bool, VersionSet]],
-    dictionary: Dictionary,
 ) -> list[_Row]:
     """Filter annotated rows, partitioning version sets around isHead().
 
-    A row whose set mixes head and non-head versions cannot answer an
-    isHead test as a whole, so it splits into at most 2^k sub-rows, one per
-    truth assignment of the k isHead variables; parts()[flag] holds the
-    versions whose isHead is flag.  The sub-rows are disjoint, so the finish
-    sees each (binding, version) pair exactly once.
+    names are the filter's isHead variables.  A pushed one, which some
+    FILTER requires at a head, holds only heads already, so its isHead is
+    True.  A row whose set for one of the k others mixes head and non-head
+    versions cannot answer the test as a whole, so it splits into at most
+    2^k sub-rows, one per truth assignment of those variables; parts()[flag]
+    holds the versions whose isHead is flag.  The sub-rows are disjoint, so
+    the finish sees each (binding, version) pair exactly once.
     """
-    head_names = sorted(_expr_vars(expr)[1])
-    if not head_names:
-        return _filter(rows, expr, dictionary, {}.__getitem__)
-    truths = product((True, False), repeat=len(head_names))
-    assigns = [dict(zip(head_names, bits)) for bits in truths]
+    fixed = {name: True for name in names if name in pushed}
+    free = [name for name in names if name not in pushed]
+    if not free:
+        return [row for row in rows if test(row[0], fixed) is True]
+    truths = product((True, False), repeat=len(free))
+    assigns = [{**fixed, **dict(zip(free, bits))} for bits in truths]
     sides = parts()
     out: list[_Row] = []
     for env, vsets in rows:
-        compare = _comparer(env, dictionary)
         for assign in assigns:
-            if _eval_expr(expr, compare, assign.__getitem__) is not True:
+            if test(env, assign) is not True:
                 continue
-            split = {name: vsets[name].intersect(sides[flag]) for name, flag in assign.items()}
+            split = {name: vsets[name].intersect(sides[assign[name]]) for name in free}
             if all(split.values()):
                 out.append((env, {**vsets, **split}))
     return out
@@ -442,6 +441,7 @@ def eval_annotated(
     domain = head_set if version_domain == "heads" else None
     # a variable some FILTER requires at a head ranges over the heads (_required_heads)
     pushed = set().union(*(_required_heads(e.expr) for e in query.where if isinstance(e, Filter)))
+    tests = _tests(query, dictionary)
 
     def parts() -> dict[bool, VersionSet]:
         rest = set_cls.from_iterable(v for v in range(store.n_versions) if v not in heads)
@@ -454,7 +454,7 @@ def eval_annotated(
 
     main_head = dag.branches.get("main")
     rows: list[_Row] = [({}, {})]
-    for element in query.where:
+    for element, test in zip(query.where, tests):
         if not rows:
             break
         if isinstance(element, TriplePattern):
@@ -478,7 +478,7 @@ def eval_annotated(
                 if not rows:
                     break
         else:
-            rows = _ann_filter(rows, element.expr, parts, dictionary)
+            rows = _ann_filter(rows, test, sorted(_expr_vars(element.expr)[1]), pushed, parts)
     return _finish(rows, dictionary, query)
 
 
@@ -512,12 +512,14 @@ def eval_checkout(
         return g
 
     main_head = dag.branches.get("main")
+    tests = _tests(query, dictionary)
     collected: list[tuple[dict[str, TermId], dict[str, list[int]]]] = []
     for combo in product(domain, repeat=len(version_names)):
         assign = dict(zip(version_names, combo))
         members = {name: [seq] for name, seq in assign.items()}
+        at_head = {name: seq in heads for name, seq in assign.items()}
         rows: list[_Row] = [({}, {})]
-        for element in query.where:
+        for element, test in zip(query.where, tests):
             if not rows:
                 break
             if isinstance(element, TriplePattern):
@@ -532,7 +534,7 @@ def eval_checkout(
                     if not rows:
                         break
             else:
-                rows = _filter(rows, element.expr, dictionary, lambda name: assign[name] in heads)
+                rows = _filter(rows, test, at_head)
         collected.extend((env, members) for env, _ in rows)
     return _finish(collected, dictionary, query)
 

@@ -231,10 +231,37 @@ def _numeric_value(lit: Literal) -> float | None:
     return value
 
 
+# what compare_keys compares of a term: a float for a literal of one of the four
+# numeric XSD types, None for one that does not parse or for a term that is not
+# a literal, and (datatype, lex) for any other literal
+ValueKey = float | tuple[str, str] | None
+
+
+def value_key(term: Term) -> ValueKey:
+    """The term's value key; compare_values(a, b) compares a's with b's."""
+    if not isinstance(term, Literal):
+        return None
+    if term.datatype in NUMERIC_DATATYPES:
+        return _numeric_value(term)
+    return (term.datatype, term.lex)
+
+
+def compare_keys(a: ValueKey, b: ValueKey) -> int | None:
+    """-1, 0 or 1 for two value keys of one kind, else None (incomparable)."""
+    if a is None or a.__class__ is not b.__class__:
+        return None
+    if a.__class__ is tuple:
+        if a[0] != b[0]:
+            return None
+        a, b = a[1], b[1]
+    return (a > b) - (a < b)
+
+
 def compare_values(a: Literal, b: Literal) -> int | None:
     """Value comparison of two literals: -1, 0, 1, or None if incomparable.
 
-    The four numeric XSD datatypes are promoted to double and compared
+    It is compare_keys on their value keys, as in filters and MIN/MAX.  The
+    four numeric XSD datatypes are promoted to double and compared
     numerically (so "12.5"^^xsd:decimal equals "12.5"^^xsd:double, and "01"
     equals "1").  Literals whose datatypes are equal and non-numeric compare
     lexicographically by code point.  Every other pair, and any numeric
@@ -242,12 +269,4 @@ def compare_values(a: Literal, b: Literal) -> int | None:
     """
     if not isinstance(a, Literal) or not isinstance(b, Literal):
         raise TypeError("compare_values expects two Literals")
-    if a.datatype in NUMERIC_DATATYPES and b.datatype in NUMERIC_DATATYPES:
-        va = _numeric_value(a)
-        vb = _numeric_value(b)
-        if va is None or vb is None:
-            return None
-        return (va > vb) - (va < vb)
-    if a.datatype == b.datatype:
-        return (a.lex > b.lex) - (a.lex < b.lex)
-    return None
+    return compare_keys(value_key(a), value_key(b))

@@ -8,6 +8,7 @@ splitting around isHead, expansion multiplicities) must fall out of the dumb
 enumeration here, or one of them is wrong.
 """
 
+import functools
 import itertools
 import random
 
@@ -32,7 +33,7 @@ from vgstore import (
 from vgstore.dag import parse_version_iri
 from vgstore.sparql import Aggregate, And, Comparison, GraphBlock, IsHead, Not, Or, TriplePattern, Var
 from vgstore.store import TripleIndex
-from vgstore.terms import XSD_DOUBLE, XSD_INTEGER
+from vgstore.terms import XSD_DOUBLE, XSD_INTEGER, value_key
 
 from helpers import LITERAL_OBJECTS, random_query, random_repo
 
@@ -510,6 +511,30 @@ def test_aggregates_over_incomparable_values_match_the_reference(versions, group
             assert (table.header, table.rows) == expected
 
 
+# MIN/MAX candidates: numeric ties across datatypes ("1", "01", "1.0", "-0",
+# "0"), numbers that do not parse, strings, tagged strings with one lexical
+# form, a custom datatype, and an IRI
+EXTREMUM_VALUES = [
+    Literal(lex, dt)
+    for lex in ("0", "-0", "1", "01", "1.0", "2.5", "NaN", "INF", "abc")
+    for dt in (XSD_INTEGER, XSD + "decimal", XSD_DOUBLE, XSD + "float")
+] + [
+    Literal("abc"), Literal("b"), Literal("abc", lang="en"), Literal("abc", lang="fr"),
+    Literal("x", "urn:dt:custom"), Literal("y", "urn:dt:custom"), Iri(EX + "i"),
+]
+
+
+@given(st.sets(st.sampled_from(EXTREMUM_VALUES), min_size=1, max_size=6), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_one_pass_extremum_matches_the_all_pairs_definition(values, want_max):
+    from vgstore.engine import _extremum
+
+    keys = {format_term(v): value_key(v) for v in values}
+    expected = _ref_extremum(values, want_max)
+    got = _extremum(keys, keys, want_max)
+    assert got == (None if expected is None else format_term(expected))
+
+
 def test_aggregating_non_literals_drops_the_group():
     store, dag = empty_match_store()  # subject is an IRI, not a literal
     q = parse_query(f"SELECT (MIN(?s) AS ?m) WHERE {{ ?s <{EX}p> ?o }}")
@@ -754,13 +779,13 @@ def test_a_settled_left_operand_skips_the_right_one(
         f"SELECT ?v ?h WHERE {{ GRAPH ?v {{ <{EX}b1> <{EX}height> ?h }} FILTER ({condition}) }}"
     )
     calls = []
-    original = vgstore.engine.compare_values
+    original = vgstore.engine.compare_keys
 
     def counted(a, b):
         calls.append((a, b))
         return original(a, b)
 
-    monkeypatch.setattr(vgstore.engine, "compare_values", counted)
+    monkeypatch.setattr(vgstore.engine, "compare_keys", counted)
     annotated = eval_annotated(store, dag, q)
     assert len(calls) == annotated_calls
     calls.clear()
@@ -776,10 +801,10 @@ def test_a_settled_left_operand_skips_the_right_one(
 def test_a_comparison_runs_once_per_row_whatever_the_operand_order(
     monkeypatch, condition, evaluate, domain
 ):
-    """An annotated row splits into one sub-row per truth assignment of isHead,
-    and all of them share one answer per comparison.  (Over all versions the
-    checkout evaluator skips the comparison at a non-head when isHead comes
-    first, so its domain here is the heads.)"""
+    """A required isHead(?v) is True on every annotated row that reaches the
+    filter, so no row splits and each one compares once.  (Over all versions
+    the checkout evaluator skips the comparison at a non-head when isHead
+    comes first, so its domain here is the heads.)"""
     import vgstore.engine
 
     store, dag = city()
@@ -795,16 +820,107 @@ def test_a_comparison_runs_once_per_row_whatever_the_operand_order(
             return _original(rows, *args)
 
         monkeypatch.setattr(vgstore.engine, name, entering)
-    original = vgstore.engine.compare_values
+    original = vgstore.engine.compare_keys
 
     def counted(a, b):
         calls.append((a, b))
         return original(a, b)
 
-    monkeypatch.setattr(vgstore.engine, "compare_values", counted)
+    monkeypatch.setattr(vgstore.engine, "compare_keys", counted)
     assert evaluate(store, dag, q, version_domain=domain) == expected
     assert expected.rows and sum(rows_in) > 0
     assert len(calls) == sum(rows_in)
+
+
+def test_value_keys_are_made_once_per_term_id_and_constant(monkeypatch):
+    """tall-buildings: one key per distinct height and one for 100.0, in
+    each evaluation, whatever the number of rows and versions."""
+    import vgstore.engine
+    from vgstore.bench import ScenarioParams, generate
+
+    params = ScenarioParams(buildings=12, stations=3, versions=40, branch_prob=0.3, churn=0.1)
+    store, dag = generate(params, None)
+    ex = "http://ex.org/"
+    query = parse_query(
+        f"SELECT DISTINCT ?b WHERE {{ GRAPH ?v {{ ?b <{ex}height> ?h }} FILTER (?h > 100.0) }}"
+    )
+    height = store.dictionary.lookup(Iri(ex + "height"))
+    heights = {t.o for t, _ in store.match(None, height, None)}
+    expected = eval_checkout(store, dag, query)
+    made = count_calls(monkeypatch, vgstore.engine, "value_key")
+    for evaluate in BOTH:
+        made.clear()
+        assert evaluate(store, dag, query) == expected
+        assert len(made) == len(heights) + 1
+        assert set(made) == {store.dictionary.resolve(h) for h in heights} | {
+            Literal("100.0", XSD + "decimal")
+        }
+
+
+# --- random filters: both evaluators, both encodings, both domains -----------
+
+_CUSTOM = "urn:dt:custom"
+# the values ?o takes: numbers that tie, do not parse or are NaN, strings,
+# tagged strings, a custom datatype, and an IRI
+FILTER_OBJECTS = [
+    Literal("1", XSD_INTEGER), Literal("01", XSD_INTEGER), Literal("2.5", XSD + "decimal"),
+    Literal("NaN", XSD_DOUBLE), Literal("abc", XSD_INTEGER), Literal("abc"), Literal("b"),
+    Literal("abc", lang="en"), Literal("b", lang="fr"), Literal("x", _CUSTOM),
+    Literal("y", _CUSTOM), Iri(EX + "i"),
+]
+_FILTER_CONSTANTS = [format_term(o) for o in FILTER_OBJECTS if isinstance(o, Literal)] + ["1", "2.5"]
+
+
+@functools.cache
+def filter_stores():
+    """v0 holds every object; v1 (main) and v2 (side) keep different halves,
+    and v3 (main) adds some back: heads v2 and v3."""
+    out = []
+    for encoding in ("extension", "interval"):
+        store, dag = AnnotatedStore(encoding=encoding), VersionDag()
+        d = store.dictionary
+        every = [d.triple(Iri(f"{EX}s{i % 3}"), Iri(EX + "p"), o) for i, o in enumerate(FILTER_OBJECTS)]
+        store.apply_commit(dag, [], "main", Delta(frozenset(every), frozenset()))
+        store.apply_commit(dag, [0], "main", Delta(frozenset(), frozenset(every[::2])))
+        dag.create_branch("side", 0)
+        store.apply_commit(dag, [0], "side", Delta(frozenset(), frozenset(every[1::2])))
+        store.apply_commit(dag, [1], "main", Delta(frozenset(every[:4:2]), frozenset(every[1:6:2])))
+        out.append((store, dag))
+    return out
+
+
+comparisons = st.builds(
+    lambda a, op, b, swap: f"{b} {op} {a}" if swap else f"{a} {op} {b}",
+    st.sampled_from(["?o", "?s"]),
+    st.sampled_from(["<", "<=", "=", "!=", ">=", ">"]),
+    st.sampled_from(_FILTER_CONSTANTS + ["?o"]),
+    st.booleans(),
+)
+filter_exprs = st.recursive(
+    comparisons | st.just("isHead(?v)"),
+    lambda inner: st.one_of(
+        st.builds("!({})".format, inner),
+        st.builds("({} && {})".format, inner, inner),
+        st.builds("({} || {})".format, inner, inner),
+    ),
+    max_leaves=5,
+)
+
+
+@given(filter_exprs, st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_random_filters_agree_with_the_reference(expr, require_head):
+    """Either isHead(?v) is a required && operand, pushed below the join, or
+    the filter is left as drawn."""
+    if require_head:
+        expr = f"isHead(?v) && {expr}"
+    query = parse_query(f"SELECT ?v ?s ?o WHERE {{ GRAPH ?v {{ ?s <{EX}p> ?o }} FILTER ({expr}) }}")
+    for store, dag in filter_stores():
+        for domain in ("all", "heads"):
+            expected = ref_eval(store, dag, query, domain)
+            for evaluate in BOTH:
+                table = evaluate(store, dag, query, version_domain=domain)
+                assert (table.header, table.rows) == expected
 
 
 # --- isHead pushed below the join -----------------------------------------

@@ -156,6 +156,44 @@ numeric_literals = st.builds(
 )
 
 
+def _compare_parsed(a, b):
+    """compare_values as it was defined before value keys: parse per call."""
+
+    def number(lit):
+        try:
+            value = float(lit.lex)
+        except (ValueError, OverflowError):
+            return None
+        return None if value != value else value
+
+    numeric = {XSD_INTEGER, XSD_DECIMAL, XSD_DOUBLE, XSD_FLOAT}
+    if a.datatype in numeric and b.datatype in numeric:
+        va, vb = number(a), number(b)
+        if va is None or vb is None:
+            return None
+        return (va > vb) - (va < vb)
+    if a.datatype == b.datatype:
+        return (a.lex > b.lex) - (a.lex < b.lex)
+    return None
+
+
+any_literals = st.one_of(
+    plain_literals,
+    typed_literals,
+    lang_literals,
+    st.builds(
+        Literal,
+        st.sampled_from(["0", "-0", "01", "1.0", "1e3", "NaN", "inf", "-INF", "abc", ""]),
+        st.sampled_from([XSD_INTEGER, XSD_DECIMAL, XSD_DOUBLE, XSD_FLOAT, "urn:dt:custom"]),
+    ),
+)
+
+
+@given(any_literals, any_literals)
+def test_compare_values_on_keys_matches_parsing_per_call(a, b):
+    assert compare_values(a, b) == _compare_parsed(a, b)
+
+
 @given(numeric_literals, numeric_literals)
 def test_compare_antisymmetric(a, b):
     ab = compare_values(a, b)
