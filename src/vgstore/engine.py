@@ -30,25 +30,26 @@ compile time for a constant; MIN and MAX compare the same keys in one pass.
 
 Both end in one finish, _finish, on compact rows: a row's data term ids plus
 the members of each version variable (one member in a checkout).  Each data
-term and each version is serialized once, and a row's output keys are the
-tuples of texts from the product of the columns the SELECT reads (projects,
-groups, or takes the MIN or MAX of).  A version variable it does not read
-is never bound: the size of its set multiplies the count of the row's keys,
-the number of solutions each stands for.  COUNT adds those counts and a
-projection without DISTINCT repeats its row that often, while DISTINCT, MIN
-and MAX ignore them, so `SELECT DISTINCT ?b` or a COUNT per data value
-builds no version IRI at all.  Serialization is injective, so the keys
-group, dedupe and sort as the terms would; only the sorted distinct keys are
-turned back into term rows, so sorting pays per distinct row and
-serializing per distinct term.  The rows of both SolutionTables are sorted
-by the tuple of term serializations, so equal results are byte-equal after
-formatting.
+term is serialized once, each version's text is made directly from its seq,
+and a row's output keys are the tuples of texts from the product of the
+columns the SELECT reads (projects, groups, or takes the MIN or MAX of).  A
+version variable it does not read is never bound: the size of its set
+multiplies the count of the row's keys, the number of solutions each stands
+for.  COUNT adds those counts and a projection without DISTINCT repeats its
+key that often, while DISTINCT, MIN and MAX ignore them, so `SELECT DISTINCT
+?b` or a COUNT per data value builds no version IRI at all.  Serialization
+is injective, so the keys group, dedupe and sort as the terms would, and
+sorting pays per distinct row; only the sorted keys are turned back into
+term rows, and only a version that reaches a row becomes an Iri.  The table
+carries those sorted keys as its texts, which TSV formatting joins without
+serializing anything again, so equal results from both evaluators are
+byte-equal after formatting.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, product, repeat
 from typing import Callable, Iterable
 
@@ -88,8 +89,18 @@ _DOMAINS = ("all", "heads")
 
 @dataclass
 class SolutionTable:
+    """A query's header and sorted rows; texts holds each row's N-Triples
+    texts, 1:1 with rows.  The finish passes the texts it sorted on, and a
+    table built from rows alone serializes them here.  texts is left out of
+    equality and repr, and does not follow later edits to rows."""
+
     header: tuple[str, ...]
     rows: list[tuple[Term, ...]]
+    texts: list[tuple[str, ...]] | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        if self.texts is None:
+            self.texts = [tuple(map(format_term, row)) for row in self.rows]
 
 
 def _check_domain(version_domain: str) -> None:
@@ -311,7 +322,7 @@ def _finish(
 
     A row is its data ids plus the members of each version variable.  Each
     column the SELECT reads becomes a list of texts, one per data id or per
-    version, each serialized once; the product of those lists gives the
+    version, each made once; the product of those lists gives the
     row's keys.  A version variable the SELECT does not read multiplies the
     count of each key by its size.  Serializations are equal exactly when
     terms are, so keys group, dedupe, count and sort as the rows would.
@@ -327,7 +338,10 @@ def _finish(
     names = list(dict.fromkeys(
         group + [a.arg.name for a in aggs if a.func != "COUNT"] if aggs else header
     ))
-    terms: dict[str, Term] = {}  # each text the finish made -> its term
+    # each data text the finish made -> its term; a version's text is made
+    # directly (an IRI is written <text>, unescaped) and becomes an Iri here
+    # on its first read, so only the versions that reach a row build one
+    terms = _Memo(lambda out: Iri(out[1:-1]))
 
     def text(term: Term) -> str:
         out = format_term(term)
@@ -335,7 +349,7 @@ def _finish(
         return out
 
     data = _Memo(lambda tid: text(dictionary.resolve(tid)))
-    versions = _Memo(lambda seq: text(Iri(version_iri(seq))))
+    versions = _Memo(lambda seq: f"<{version_iri(seq)}>")
     counts: dict[tuple[str, ...], int] = {}
     for env, vsets in rows:
         mult = 1
@@ -380,12 +394,12 @@ def _finish(
                 out = tuple(map(cells.__getitem__, header))
                 counts[out] = counts.get(out, 0) + 1
     ordered = sorted(counts)
+    if not select.distinct and sum(counts.values()) > len(ordered):
+        ordered = list(chain.from_iterable(map(repeat, ordered, map(counts.__getitem__, ordered))))
     # zip builds the row tuples column by column, cheaper than a tuple() per row
     table = list(zip(*(map(terms.__getitem__, map(operator.itemgetter(i), ordered))
                        for i in range(len(header)))))
-    if not select.distinct and sum(counts.values()) > len(table):
-        table = list(chain.from_iterable(map(repeat, table, map(counts.__getitem__, ordered))))
-    return SolutionTable(header, table)
+    return SolutionTable(header, table, ordered)
 
 
 # --- annotated evaluation ------------------------------------------------
@@ -543,11 +557,13 @@ def eval_checkout(
 
 
 def format_results(table: SolutionTable, fmt: str = "tsv") -> str:
-    """Render a table as TSV (N-Triples terms) or CSV (lexical forms)."""
+    """Render a table as TSV (N-Triples terms) or CSV (lexical forms).
+
+    TSV joins the table's texts, serializing no term; CSV reads its rows.
+    """
     if fmt == "tsv":
         lines = ["\t".join(f"?{name}" for name in table.header)]
-        for row in table.rows:
-            lines.append("\t".join(map(format_term, row)))
+        lines.extend(map("\t".join, table.texts))
         return "\n".join(lines) + "\n"
     if fmt == "csv":
         import csv

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from vgstore import (
     AnnotatedStore,
+    BlankNode,
     Delta,
     Iri,
     Literal,
@@ -30,6 +31,7 @@ from vgstore import (
     parse_query,
     version_iri,
 )
+from vgstore.bench import ENCODING_NAMES, QUERIES, ScenarioParams, generate
 from vgstore.dag import parse_version_iri
 from vgstore.sparql import Aggregate, And, Comparison, GraphBlock, IsHead, Not, Or, TriplePattern, Var
 from vgstore.store import TripleIndex
@@ -655,6 +657,70 @@ def test_format_results_rejects_unknown_format():
         format_results(SolutionTable(("v",), []), "xml")
 
 
+def test_a_table_s_texts_take_no_part_in_equality_or_repr():
+    row = (Iri("urn:vg:version:3"), Literal("2", XSD_INTEGER))
+    table = SolutionTable(("v", "n"), [row])
+    assert table.texts == [("<urn:vg:version:3>", f'"2"^^<{XSD_INTEGER}>')]
+    other = SolutionTable(("v", "n"), [row], [("<urn:other>", '"x"')])
+    assert table == other
+    assert repr(table) == repr(other) == f"SolutionTable(header=('v', 'n'), rows=[{row!r}])"
+
+
+def assert_texts_are_the_rows_serialized(table: SolutionTable) -> None:
+    """The finish's texts are its rows' serializations, and formatting the
+    table equals formatting a table built from its rows alone."""
+    assert table.texts == [tuple(map(format_term, r)) for r in table.rows]
+    rebuilt = SolutionTable(table.header, table.rows)
+    for fmt in ("tsv", "csv"):
+        assert format_results(table, fmt) == format_results(rebuilt, fmt)
+
+
+@pytest.fixture(scope="module")
+def branchy_stores():
+    """A small branching history with churn, generated in each encoding."""
+    params = ScenarioParams(buildings=30, stations=6, versions=24,
+                            branch_prob=0.3, churn=0.1, seed=7)
+    return [generate(params, None, encoding) for encoding in ENCODING_NAMES]
+
+
+@pytest.mark.parametrize("qid", sorted(QUERIES))
+def test_the_finish_s_texts_format_as_its_rows_on_the_bench_queries(branchy_stores, qid):
+    text, domain = QUERIES[qid]
+    q = parse_query(text)
+    for store, dag in branchy_stores:
+        for evaluate in BOTH:
+            table = evaluate(store, dag, q, version_domain=domain)
+            assert table.rows
+            assert_texts_are_the_rows_serialized(table)
+
+
+def test_the_finish_s_texts_format_as_its_rows_on_repeats_counts_and_escapes():
+    store, dag = city()
+    where = f"WHERE {{ GRAPH ?v {{ ?st <{EX}accessible> ?a }} }}"
+    cases = [
+        # the unread ?v repeats (st1, true), which holds in v0 and v2
+        (f"SELECT ?st ?a {where}", 3),
+        (f"SELECT ?a (COUNT(?st) AS ?n) {where} GROUP BY ?a", 2),
+    ]
+    for text, n_rows in cases:
+        for evaluate in BOTH:
+            table = evaluate(store, dag, parse_query(text))
+            assert len(table.rows) == n_rows, text
+            assert_texts_are_the_rows_serialized(table)
+    # a blank node, a language-tagged literal and a literal with escapes
+    store, dag = AnnotatedStore(), VersionDag()
+    d = store.dictionary
+    p = Iri(EX + "p")
+    objects = [BlankNode("b1"), Literal("gare", lang="fr"), Literal('a "q"\tb\\c\nd')]
+    added = frozenset(d.triple(Iri(f"{EX}s{i}"), p, o) for i, o in enumerate(objects))
+    store.apply_commit(dag, [], "main", Delta(added, frozenset()))
+    q = parse_query(f"SELECT ?v ?s ?o WHERE {{ GRAPH ?v {{ ?s <{EX}p> ?o }} }}")
+    for evaluate in BOTH:
+        table = evaluate(store, dag, q)
+        assert {row[2] for row in table.rows} == set(objects)
+        assert_texts_are_the_rows_serialized(table)
+
+
 # --- multiplicity of an unread version variable ---------------------------
 
 
@@ -754,8 +820,11 @@ def test_sorting_and_formatting_20000_rows_serializes_each_term_once(monkeypatch
     serialized = count_calls(monkeypatch, vgstore.terms, "term_text")
     text = format_results(eval_annotated(store, dag, q))
     assert text.count("\n") == 1 + 20_000
-    versions = 100 if "?v" in select else 0
-    assert len(serialized) == len(set(serialized)) == versions + 200 + 10
+    # the 200 subjects and 10 objects; a version's text is made without term_text
+    assert len(serialized) == len(set(serialized)) == 200 + 10
+    if "?v" in select:
+        column = {line.split("\t")[0] for line in text.splitlines()[1:]}
+        assert column == {f"<urn:vg:version:{v}>" for v in range(100)}
 
 
 @pytest.mark.parametrize(
