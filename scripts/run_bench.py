@@ -4,6 +4,8 @@
 The branching scenario exercises merges and lingering branch heads; the
 linear scenario is sized so long version runs show off the interval
 encoding.  Full rows go to one CSV; the console gets the headline ratios.
+A scenario's directory under --outdir is reused when it holds exactly that
+scenario, and refused with StateError when it holds anything else.
 """
 
 import argparse
@@ -54,9 +56,8 @@ def main() -> int:
     all_rows = []
     for name, params in SCENARIOS.items():
         repo = outdir / name
-        if not (repo / "manifest.json").exists():
-            print(f"generating {name} (seed {params.seed}, {params.versions} versions) ...")
-            generate(params, repo)
+        print(f"generating {name} (seed {params.seed}, {params.versions} versions) ...")
+        generate(params, repo)
         rows = run(repo, runs=args.runs)
         all_rows.extend(rows)
         summarize(name, rows)

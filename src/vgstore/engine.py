@@ -3,11 +3,12 @@
 eval_annotated answers a query for every version in one pass: each partial
 solution carries, per version variable, the set of versions it still holds
 in.  Joining two patterns intersects those sets; an empty intersection kills
-the row.  When a FILTER's top-level && operands include isHead(?v), the head
-set is ?v's domain from the pattern that introduces ?v on, so a row that
-holds at no head dies in the join instead of reaching the filter, where
-its isHead is True.  isHead under || or ! is left to the filter, which
-splits a row's sets into their head and non-head parts.
+the row.  When a FILTER's top-level && operands include isHead(?v), ?v
+ranges over the head set from the pattern that introduces it on, so a row
+that holds at no head dies in the join instead of reaching the filter,
+where its isHead is True.  The heads domain is that same push-down applied
+to every version variable.  Otherwise isHead under || or ! is left to the
+filter, which splits a row's sets into their head and non-head parts.
 
 eval_checkout is the baseline with identical semantics by construction: it
 materializes every candidate version, evaluates the query with the version
@@ -184,15 +185,15 @@ def _at_version(seq: int) -> _Combine:
     return lambda ann, vset: ann if vset.contains(seq) else None
 
 
-def _over_var(name: str, domain: VersionSet | None) -> _Combine:
-    """A version variable narrows to the triple's versions, within the domain."""
+def _over_var(name: str, within: VersionSet | None) -> _Combine:
+    """A version variable narrows to the triple's versions, within `within`."""
 
     def combine(ann: dict[str, object], vset: VersionSet) -> dict[str, object] | None:
         previous = ann.get(name)
         if previous is not None:
             vset = previous.intersect(vset)
-        elif domain is not None:
-            vset = vset.intersect(domain)
+        elif within is not None:
+            vset = vset.intersect(within)
         return {**ann, name: vset} if vset else None
 
     return combine
@@ -414,13 +415,14 @@ def _ann_filter(
 ) -> list[_Row]:
     """Filter annotated rows, partitioning version sets around isHead().
 
-    names are the filter's isHead variables.  A pushed one, which some
-    FILTER requires at a head, holds only heads already, so its isHead is
-    True.  A row whose set for one of the k others mixes head and non-head
-    versions cannot answer the test as a whole, so it splits into at most
-    2^k sub-rows, one per truth assignment of those variables; parts()[flag]
-    holds the versions whose isHead is flag.  The sub-rows are disjoint, so
-    the finish sees each (binding, version) pair exactly once.
+    names are the filter's isHead variables.  A pushed one, which a FILTER
+    requires at a head or the heads domain ranges over the heads, holds
+    only heads already, so its isHead is True.  A row whose set for one of
+    the k others mixes head and non-head versions cannot answer the test as
+    a whole, so it splits into at most 2^k sub-rows, one per truth
+    assignment of those variables; parts()[flag] holds the versions whose
+    isHead is flag.  The sub-rows are disjoint, so the finish sees each
+    (binding, version) pair exactly once.
     """
     fixed = {name: True for name in names if name in pushed}
     free = [name for name in names if name not in pushed]
@@ -452,9 +454,12 @@ def eval_annotated(
     heads = dag.heads()
     set_cls = set_class(store.encoding)
     head_set = set_cls.from_iterable(heads)
-    domain = head_set if version_domain == "heads" else None
-    # a variable some FILTER requires at a head ranges over the heads (_required_heads)
-    pushed = set().union(*(_required_heads(e.expr) for e in query.where if isinstance(e, Filter)))
+    # a variable some FILTER requires at a head ranges over the heads
+    # (_required_heads), as does every version variable in the heads domain
+    if version_domain == "heads":
+        pushed = query.version_vars()
+    else:
+        pushed = set().union(*(_required_heads(e.expr) for e in query.where if isinstance(e, Filter)))
     tests = _tests(query, dictionary)
 
     def parts() -> dict[bool, VersionSet]:
@@ -478,9 +483,9 @@ def eval_annotated(
                 match, combine = at(_graph_version(element, store.n_versions))
             else:
                 name = element.name.name
-                within = head_set if name in pushed else domain
+                within = head_set if name in pushed else None
                 if not element.patterns:
-                    # an empty GRAPH ?v {} block ranges ?v over the whole domain
+                    # an empty GRAPH ?v {} block ranges ?v over every version or the heads
                     if within is None:
                         within = set_cls.from_iterable(range(store.n_versions))
                     widen = _over_var(name, None)

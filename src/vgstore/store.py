@@ -11,13 +11,14 @@ the store.  The first read after commits writes the open runs up to the last
 version, under a lock so that concurrent readers do it once.
 
 Applying a commit also records the version's delta against the union of its
-parents, which a save writes.  The content of the version applied last is
-the keys of the open runs, so a commit whose only parent is that version
-looks up each triple of its delta there and costs O(|delta|).  Every other
-branch head keeps a frozen snapshot, taken when it stops being the version
-applied last, so a commit on it costs time in proportion to its content and
-not to the whole store.  A parent without a snapshot, such as an old version
-a new branch starts from, is rebuilt by scanning the store.
+parents, which a save writes, by one rule over the parents' content.  The
+content of the version applied last is the keys of the open runs, so a
+commit whose only parent is that version looks up each triple of its delta
+there, costs O(|delta|), and changes the open runs by its recorded delta.
+Every other branch head keeps a frozen snapshot, taken when it stops being
+the version applied last, so a commit on it costs time in proportion to its
+content and not to the whole store.  A parent without a snapshot, such as an
+old version a new branch starts from, is rebuilt by scanning the store.
 
 Only apply_commit changes what the store holds; a read only writes out the
 runs it left open and builds the permutations it reads.  replay, the one way
@@ -227,19 +228,17 @@ class AnnotatedStore:
         for p in parents:
             self._check_version(p)
         last, open_ = self._n_versions - 1, self._open
-        if len(parents) == 1 and parents[0] == last:
-            # the parent's content is the keys of _open, and difference()
-            # with a dict probes it once per element: O(|delta|)
-            spurious = delta.removals.difference(open_)
-            leaving = delta.removals - spurious
-            arriving = delta.additions.difference(open_)
-            recorded = Delta(arriving, leaving)
+        on_last = len(parents) == 1 and parents[0] == last
+        # the parents' content; that of the version applied last is the keys
+        # of _open, which difference() probes once per element: O(|delta|)
+        content = open_ if on_last else set().union(*map(self.materialize, parents))
+        spurious = delta.removals.difference(content)
+        recorded = Delta(delta.additions.difference(content), delta.removals - spurious)
+        if on_last:
+            leaving, arriving = recorded.removals, recorded.additions
         else:
-            parent_union = set().union(*map(self.materialize, parents))
-            spurious = delta.removals - parent_union
-            present = (parent_union - delta.removals) | delta.additions
+            present = (content - delta.removals) | delta.additions
             leaving, arriving = open_.keys() - present, present.difference(open_)
-            recorded = Delta(delta.additions - parent_union, delta.removals & parent_union)
         if spurious:
             if strict:
                 sample = next(iter(spurious))

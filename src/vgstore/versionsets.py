@@ -9,7 +9,9 @@ safely.  Appending a range past the last member is a list extend for an
 extension and one run merge or append for intervals.  An intersection costs
 the smaller operand: an extension hashes the smaller member list and only
 reads the larger one, and each run of the smaller interval list bisects into
-the larger one.
+the larger one.  union is the one method the base class holds for both
+encodings: it rebuilds the members of both operands through the receiver's
+from_iterable, which writes them in that encoding's normal form.
 
 scalar_cost is the stored footprint of a set: the member count for an extension,
 twice the run count for intervals.  It is the quantity the benchmark compares
@@ -18,7 +20,6 @@ across encodings.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from bisect import bisect_left, bisect_right
 from operator import itemgetter
 from typing import Iterable, Iterator
@@ -26,35 +27,15 @@ from typing import Iterable, Iterator
 _HI = itemgetter(1)
 
 
-class VersionSet(ABC):
-    """Common interface over the two encodings."""
+class VersionSet:
+    """What the encodings share: the set protocol and one union.  Each
+    encoding defines the rest in its own class."""
 
     encoding: str
 
-    @classmethod
-    @abstractmethod
-    def from_iterable(cls, members: Iterable[int]) -> "VersionSet": ...
-
-    @abstractmethod
-    def contains(self, v: int) -> bool: ...
-
-    @abstractmethod
-    def insert(self, lo: int, hi: int | None = None) -> None: ...
-
-    @abstractmethod
-    def intersect(self, other: "VersionSet") -> "VersionSet": ...
-
-    @abstractmethod
-    def union(self, other: "VersionSet") -> "VersionSet": ...
-
-    @abstractmethod
-    def iterate(self) -> Iterator[int]: ...
-
-    @abstractmethod
-    def cardinality(self) -> int: ...
-
-    @abstractmethod
-    def scalar_cost(self) -> int: ...
+    def union(self, other: "VersionSet") -> "VersionSet":
+        """The members of either set, in this set's encoding."""
+        return self.from_iterable([*self, *other])
 
     def __contains__(self, v: int) -> bool:
         return self.contains(v)
@@ -102,11 +83,6 @@ class ExtensionSet(VersionSet):
         out = ExtensionSet()
         out._members = sorted(set(small).intersection(large))
         return out
-
-    def union(self, other: VersionSet) -> "ExtensionSet":
-        if not isinstance(other, ExtensionSet):
-            other = ExtensionSet.from_iterable(other)
-        return ExtensionSet.from_iterable(self._members + other._members)
 
     def iterate(self) -> Iterator[int]:
         return iter(self._members)
@@ -191,18 +167,6 @@ class IntervalSet(VersionSet):
                 start, end = large[j]
                 out.append([lo if lo > start else start, hi if hi < end else end])
                 j += 1
-        return IntervalSet._from_runs(out)
-
-    def union(self, other: VersionSet) -> "IntervalSet":
-        if not isinstance(other, IntervalSet):
-            other = IntervalSet.from_iterable(other)
-        merged = sorted(self._runs + other._runs)
-        out: list[list[int]] = []
-        for lo, hi in merged:
-            if out and lo <= out[-1][1] + 1:  # overlap or adjacency coalesces
-                out[-1][1] = max(out[-1][1], hi)
-            else:
-                out.append([lo, hi])
         return IntervalSet._from_runs(out)
 
     def iterate(self) -> Iterator[int]:

@@ -1106,3 +1106,48 @@ def test_only_rows_alive_at_a_head_reach_the_ishead_filter(monkeypatch, encoding
     assert sorted((env["b"], env["h"]) for env, _ in reaching) == sorted(at_heads)
     for _, vsets in reaching:
         assert vsets["v"] and set(vsets["v"]) <= heads
+
+
+_HEADS_DOMAIN_SPLITS = {
+    "inaccessible-or-old": (
+        "SELECT ?v ?st WHERE { GRAPH ?v { ?st <http://ex.org/accessible> ?a } "
+        "FILTER (!(?a = true) || !isHead(?v)) }"
+    ),
+    "head-or-tall": (
+        "SELECT ?v ?b WHERE { GRAPH ?v { ?b <http://ex.org/height> ?h } "
+        "FILTER (isHead(?v) || ?h > 100.0) }"
+    ),
+    "not-head-or-short": (
+        "SELECT ?v ?b ?h WHERE { GRAPH ?v { ?b <http://ex.org/height> ?h } "
+        "FILTER (!isHead(?v) || ?h < 50.0) }"
+    ),
+}
+
+
+@pytest.mark.parametrize("qid", sorted(_HEADS_DOMAIN_SPLITS))
+@pytest.mark.parametrize("encoding", ["extension", "interval"])
+def test_the_heads_domain_builds_only_the_head_set(monkeypatch, encoding, qid):
+    """In the heads domain every version variable ranges over the heads, so
+    an isHead under || or ! splits no row and the non-head set is never
+    built: one from_iterable per evaluation, the head set's."""
+    from vgstore.versionsets import set_class
+
+    params = ScenarioParams(buildings=12, stations=6, versions=40, branch_prob=0.3, churn=0.2)
+    store, dag = generate(params, None, encoding=encoding)
+    assert len(dag.heads()) > 1
+    query = parse_query(_HEADS_DOMAIN_SPLITS[qid])
+    expected = eval_checkout(store, dag, query, version_domain="heads")
+    assert expected.rows
+
+    cls = set_class(encoding)
+    original = cls.__dict__["from_iterable"].__func__
+    built = []
+
+    def counting(klass, members):
+        out = original(klass, members)
+        built.append(out)
+        return out
+
+    monkeypatch.setattr(cls, "from_iterable", classmethod(counting))
+    assert eval_annotated(store, dag, query, version_domain="heads") == expected
+    assert [set(b) for b in built] == [dag.heads()]

@@ -96,6 +96,14 @@ def test_union_matches_oracle(cls_a, cls_b, a, b):
     got = cls_a.from_iterable(a).union(cls_b.from_iterable(b))
     assert isinstance(got, cls_a)
     assert list(got) == sorted(a | b)
+    assert got == cls_a.from_iterable(a | b)
+
+
+@pytest.mark.parametrize("cls", [ExtensionSet, IntervalSet])
+def test_each_encoding_defines_its_traced_methods_itself(cls):
+    """The benchmark's tracer wraps these through each class's own __dict__."""
+    for name in ("contains", "insert", "from_iterable", "intersect"):
+        assert name in cls.__dict__, name
 
 
 @given(encodings, members)
