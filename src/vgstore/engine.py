@@ -3,12 +3,7 @@
 eval_annotated answers a query for every version in one pass: each partial
 solution carries, per version variable, the set of versions it still holds
 in.  Joining two patterns intersects those sets; an empty intersection kills
-the row.  When a FILTER's top-level && operands include isHead(?v), ?v
-ranges over the head set from the pattern that introduces it on, so a row
-that holds at no head dies in the join instead of reaching the filter,
-where its isHead is True.  The heads domain is that same push-down applied
-to every version variable.  Otherwise isHead under || or ! is left to the
-filter, which splits a row's sets into their head and non-head parts.
+the row.
 
 eval_checkout is the baseline with identical semantics by construction: it
 materializes every candidate version, evaluates the query with the version
@@ -24,33 +19,51 @@ version variable, and no change at all in a checkout.  Every row at one step
 binds the same variables, so _join plans a pattern once: each slot probes
 with a constant or a bound variable, binds a new one, or repeats a new one.
 
-Each FILTER is compiled once per evaluation into a tree of closures with
-three-valued logic.  A comparison reads each operand's value key
-(terms.value_key), made at most once per term id per evaluation, or at
-compile time for a constant; MIN and MAX compare the same keys in one pass.
+One rule, _place, decides where each top-level && operand of a FILTER is
+tested, once and never later than its FILTER.  An operand without isHead
+goes to the earliest join step after which all of its variables are bound,
+where it is tested on each candidate's bindings before the candidate's
+version set is intersected.  An operand that reads only version variables
+is decided once per version assignment, before any join, in a checkout;
+the annotated evaluator turns a bare isHead(?v) into a restriction of ?v to
+the heads from the pattern that introduces it on, which is what the heads
+domain applies to every version variable.  Every other operand (an isHead
+under || or ! beside data) stays at its FILTER, where the annotated
+evaluator splits a row's sets into their head and non-head parts.
+
+Each test is a tree of closures with three-valued logic.  A comparison reads
+each operand's value key (terms.value_key); a constant's is made when the
+query is compiled, and MIN and MAX compare the same keys in one pass.
 
 Both end in one finish, _finish, on compact rows: a row's data term ids plus
-the members of each version variable (one member in a checkout).  Each data
-term is serialized once, each version's text is made directly from its seq,
-and a row's output keys are the tuples of texts from the product of the
-columns the SELECT reads (projects, groups, or takes the MIN or MAX of).  A
-version variable it does not read is never bound: the size of its set
-multiplies the count of the row's keys, the number of solutions each stands
-for.  COUNT adds those counts and a projection without DISTINCT repeats its
-key that often, while DISTINCT, MIN and MAX ignore them, so `SELECT DISTINCT
-?b` or a COUNT per data value builds no version IRI at all.  Serialization
-is injective, so the keys group, dedupe and sort as the terms would, and
+the members of each version variable (one member in a checkout).  A row's
+output keys are the tuples of texts from the product of the columns the
+SELECT reads (projects, groups, or takes the MIN or MAX of).  A version
+variable it does not read is never bound: the size of its set multiplies
+the count of the row's keys, the number of solutions each stands for.  COUNT
+adds those counts and a projection without DISTINCT repeats its key that
+often, while DISTINCT, MIN and MAX ignore them, so `SELECT DISTINCT ?b` or a
+COUNT per data value reads no version text at all.  Serialization is
+injective, so the keys group, dedupe and sort as the terms would, and
 sorting pays per distinct row; only the sorted keys are turned back into
-term rows, and only a version that reaches a row becomes an Iri.  The table
-carries those sorted keys as its texts, which TSV formatting joins without
-serializing anything again, so equal results from both evaluators are
-byte-equal after formatting.
+term rows.  The table carries those sorted keys as its texts, which TSV
+formatting joins without serializing anything again, so equal results from
+both evaluators are byte-equal after formatting.
+
+The per-term constants (each term id's value key and text, each version's
+text and Iri, each text's term) are made once per Dictionary, on first read,
+and kept as long as the dictionary lives (_Constants).  A term id's meaning
+never changes, so they are never invalidated; two readers filling one entry
+at once make equal values.  The head and non-head version sets are kept
+likewise for the last dag state (heads, version count) seen per encoding.
 """
 
 from __future__ import annotations
 
 import operator
+import weakref
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import chain, product, repeat
 from typing import Callable, Iterable
 
@@ -71,6 +84,7 @@ from .sparql import (
     TriplePattern,
     Var,
     _expr_vars,
+    _pattern_vars,
 )
 from .store import AnnotatedStore, TripleIndex
 from .versionsets import VersionSet, set_class
@@ -125,14 +139,17 @@ def _join(
     dictionary: Dictionary,
     match: Callable,
     combine: _Combine,
+    check: _Test | None = None,
 ) -> list[_Row]:
     """Extend each row by every triple `match` finds for the pattern.
 
     Every row binds the same variables, so the plan is made once, from the
     first row: a slot probes with a constant or a bound variable's id, binds
     a new variable, or must equal the earlier slot that binds its variable.
-    combine(annotation, leaf) gives the extended row's version annotation,
-    or None when the matched triple holds in none of the row's versions.
+    check, the FILTER operands placed at this step, must be True on the
+    candidate's bindings; it runs before combine(annotation, leaf), which
+    gives the extended row's version annotation, or None when the matched
+    triple holds in none of the row's versions.
     """
     slots = (pattern.s, pattern.p, pattern.o)
     # the constants' ids, None at the variables; a constant never interned matches nothing
@@ -162,16 +179,23 @@ def _join(
         for triple, leaf in match(*probe):
             if same and any(triple[i] != triple[j] for i, j in same):
                 continue
-            new_ann = combine(ann, leaf)
-            if new_ann is None:
-                continue
+            if check is None:
+                new_ann = combine(ann, leaf)
+                if new_ann is None:
+                    continue
+            extended = env
             if new:
                 extended = env.copy()
                 for name, i in new:
                     extended[name] = triple[i]
-                out.append((extended, new_ann))
-            else:
-                out.append((env, new_ann))
+            if check is not None:
+                # the bindings come first here, so a failed test skips combine
+                if check(extended, None) is not True:
+                    continue
+                new_ann = combine(ann, leaf)
+                if new_ann is None:
+                    continue
+            out.append((extended, new_ann))
     return out
 
 
@@ -222,7 +246,64 @@ class _Memo(dict):
         return value
 
 
-_Test = Callable[[dict[str, TermId], dict[str, bool]], bool | None]
+class _Constants:
+    """One dictionary's evaluation constants, each made on its first read.
+
+    keys: term id -> value key; texts: term id -> N-Triples text; versions:
+    seq -> its IRI's text, made directly (an IRI is written <text>,
+    unescaped); numbers: a COUNT -> its literal's text; terms: every text
+    made here -> its term, which turns sorted keys back into rows; and
+    text_keys: text -> value key, for MIN and MAX.  The dictionary is held
+    weakly, so that it can be the key of _CONSTANTS.
+    """
+
+    def __init__(self, dictionary: Dictionary):
+        resolve = weakref.WeakMethod(dictionary.resolve)
+        self.terms: dict[str, Term] = {}
+        self.keys = _Memo(lambda tid: value_key(resolve()(tid)))
+        self.texts = _Memo(lambda tid: self._text(resolve()(tid)))
+        self.versions = _Memo(self._version)
+        self.numbers = _Memo(lambda n: self._text(Literal(str(n), XSD_INTEGER)))
+        self.text_keys = _Memo(lambda text: value_key(self.terms[text]))
+        self._sides: dict[type, tuple[tuple[frozenset[int], int], _Memo]] = {}
+
+    def _text(self, term: Term) -> str:
+        out = format_term(term)
+        self.terms[out] = term
+        return out
+
+    def _version(self, seq: int) -> str:
+        iri = version_iri(seq)
+        out = f"<{iri}>"
+        self.terms[out] = Iri(iri)
+        return out
+
+    def sides(self, set_cls: type, heads: set[int], n_versions: int) -> _Memo:
+        """{True: the head set, False: every other version} in set_cls, each
+        built on its first read and kept until the dag state changes."""
+        state = (frozenset(heads), n_versions)
+        kept = self._sides.get(set_cls)
+        if kept is not None and kept[0] == state:
+            return kept[1]
+        heads = state[0]
+        sides = _Memo(lambda at_head: set_cls.from_iterable(
+            heads if at_head else (v for v in range(n_versions) if v not in heads)))
+        self._sides[set_cls] = (state, sides)
+        return sides
+
+
+_CONSTANTS: weakref.WeakKeyDictionary[Dictionary, _Constants] = weakref.WeakKeyDictionary()
+
+
+def _constants(dictionary: Dictionary) -> _Constants:
+    """The dictionary's constants; term ids are never reused, so they never go stale."""
+    memo = _CONSTANTS.get(dictionary)
+    if memo is None:
+        memo = _CONSTANTS.setdefault(dictionary, _Constants(dictionary))
+    return memo
+
+
+_Test = Callable[[dict[str, TermId], dict[str, bool] | None], bool | None]
 
 
 def _compile(expr: Expr, keys: _Memo) -> _Test:
@@ -270,28 +351,72 @@ def _compile(expr: Expr, keys: _Memo) -> _Test:
     return connect
 
 
-def _tests(query: Query, dictionary: Dictionary) -> list[_Test | None]:
-    """Each FILTER's test, compiled once per evaluation over one key per term
-    id; None for the other WHERE elements."""
-    keys = _Memo(lambda tid: value_key(dictionary.resolve(tid)))
-    return [_compile(e.expr, keys) if isinstance(e, Filter) else None for e in query.where]
+def _conjoin(operands: list[Expr], keys: _Memo) -> _Test | None:
+    """The test of the && of operands, in order; None for no operands."""
+    return _compile(reduce(And, operands), keys) if operands else None
+
+
+def _conjuncts(expr: Expr) -> list[Expr]:
+    """expr's top-level && operands, left to right."""
+    if isinstance(expr, And):
+        return _conjuncts(expr.lhs) + _conjuncts(expr.rhs)
+    return [expr]
+
+
+def _place(
+    query: Query, per_assignment: bool
+) -> tuple[list[list[list[Expr]]], set[str], list[Expr]]:
+    """Where each FILTER's top-level && operands are tested, each once.
+
+    An operand without isHead goes to the earliest join step before its
+    FILTER after which all of its variables are bound (every row at a step
+    binds the same ones).  An operand that reads only version variables is
+    decided once per version assignment when per_assignment (a checkout);
+    otherwise a bare isHead(?v) ranges ?v over the heads from the pattern
+    that introduces it on.  Any other operand stays at its FILTER.
+
+    Returns (placed, heads, per_version): placed[i] is one list of operands
+    per join step of WHERE element i (one for a pattern, one per pattern of
+    a GRAPH block), or for a FILTER the one list left to it; heads holds the
+    variables of the bare isHead operands, per_version the operands decided
+    per assignment.
+    """
+    placed: list[list[list[Expr]]] = []
+    steps: list[tuple[list[Expr], set[str]]] = []  # (its operands, variables bound after it)
+    heads: set[str] = set()
+    per_version: list[Expr] = []
+    bound: set[str] = set()
+    for element in query.where:
+        if isinstance(element, Filter):
+            left = []
+            for operand in _conjuncts(element.expr):
+                data, versions = _expr_vars(operand)
+                if not versions:
+                    step = next((ops for ops, after in steps if data <= after), None)
+                    if step is not None:
+                        step.append(operand)
+                        continue
+                elif not data and per_assignment:
+                    per_version.append(operand)
+                    continue
+                elif isinstance(operand, IsHead):
+                    heads.add(operand.var.name)
+                    continue
+                left.append(operand)
+            placed.append([left])
+            continue
+        patterns = element.patterns if isinstance(element, GraphBlock) else (element,)
+        placed.append([])
+        for pattern in patterns:
+            bound = bound | _pattern_vars(pattern)
+            steps.append(([], bound))
+            placed[-1].append(steps[-1][0])
+    return placed, heads, per_version
 
 
 def _filter(rows: list[_Row], test: _Test, at_head: dict[str, bool]) -> list[_Row]:
     """The rows on which test is true, with isHead(?name) answered by at_head."""
     return [row for row in rows if test(row[0], at_head) is True]
-
-
-def _required_heads(expr: Expr) -> set[str]:
-    """The variables of the isHead tests among expr's top-level && operands.
-
-    The filter is false on a row where such a test is false, so those
-    variables can range over the heads from where they are introduced on.
-    An isHead under || or ! is not required.
-    """
-    if isinstance(expr, And):
-        return _required_heads(expr.lhs) | _required_heads(expr.rhs)
-    return {expr.var.name} if isinstance(expr, IsHead) else set()
 
 
 def _extremum(texts: Iterable[str], keys: dict[str, object], want_max: bool) -> str | None:
@@ -323,9 +448,9 @@ def _finish(
 
     A row is its data ids plus the members of each version variable.  Each
     column the SELECT reads becomes a list of texts, one per data id or per
-    version, each made once; the product of those lists gives the
-    row's keys.  A version variable the SELECT does not read multiplies the
-    count of each key by its size.  Serializations are equal exactly when
+    version, each made once per dictionary; the product of those lists gives
+    the row's keys.  A version variable the SELECT does not read multiplies
+    the count of each key by its size.  Serializations are equal exactly when
     terms are, so keys group, dedupe, count and sort as the rows would.
     """
     select = query.select
@@ -339,18 +464,8 @@ def _finish(
     names = list(dict.fromkeys(
         group + [a.arg.name for a in aggs if a.func != "COUNT"] if aggs else header
     ))
-    # each data text the finish made -> its term; a version's text is made
-    # directly (an IRI is written <text>, unescaped) and becomes an Iri here
-    # on its first read, so only the versions that reach a row build one
-    terms = _Memo(lambda out: Iri(out[1:-1]))
-
-    def text(term: Term) -> str:
-        out = format_term(term)
-        terms[out] = term
-        return out
-
-    data = _Memo(lambda tid: text(dictionary.resolve(tid)))
-    versions = _Memo(lambda seq: f"<{version_iri(seq)}>")
+    memo = _constants(dictionary)
+    data, versions, terms = memo.texts, memo.versions, memo.terms
     counts: dict[tuple[str, ...], int] = {}
     for env, vsets in rows:
         mult = 1
@@ -378,16 +493,14 @@ def _finish(
                     acc[i].add(key[names.index(agg.arg.name)])
         if not groups and not group and all(a.func == "COUNT" for a in aggs):
             groups[()] = [0 for _ in aggs]
-        numbers = _Memo(lambda n: text(Literal(str(n), XSD_INTEGER)))
-        keys = _Memo(lambda key: value_key(terms[key]))
         counts = {}
         for key, acc in groups.items():
             cells = dict(zip(group, key))
             for agg, value in zip(aggs, acc):
                 if agg.func == "COUNT":
-                    cells[agg.alias.name] = numbers[value]
+                    cells[agg.alias.name] = memo.numbers[value]
                     continue
-                best = _extremum(value, keys, want_max=agg.func == "MAX")
+                best = _extremum(value, memo.text_keys, want_max=agg.func == "MAX")
                 if best is None:
                     break  # the group is dropped
                 cells[agg.alias.name] = best
@@ -408,29 +521,30 @@ def _finish(
 
 def _ann_filter(
     rows: list[_Row],
-    test: _Test,
-    names: list[str],
+    operands: list[Expr],
+    keys: _Memo,
     pushed: set[str],
-    parts: Callable[[], dict[bool, VersionSet]],
+    sides: dict[bool, VersionSet],
 ) -> list[_Row]:
-    """Filter annotated rows, partitioning version sets around isHead().
+    """Filter annotated rows on the operands left to a FILTER, partitioning
+    version sets around isHead().
 
-    names are the filter's isHead variables.  A pushed one, which a FILTER
-    requires at a head or the heads domain ranges over the heads, holds
-    only heads already, so its isHead is True.  A row whose set for one of
-    the k others mixes head and non-head versions cannot answer the test as
-    a whole, so it splits into at most 2^k sub-rows, one per truth
-    assignment of those variables; parts()[flag] holds the versions whose
-    isHead is flag.  The sub-rows are disjoint, so the finish sees each
-    (binding, version) pair exactly once.
+    A pushed isHead variable, which a bare isHead operand or the heads
+    domain ranges over the heads, holds only heads already, so its isHead is
+    True.  A row whose set for one of the k others mixes head and non-head
+    versions cannot answer the test as a whole, so it splits into at most
+    2^k sub-rows, one per truth assignment of those variables; sides[flag]
+    holds the versions whose isHead is flag.  The sub-rows are disjoint, so
+    the finish sees each (binding, version) pair exactly once.
     """
+    test = _conjoin(operands, keys)
+    names = sorted(set().union(*(_expr_vars(operand)[1] for operand in operands)))
     fixed = {name: True for name in names if name in pushed}
     free = [name for name in names if name not in pushed]
     if not free:
         return [row for row in rows if test(row[0], fixed) is True]
     truths = product((True, False), repeat=len(free))
     assigns = [{**fixed, **dict(zip(free, bits))} for bits in truths]
-    sides = parts()
     out: list[_Row] = []
     for env, vsets in rows:
         for assign in assigns:
@@ -451,20 +565,14 @@ def eval_annotated(
     """Evaluate over version-annotated triples without materializing versions."""
     _check_domain(version_domain)
     dictionary = store.dictionary
-    heads = dag.heads()
+    memo = _constants(dictionary)
+    keys = memo.keys
     set_cls = set_class(store.encoding)
-    head_set = set_cls.from_iterable(heads)
-    # a variable some FILTER requires at a head ranges over the heads
-    # (_required_heads), as does every version variable in the heads domain
-    if version_domain == "heads":
-        pushed = query.version_vars()
-    else:
-        pushed = set().union(*(_required_heads(e.expr) for e in query.where if isinstance(e, Filter)))
-    tests = _tests(query, dictionary)
-
-    def parts() -> dict[bool, VersionSet]:
-        rest = set_cls.from_iterable(v for v in range(store.n_versions) if v not in heads)
-        return {True: head_set, False: rest}
+    sides = memo.sides(set_cls, dag.heads(), store.n_versions)
+    placed, required, _ = _place(query, per_assignment=False)
+    # a bare isHead(?v) operand ranges ?v over the heads, and the heads domain
+    # ranges every version variable over them
+    pushed = query.version_vars() if version_domain == "heads" else required
 
     def at(seq: int | None) -> tuple[Callable, _Combine]:
         if seq is None:
@@ -473,17 +581,17 @@ def eval_annotated(
 
     main_head = dag.branches.get("main")
     rows: list[_Row] = [({}, {})]
-    for element, test in zip(query.where, tests):
+    for element, operands in zip(query.where, placed):
         if not rows:
             break
         if isinstance(element, TriplePattern):
-            rows = _join(rows, element, dictionary, *at(main_head))
+            rows = _join(rows, element, dictionary, *at(main_head), _conjoin(operands[0], keys))
         elif isinstance(element, GraphBlock):
             if not isinstance(element.name, Var):
                 match, combine = at(_graph_version(element, store.n_versions))
             else:
                 name = element.name.name
-                within = head_set if name in pushed else None
+                within = sides[True] if name in pushed else None
                 if not element.patterns:
                     # an empty GRAPH ?v {} block ranges ?v over every version or the heads
                     if within is None:
@@ -492,12 +600,12 @@ def eval_annotated(
                     rows = [(env, a) for env, ann in rows if (a := widen(ann, within)) is not None]
                     continue
                 match, combine = store.match, _over_var(name, within)
-            for pattern in element.patterns:
-                rows = _join(rows, pattern, dictionary, match, combine)
+            for pattern, step in zip(element.patterns, operands):
+                rows = _join(rows, pattern, dictionary, match, combine, _conjoin(step, keys))
                 if not rows:
                     break
-        else:
-            rows = _ann_filter(rows, test, sorted(_expr_vars(element.expr)[1]), pushed, parts)
+        elif operands[0]:
+            rows = _ann_filter(rows, operands[0], keys, pushed, sides)
     return _finish(rows, dictionary, query)
 
 
@@ -517,6 +625,7 @@ def eval_checkout(
     """
     _check_domain(version_domain)
     dictionary = store.dictionary
+    keys = _constants(dictionary).keys
     heads = dag.heads()
     domain = sorted(heads) if version_domain == "heads" else list(range(store.n_versions))
     version_names = sorted(query.version_vars())
@@ -531,29 +640,34 @@ def eval_checkout(
         return g
 
     main_head = dag.branches.get("main")
-    tests = _tests(query, dictionary)
+    placed, _, per_version = _place(query, per_assignment=True)
+    decide = _conjoin(per_version, keys)
+    tests = [[_conjoin(step, keys) for step in operands] for operands in placed]
     collected: list[tuple[dict[str, TermId], dict[str, list[int]]]] = []
     for combo in product(domain, repeat=len(version_names)):
         assign = dict(zip(version_names, combo))
-        members = {name: [seq] for name, seq in assign.items()}
         at_head = {name: seq in heads for name, seq in assign.items()}
+        if decide is not None and decide({}, at_head) is not True:
+            continue
+        members = {name: [seq] for name, seq in assign.items()}
         rows: list[_Row] = [({}, {})]
-        for element, test in zip(query.where, tests):
+        for element, checks in zip(query.where, tests):
             if not rows:
                 break
             if isinstance(element, TriplePattern):
-                rows = _join(rows, element, dictionary, graph_at(main_head).match, _keep)
+                match = graph_at(main_head).match
+                rows = _join(rows, element, dictionary, match, _keep, checks[0])
             elif isinstance(element, GraphBlock):
                 if isinstance(element.name, Var):
                     g = graph_at(assign[element.name.name])
                 else:
                     g = graph_at(_graph_version(element, store.n_versions))
-                for pattern in element.patterns:
-                    rows = _join(rows, pattern, dictionary, g.match, _keep)
+                for pattern, check in zip(element.patterns, checks):
+                    rows = _join(rows, pattern, dictionary, g.match, _keep, check)
                     if not rows:
                         break
-            else:
-                rows = _filter(rows, test, at_head)
+            elif checks[0] is not None:
+                rows = _filter(rows, checks[0], at_head)
         collected.extend((env, members) for env, _ in rows)
     return _finish(collected, dictionary, query)
 

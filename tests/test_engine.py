@@ -9,8 +9,11 @@ enumeration here, or one of them is wrong.
 """
 
 import functools
+import gc
 import itertools
 import random
+import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -831,8 +834,10 @@ def test_sorting_and_formatting_20000_rows_serializes_each_term_once(monkeypatch
     "condition,annotated_calls,checkout_calls",
     [
         # rows: 10.5 in versions 0 and 1, 12.0 in version 2, the only head;
-        # a required isHead leaves the 10.5 row out before the filter
-        ("isHead(?v) && ?h > 11.0", 1, 1),
+        # ?h > 11.0 is tested on both candidate triples before a bare isHead
+        # ranges ?v over the heads, and a checkout decides isHead(?v) before
+        # it joins, so only version 2 compares
+        ("isHead(?v) && ?h > 11.0", 2, 1),
         ("!isHead(?v) && ?h > 11.0", 2, 2),
         ("?h < 0 && ?h > 1", 2, 3),
         ("?h > 0 || ?h < 1", 2, 3),
@@ -865,15 +870,16 @@ def test_a_settled_left_operand_skips_the_right_one(
 @pytest.mark.parametrize("condition", ["?h > 11.0 && isHead(?v)", "isHead(?v) && ?h > 11.0"])
 @pytest.mark.parametrize(
     "evaluate,domain",
-    [(eval_annotated, "all"), (eval_annotated, "heads"), (eval_checkout, "heads")],
+    [(eval_annotated, "all"), (eval_annotated, "heads"),
+     (eval_checkout, "all"), (eval_checkout, "heads")],
 )
 def test_a_comparison_runs_once_per_row_whatever_the_operand_order(
     monkeypatch, condition, evaluate, domain
 ):
-    """A required isHead(?v) is True on every annotated row that reaches the
-    filter, so no row splits and each one compares once.  (Over all versions
-    the checkout evaluator skips the comparison at a non-head when isHead
-    comes first, so its domain here is the heads.)"""
+    """?h > 11.0 is tested in the join step that binds ?h, once per candidate
+    triple, whatever the operand order: on every height triple of the store
+    in the annotated evaluator, and on each head's height triples in a
+    checkout, which decides isHead(?v) before it joins."""
     import vgstore.engine
 
     store, dag = city()
@@ -881,14 +887,12 @@ def test_a_comparison_runs_once_per_row_whatever_the_operand_order(
         f"SELECT ?v ?b ?h WHERE {{ GRAPH ?v {{ ?b <{EX}height> ?h }} FILTER ({condition}) }}"
     )
     expected = eval_checkout(store, dag, q, version_domain=domain)
-    rows_in, calls = [], []
-    for name in ("_filter", "_ann_filter"):
-
-        def entering(rows, *args, _original=getattr(vgstore.engine, name)):
-            rows_in.append(len(rows))
-            return _original(rows, *args)
-
-        monkeypatch.setattr(vgstore.engine, name, entering)
+    height = store.dictionary.lookup(Iri(EX + "height"))
+    if evaluate is eval_annotated:
+        candidates = len(list(store.match(None, height, None)))
+    else:
+        candidates = sum(t.p == height for v in dag.heads() for t in store.materialize(v))
+    calls = []
     original = vgstore.engine.compare_keys
 
     def counted(a, b):
@@ -897,13 +901,14 @@ def test_a_comparison_runs_once_per_row_whatever_the_operand_order(
 
     monkeypatch.setattr(vgstore.engine, "compare_keys", counted)
     assert evaluate(store, dag, q, version_domain=domain) == expected
-    assert expected.rows and sum(rows_in) > 0
-    assert len(calls) == sum(rows_in)
+    assert expected.rows and candidates > 0
+    assert len(calls) == candidates
 
 
 def test_value_keys_are_made_once_per_term_id_and_constant(monkeypatch):
-    """tall-buildings: one key per distinct height and one for 100.0, in
-    each evaluation, whatever the number of rows and versions."""
+    """tall-buildings: one key per distinct height per dictionary, whatever
+    the number of rows, versions, evaluations and evaluators, and one for
+    100.0 per evaluation, made when the query is compiled."""
     import vgstore.engine
     from vgstore.bench import ScenarioParams, generate
 
@@ -914,16 +919,14 @@ def test_value_keys_are_made_once_per_term_id_and_constant(monkeypatch):
         f"SELECT DISTINCT ?b WHERE {{ GRAPH ?v {{ ?b <{ex}height> ?h }} FILTER (?h > 100.0) }}"
     )
     height = store.dictionary.lookup(Iri(ex + "height"))
-    heights = {t.o for t, _ in store.match(None, height, None)}
-    expected = eval_checkout(store, dag, query)
+    heights = [store.dictionary.resolve(t.o) for t, _ in store.match(None, height, None)]
+    constant = Literal("100.0", XSD + "decimal")
     made = count_calls(monkeypatch, vgstore.engine, "value_key")
-    for evaluate in BOTH:
-        made.clear()
-        assert evaluate(store, dag, query) == expected
-        assert len(made) == len(heights) + 1
-        assert set(made) == {store.dictionary.resolve(h) for h in heights} | {
-            Literal("100.0", XSD + "decimal")
-        }
+    tables = [evaluate(store, dag, query) for _ in range(3) for evaluate in BOTH]
+    assert all(table == tables[0] for table in tables) and tables[0].rows
+    assert sorted(made, key=format_term) == sorted(
+        list(dict.fromkeys(heights)) + [constant] * len(tables), key=format_term
+    )
 
 
 # --- random filters: both evaluators, both encodings, both domains -----------
@@ -958,32 +961,58 @@ def filter_stores():
     return out
 
 
-comparisons = st.builds(
-    lambda a, op, b, swap: f"{b} {op} {a}" if swap else f"{a} {op} {b}",
-    st.sampled_from(["?o", "?s"]),
-    st.sampled_from(["<", "<=", "=", "!=", ">=", ">"]),
-    st.sampled_from(_FILTER_CONSTANTS + ["?o"]),
-    st.booleans(),
-)
-filter_exprs = st.recursive(
-    comparisons | st.just("isHead(?v)"),
-    lambda inner: st.one_of(
-        st.builds("!({})".format, inner),
-        st.builds("({} && {})".format, inner, inner),
-        st.builds("({} || {})".format, inner, inner),
+_P = f"<{EX}p>"
+# shape -> (WHERE before the FILTER, WHERE after it, its data variables, its
+# version variables); the FILTER reads only what the part before it binds,
+# and its operands read variables bound at different join steps
+FILTER_SHAPES = {
+    "one-pattern": (f"GRAPH ?v {{ ?s {_P} ?o }}", "", ["?s", "?o"], ["?v"]),
+    "two-patterns": (f"GRAPH ?v {{ ?s {_P} ?o . ?s {_P} ?x }}", "", ["?s", "?o", "?x"], ["?v"]),
+    "main-first": (f"?s {_P} ?x GRAPH ?v {{ ?s {_P} ?o }}", "", ["?s", "?o", "?x"], ["?v"]),
+    "two-blocks": (
+        f"GRAPH ?v {{ ?s {_P} ?o }} GRAPH ?w {{ ?s {_P} ?x }}", "", ["?s", "?o", "?x"], ["?v", "?w"]
     ),
-    max_leaves=5,
-)
+    "block-after": (f"GRAPH ?v {{ ?s {_P} ?o }}", f"GRAPH ?w {{ ?s {_P} ?x }}", ["?s", "?o"], ["?v"]),
+}
 
 
-@given(filter_exprs, st.booleans())
-@settings(max_examples=200, deadline=None)
-def test_random_filters_agree_with_the_reference(expr, require_head):
-    """Either isHead(?v) is a required && operand, pushed below the join, or
-    the filter is left as drawn."""
-    if require_head:
-        expr = f"isHead(?v) && {expr}"
-    query = parse_query(f"SELECT ?v ?s ?o WHERE {{ GRAPH ?v {{ ?s <{EX}p> ?o }} FILTER ({expr}) }}")
+@st.composite
+def filter_queries(draw):
+    """A query of one shape whose FILTER is drawn over the shape's variables,
+    with or without a bare isHead operand in front."""
+    before, after, data, versions = FILTER_SHAPES[draw(st.sampled_from(sorted(FILTER_SHAPES)))]
+    comparisons = st.builds(
+        lambda a, op, b, swap: f"{b} {op} {a}" if swap else f"{a} {op} {b}",
+        st.sampled_from(data),
+        st.sampled_from(["<", "<=", "=", "!=", ">=", ">"]),
+        st.sampled_from(_FILTER_CONSTANTS + data),
+        st.booleans(),
+    )
+    leaves = comparisons | st.sampled_from([f"isHead({v})" for v in versions])
+    expr = draw(st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.builds("!({})".format, inner),
+            st.builds("({} && {})".format, inner, inner),
+            st.builds("({} || {})".format, inner, inner),
+        ),
+        max_leaves=5,
+    ))
+    required = draw(st.sampled_from([None, *versions]))
+    if required:
+        expr = f"isHead({required}) && {expr}"
+    select = " ".join(dict.fromkeys(re.findall(r"\?\w+", before + after)))
+    return f"SELECT {select} WHERE {{ {before} FILTER ({expr}) {after} }}"
+
+
+@given(filter_queries())
+@settings(max_examples=300, deadline=None)
+def test_random_filters_agree_with_the_reference(text):
+    """Each operand is tested where _place puts it: a bare isHead ranges its
+    variable over the heads, an operand without isHead runs in the join step
+    that binds its last variable, and the rest stay at the FILTER.  An
+    operand tested before its variables are bound, or lost, shows here."""
+    query = parse_query(text)
     for store, dag in filter_stores():
         for domain in ("all", "heads"):
             expected = ref_eval(store, dag, query, domain)
@@ -1038,19 +1067,26 @@ PUSHED = {"head-and-x": "v", "x-and-head": "v", "nested-and": "v", "empty-block"
 
 @pytest.mark.parametrize("qid", sorted(PUSHDOWN_QUERIES))
 def test_ishead_push_down_keeps_the_checkout_result(monkeypatch, qid):
-    """Rows that reach the filter hold the required variable at heads only."""
+    """Rows that leave a join or reach the finish, in either evaluator, hold
+    the required variable at heads only."""
     import vgstore.engine
 
     query = parse_query(PUSHDOWN_QUERIES[qid])
     reaching = []
-    original = vgstore.engine._ann_filter
+    original_join, original_finish = vgstore.engine._join, vgstore.engine._finish
 
-    def entering(rows, *args):
+    def joining(*args):
+        out = original_join(*args)
+        reaching.extend(out)
+        return out
+
+    def finishing(rows, *args):
         reaching.extend(rows)
-        return original(rows, *args)
+        return original_finish(rows, *args)
 
-    monkeypatch.setattr(vgstore.engine, "_ann_filter", entering)
-    seen_rows = 0
+    monkeypatch.setattr(vgstore.engine, "_join", joining)
+    monkeypatch.setattr(vgstore.engine, "_finish", finishing)
+    seen_rows = pushed_rows = 0
     for seed in range(6):
         for encoding in ("extension", "interval"):
             store, dag = random_repo(random.Random(seed), encoding=encoding, max_versions=9)
@@ -1061,17 +1097,24 @@ def test_ishead_push_down_keeps_the_checkout_result(monkeypatch, qid):
                 assert expected.rows == ref_eval(store, dag, query, domain)[1]
                 seen_rows += len(expected.rows)
                 if qid in PUSHED:
-                    assert all(set(vsets[PUSHED[qid]]) <= dag.heads() for _, vsets in reaching)
+                    held = [vsets[PUSHED[qid]] for _, vsets in reaching if PUSHED[qid] in vsets]
+                    assert all(set(vset) <= dag.heads() for vset in held)
+                    pushed_rows += len(held)
     assert seen_rows > 0
+    assert pushed_rows > 0 or qid not in PUSHED
 
 
 @pytest.mark.parametrize("encoding", ["extension", "interval"])
 def test_only_rows_alive_at_a_head_reach_the_ishead_filter(monkeypatch, encoding):
-    """tall-at-heads: with isHead(?v) required, ?v ranges over the heads from
-    its first pattern on, so a (building, height) row that holds at no head
-    never reaches the filter."""
+    """tall-at-heads: the bare isHead(?v) ranges ?v over the heads from its
+    first pattern on, and ?h > 100.0 is tested in the second pattern's join
+    before its intersection.  So the rows leaving the join are exactly the
+    (building, height) pairs held at a head with a height over 100, the
+    second pattern intersects once per candidate that passes the test, and
+    nothing is left to the filter."""
     import vgstore.engine
     from vgstore.bench import ScenarioParams, generate
+    from vgstore.versionsets import set_class
 
     params = ScenarioParams(buildings=12, stations=3, versions=40, branch_prob=0.3, churn=0.1)
     store, dag = generate(params, None, encoding=encoding)
@@ -1080,32 +1123,54 @@ def test_only_rows_alive_at_a_head_reach_the_ishead_filter(monkeypatch, encoding
         f"SELECT ?v ?b ?h WHERE {{ GRAPH ?v {{ ?b <{rdf}type> <{ex}Building> . "
         f"?b <{ex}height> ?h }} FILTER (isHead(?v) && ?h > 100.0) }}"
     )
+    d = store.dictionary
+    height = d.lookup(Iri(ex + "height"))
     heads = dag.heads()
-    reaching = []
-    original = vgstore.engine._ann_filter
+    expected = eval_checkout(store, dag, query)
+    joins, intersections, filtered = [], [], []
+    original_join, original_filter = vgstore.engine._join, vgstore.engine._ann_filter
 
-    def entering(rows, *args):
-        reaching.extend(rows)
-        return original(rows, *args)
+    def joining(*args):
+        intersections.append(0)
+        out = original_join(*args)
+        joins.append(out)
+        return out
 
-    monkeypatch.setattr(vgstore.engine, "_ann_filter", entering)
-    assert eval_annotated(store, dag, query) == eval_checkout(store, dag, query)
+    cls = set_class(encoding)
+    original_intersect = cls.__dict__["intersect"]
+
+    def intersect(self, other):
+        intersections[-1] += 1
+        return original_intersect(self, other)
+
+    monkeypatch.setattr(vgstore.engine, "_join", joining)
+    monkeypatch.setattr(vgstore.engine, "_ann_filter", lambda *args: filtered.append(args))
+    monkeypatch.setattr(cls, "intersect", intersect)
+    assert eval_annotated(store, dag, query) == expected
+    assert len(joins) == 2 and filtered == []
 
     def pairs(versions):
         """(building, height) id pairs held, with the building's type, at some version."""
         out = set()
         for v in versions:
             graph = store.materialize(v)
-            typed = {t.s for t in graph if store.dictionary.resolve(t.o) == Iri(ex + "Building")}
-            out |= {(t.s, t.o) for t in graph
-                    if t.s in typed and store.dictionary.resolve(t.p) == Iri(ex + "height")}
+            typed = {t.s for t in graph if d.resolve(t.o) == Iri(ex + "Building")}
+            out |= {(t.s, t.o) for t in graph if t.s in typed and t.p == height}
         return out
+
+    def tall(pair):
+        return float(d.resolve(pair[1]).lex) > 100.0
 
     at_heads = pairs(heads)
     assert len(at_heads) < len(pairs(range(store.n_versions)))
-    assert sorted((env["b"], env["h"]) for env, _ in reaching) == sorted(at_heads)
-    for _, vsets in reaching:
+    assert {pair for pair in at_heads if tall(pair)} < at_heads
+    leaving = sorted((env["b"], env["h"]) for env, _ in joins[-1])
+    assert leaving == sorted(pair for pair in at_heads if tall(pair))
+    for _, vsets in joins[-1]:
         assert vsets["v"] and set(vsets["v"]) <= heads
+    passing = [(env["b"], t.o) for env, _ in joins[0]
+               for t, _ in store.match(env["b"], height, None) if tall((env["b"], t.o))]
+    assert intersections[1] == len(passing) < sum(1 for _ in store.match(None, height, None))
 
 
 _HEADS_DOMAIN_SPLITS = {
@@ -1151,3 +1216,137 @@ def test_the_heads_domain_builds_only_the_head_set(monkeypatch, encoding, qid):
     monkeypatch.setattr(cls, "from_iterable", classmethod(counting))
     assert eval_annotated(store, dag, query, version_domain="heads") == expected
     assert [set(b) for b in built] == [dag.heads()]
+
+
+def test_the_non_head_set_is_built_once_per_dag_state(monkeypatch):
+    """head-or-x splits rows around isHead(?v) in the all domain: the head
+    and non-head sets are built on the first evaluation and kept, until a
+    commit changes the heads and the version count."""
+    from vgstore.versionsets import set_class
+
+    store, dag = random_repo(random.Random(3), encoding="extension", max_versions=9)
+    query = parse_query(PUSHDOWN_QUERIES["head-or-x"])
+    cls = set_class("extension")
+    original = cls.__dict__["from_iterable"].__func__
+    built = []
+
+    def counting(klass, members):
+        out = original(klass, members)
+        built.append(set(out))
+        return out
+
+    monkeypatch.setattr(cls, "from_iterable", classmethod(counting))
+
+    def non_head():
+        return set(range(store.n_versions)) - dag.heads()
+
+    for _ in range(2):
+        assert eval_annotated(store, dag, query) == eval_checkout(store, dag, query)
+    assert non_head() and built.count(non_head()) == 1
+    assert built.count(dag.heads()) == 1
+    head = dag.branch_head("main")
+    filler = store.dictionary.triple(Iri(EX + "new"), Iri(EX + "p"), Literal("7", XSD_INTEGER))
+    store.apply_commit(dag, [head], "main", Delta(frozenset({filler}), frozenset()))
+    built.clear()
+    for _ in range(2):
+        assert eval_annotated(store, dag, query) == eval_checkout(store, dag, query)
+    assert built.count(non_head()) == 1
+
+
+# --- the per-dictionary constants -----------------------------------------
+
+
+def test_a_term_committed_after_a_query_is_keyed_by_the_next_one():
+    """A term and a version that the dictionary's constants have not seen
+    yet get their key, text and Iri on the next query."""
+    store, dag = city()
+    queries = [parse_query(text) for text in (
+        f"SELECT ?v ?h WHERE {{ GRAPH ?v {{ ?b <{EX}height> ?h }} FILTER (?h > 11.0) }}",
+        f"SELECT ?v (MAX(?h) AS ?m) WHERE {{ GRAPH ?v {{ ?b <{EX}height> ?h }} }} GROUP BY ?v",
+    )]
+    before = [eval_annotated(store, dag, q) for q in queries]
+    assert before == [eval_checkout(store, dag, q) for q in queries]
+    tall = Literal("99.5", XSD + "decimal")
+    added = store.dictionary.triple(Iri(EX + "b2"), Iri(EX + "height"), tall)
+    store.apply_commit(dag, [2], "main", Delta(frozenset({added}), frozenset()))
+    after = [eval_annotated(store, dag, q) for q in queries]
+    assert after == [eval_checkout(store, dag, q) for q in queries]
+    v3 = Iri(version_iri(3))
+    assert after[0].rows == before[0].rows + [(v3, Literal("12.0", XSD + "decimal")), (v3, tall)]
+    assert after[1].rows[-1] == (v3, tall)
+    for table in after:
+        assert_texts_are_the_rows_serialized(table)
+
+
+@pytest.mark.parametrize("encoding", ["extension", "interval"])
+def test_queries_after_a_repack_equal_the_checkout(encoding):
+    """repack keeps the dictionary and renumbers the versions: the kept
+    constants stay right, and the kept version sets follow the new heads."""
+    from vgstore.store import repack
+
+    params = ScenarioParams(buildings=12, stations=6, versions=30, branch_prob=0.3, churn=0.2)
+    store, dag = generate(params, None, encoding=encoding)
+    queries = [*QUERIES.values(), *((text, "all") for text in _HEADS_DOMAIN_SPLITS.values()),
+               *((text, "heads") for text in _HEADS_DOMAIN_SPLITS.values())]
+    parsed = [(parse_query(text), domain) for text, domain in queries]
+    for query, domain in parsed:
+        eval_annotated(store, dag, query, version_domain=domain)
+    heads = dag.heads()
+    mapping = repack(dag, store)
+    assert {mapping[v] for v in heads} == dag.heads() != heads
+    for query, domain in parsed:
+        expected = eval_checkout(store, dag, query, version_domain=domain)
+        assert eval_annotated(store, dag, query, version_domain=domain) == expected
+        assert expected.rows
+
+
+def test_eight_threads_evaluating_one_query_on_one_store_return_equal_tables():
+    """The threads fill one dictionary's constants and version sets at once;
+    a race makes an equal value twice, never a wrong one."""
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
+    params = ScenarioParams(buildings=30, stations=6, versions=40, branch_prob=0.3, churn=0.1)
+    store, dag = generate(params, None)
+    query = parse_query(
+        "SELECT ?v ?b (MAX(?h) AS ?m) WHERE { GRAPH ?v { ?b <http://ex.org/height> ?h } "
+        "FILTER (?h > 100.0 || !isHead(?v)) } GROUP BY ?v ?b"
+    )
+    start = threading.Barrier(8, timeout=60)
+
+    def evaluate(_):
+        start.wait()
+        return eval_annotated(store, dag, query)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads often, inside the fills
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            tables = list(pool.map(evaluate, range(8), timeout=120))
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(tables) == 8
+    expected = eval_checkout(store, dag, query)
+    assert expected.rows
+    for table in tables:
+        assert table == expected and table.texts == expected.texts
+
+
+def test_a_dictionary_s_constants_do_not_keep_it_alive():
+    """The constants are kept per dictionary, not for good: a store that is
+    dropped after a query frees its dictionary and its constants."""
+    import weakref
+
+    import vgstore.engine
+
+    store, dag = city()
+    q = parse_query(
+        f"SELECT ?v (MAX(?h) AS ?m) WHERE {{ GRAPH ?v {{ ?b <{EX}height> ?h }} "
+        f"FILTER (?h > 1 || !isHead(?v)) }} GROUP BY ?v"
+    )
+    assert eval_annotated(store, dag, q).rows
+    dictionary = weakref.ref(store.dictionary)
+    constants = weakref.ref(vgstore.engine._CONSTANTS[store.dictionary])
+    del store
+    gc.collect()
+    assert dictionary() is None and constants() is None
