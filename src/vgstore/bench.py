@@ -151,7 +151,7 @@ def _value_slots(triples: set[Triple], d: Dictionary) -> list[tuple[int, int]]:
     """
     preds = (d.lookup(Iri(EX + "height")), d.lookup(Iri(EX + "accessible")))
     keys = {t[:2] for t in triples if t.p in preds}
-    return sorted(keys, key=lambda k: (d.resolve(k[0]).nt, d.resolve(k[1]).nt))
+    return sorted(keys, key=lambda k: (d.text(k[0]), d.text(k[1])))
 
 
 def _churn_delta(
@@ -184,7 +184,7 @@ def _churn_delta(
     if len(pick) < len(values):  # some slot holds several values
         for t in values:
             kept = pick[t[:2]]
-            if kept is not t and d.resolve(t.o).nt < d.resolve(kept.o).nt:
+            if kept is not t and d.text(t.o) < d.text(kept.o):
                 pick[t[:2]] = t
     eligible = [pick[slot] for slot in slots]
     edits = min(math.ceil(params.churn * len(graph)), len(eligible))

@@ -25,7 +25,7 @@ from .dag import Provenance, VersionDag, version_iri
 from .engine import eval_annotated, eval_checkout, format_results
 from .errors import QueryError, RepositoryError, StateError, VgError
 from .ntriples import BlankScope, serialize_ntriples
-from .repo import MANIFEST_NAME, load_repository, parse_patch, save_repository
+from .repo import MANIFEST_NAME, _format_timestamp, load_repository, parse_patch, save_repository
 from .sparql import parse_query
 from .store import EMPTY_DELTA, AnnotatedStore
 from .versionsets import ENCODINGS
@@ -230,7 +230,7 @@ def _cmd_log(args) -> int:
             f"branch:   {meta.branch}",
             f"parents:  {' '.join(version_iri(p) for p in meta.parents) or '(root)'}",
             f"author:   {meta.author}",
-            f"date:     {meta.timestamp.isoformat().replace('+00:00', 'Z')}",
+            f"date:     {_format_timestamp(meta.timestamp)}",
         ]
         if meta.provenance.code_ref:
             lines.append(f"code-ref: {meta.provenance.code_ref}")

@@ -50,12 +50,13 @@ term rows.  The table carries those sorted keys as its texts, which TSV
 formatting joins without serializing anything again, so equal results from
 both evaluators are byte-equal after formatting.
 
-The per-term constants (each term id's value key and text, each version's
-text and Iri, each text's term) are made once per Dictionary, on first read,
-and kept as long as the dictionary lives (_Constants).  A term id's meaning
-never changes, so they are never invalidated; two readers filling one entry
-at once make equal values.  The head and non-head version sets are kept
-likewise for the last dag state (heads, version count) seen per encoding.
+A data term's text is the Dictionary's.  The other per-term constants (each
+term id's value key, each version's and COUNT's text and term) are made once
+per Dictionary, on first read, and kept while the dictionary lives
+(_Constants).  A term id's meaning never changes, so they are never
+invalidated; two readers filling one entry at once make equal values.  The
+head, non-head and every-version sets are kept likewise for the last dag
+state (heads, version count) seen per encoding.
 """
 
 from __future__ import annotations
@@ -179,23 +180,17 @@ def _join(
         for triple, leaf in match(*probe):
             if same and any(triple[i] != triple[j] for i, j in same):
                 continue
-            if check is None:
-                new_ann = combine(ann, leaf)
-                if new_ann is None:
-                    continue
             extended = env
             if new:
                 extended = env.copy()
                 for name, i in new:
                     extended[name] = triple[i]
-            if check is not None:
-                # the bindings come first here, so a failed test skips combine
-                if check(extended, None) is not True:
-                    continue
-                new_ann = combine(ann, leaf)
-                if new_ann is None:
-                    continue
-            out.append((extended, new_ann))
+            # the bindings come first, so a failed test skips combine
+            if check is not None and check(extended, None) is not True:
+                continue
+            new_ann = combine(ann, leaf)
+            if new_ann is not None:
+                out.append((extended, new_ann))
     return out
 
 
@@ -249,45 +244,51 @@ class _Memo(dict):
 class _Constants:
     """One dictionary's evaluation constants, each made on its first read.
 
-    keys: term id -> value key; texts: term id -> N-Triples text; versions:
-    seq -> its IRI's text, made directly (an IRI is written <text>,
-    unescaped); numbers: a COUNT -> its literal's text; terms: every text
-    made here -> its term, which turns sorted keys back into rows; and
-    text_keys: text -> value key, for MIN and MAX.  The dictionary is held
-    weakly, so that it can be the key of _CONSTANTS.
+    keys: term id -> value key; versions: seq -> its IRI's text, made
+    directly (an IRI is written <text>, unescaped); numbers: a COUNT -> its
+    literal's text; made: each text made here -> its term; and text_keys:
+    text -> value key, for MIN and MAX.  They read the dictionary's term list
+    and text map, never the dictionary itself, so that it can be the key of
+    _CONSTANTS.
     """
 
     def __init__(self, dictionary: Dictionary):
-        resolve = weakref.WeakMethod(dictionary.resolve)
-        self.terms: dict[str, Term] = {}
-        self.keys = _Memo(lambda tid: value_key(resolve()(tid)))
-        self.texts = _Memo(lambda tid: self._text(resolve()(tid)))
+        self._by_id, self._by_text = dictionary._by_id, dictionary._by_text
+        self.made: dict[str, Term] = {}
+        self.keys = _Memo(lambda tid: value_key(self._by_id[tid]))
         self.versions = _Memo(self._version)
-        self.numbers = _Memo(lambda n: self._text(Literal(str(n), XSD_INTEGER)))
-        self.text_keys = _Memo(lambda text: value_key(self.terms[text]))
+        self.numbers = _Memo(self._number)
+        self.text_keys = _Memo(lambda text: value_key(next(self.terms([text], text in self.made))))
         self._sides: dict[type, tuple[tuple[frozenset[int], int], _Memo]] = {}
 
-    def _text(self, term: Term) -> str:
-        out = format_term(term)
-        self.terms[out] = term
-        return out
+    def terms(self, texts: Iterable[str], made: bool) -> Iterable[Term]:
+        """The terms some texts spell: texts made here if made, else the dictionary's."""
+        if made:
+            return map(self.made.__getitem__, texts)
+        return map(self._by_id.__getitem__, map(self._by_text.__getitem__, texts))
 
     def _version(self, seq: int) -> str:
         iri = version_iri(seq)
-        out = f"<{iri}>"
-        self.terms[out] = Iri(iri)
+        self.made[f"<{iri}>"] = Iri(iri)
+        return f"<{iri}>"
+
+    def _number(self, n: int) -> str:
+        term = Literal(str(n), XSD_INTEGER)
+        out = format_term(term)
+        self.made[out] = term
         return out
 
     def sides(self, set_cls: type, heads: set[int], n_versions: int) -> _Memo:
-        """{True: the head set, False: every other version} in set_cls, each
-        built on its first read and kept until the dag state changes."""
+        """{True: the head set, False: every other version, None: every version}
+        in set_cls, each built on first read and kept until the dag state changes."""
         state = (frozenset(heads), n_versions)
         kept = self._sides.get(set_cls)
         if kept is not None and kept[0] == state:
             return kept[1]
         heads = state[0]
         sides = _Memo(lambda at_head: set_cls.from_iterable(
-            heads if at_head else (v for v in range(n_versions) if v not in heads)))
+            range(n_versions) if at_head is None
+            else heads if at_head else (v for v in range(n_versions) if v not in heads)))
         self._sides[set_cls] = (state, sides)
         return sides
 
@@ -414,11 +415,6 @@ def _place(
     return placed, heads, per_version
 
 
-def _filter(rows: list[_Row], test: _Test, at_head: dict[str, bool]) -> list[_Row]:
-    """The rows on which test is true, with isHead(?name) answered by at_head."""
-    return [row for row in rows if test(row[0], at_head) is True]
-
-
 def _extremum(texts: Iterable[str], keys: dict[str, object], want_max: bool) -> str | None:
     """MIN/MAX over distinct values given by their texts; None if the group
     is not comparable.
@@ -465,7 +461,7 @@ def _finish(
         group + [a.arg.name for a in aggs if a.func != "COUNT"] if aggs else header
     ))
     memo = _constants(dictionary)
-    data, versions, terms = memo.texts, memo.versions, memo.terms
+    data, versions = dictionary._texts, memo.versions  # by id: the store's ids are known
     counts: dict[tuple[str, ...], int] = {}
     for env, vsets in rows:
         mult = 1
@@ -508,11 +504,17 @@ def _finish(
                 out = tuple(map(cells.__getitem__, header))
                 counts[out] = counts.get(out, 0) + 1
     ordered = sorted(counts)
-    if not select.distinct and sum(counts.values()) > len(ordered):
-        ordered = list(chain.from_iterable(map(repeat, ordered, map(counts.__getitem__, ordered))))
+    # a column of versions or COUNTs holds texts made here, any other the dictionary's
+    version_vars = query.version_vars()
+    made = [item.name in version_vars if isinstance(item, Var)
+            else item.func == "COUNT" or item.arg.name in version_vars for item in select.items]
     # zip builds the row tuples column by column, cheaper than a tuple() per row
-    table = list(zip(*(map(terms.__getitem__, map(operator.itemgetter(i), ordered))
-                       for i in range(len(header)))))
+    table = list(zip(*(memo.terms(map(operator.itemgetter(i), ordered), here)
+                       for i, here in enumerate(made))))
+    if not select.distinct and sum(counts.values()) > len(ordered):
+        times = list(map(counts.__getitem__, ordered))  # each key's rows, converted once
+        ordered, table = (list(chain.from_iterable(map(repeat, rows, times)))
+                          for rows in (ordered, table))
     return SolutionTable(header, table, ordered)
 
 
@@ -595,7 +597,7 @@ def eval_annotated(
                 if not element.patterns:
                     # an empty GRAPH ?v {} block ranges ?v over every version or the heads
                     if within is None:
-                        within = set_cls.from_iterable(range(store.n_versions))
+                        within = sides[None]
                     widen = _over_var(name, None)
                     rows = [(env, a) for env, ann in rows if (a := widen(ann, within)) is not None]
                     continue
@@ -667,7 +669,7 @@ def eval_checkout(
                     if not rows:
                         break
             elif checks[0] is not None:
-                rows = _filter(rows, checks[0], at_head)
+                rows = [row for row in rows if checks[0](row[0], at_head) is True]
         collected.extend((env, members) for env, _ in rows)
     return _finish(collected, dictionary, query)
 

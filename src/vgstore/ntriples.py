@@ -25,16 +25,16 @@ first bad line.
 Reading a document is all-or-nothing: terms are interned only after every
 line has parsed, so a failed read leaves the dictionary untouched.  Blank
 node labels are scoped to the read and replaced with fresh labels at
-interning time.  The scope also keeps each IRI's and literal's id by its
-text, without the blanks before it, so a repository load, which shares one
-scope across its patches, builds and validates a term once per spelling
-rather than once per occurrence, and interns it without validating again.
+interning time.  Every other term text, without the blanks before it, is
+first looked up in the dictionary's text map.  A canonical text (what
+terms.term_text writes) spells its own term, so a text the dictionary holds
+is not decoded, validated or built into a term again; any other spelling is
+decoded once per document and lands on its term's id.
 
 Writing escapes only quotes, backslashes, and control characters, and
-format_triple writes every triple, in patches and documents alike.  Each term
-object is serialized at most once: format_term reads the text cached on the
-term (terms.term_text makes it), so sorting, formatting and patch writing pay
-per distinct term, not per occurrence.
+format_triple writes every triple, in patches and documents alike, from the
+texts the dictionary keeps, so sorting, formatting and patch writing pay per
+distinct term, not per occurrence.
 """
 
 from __future__ import annotations
@@ -55,8 +55,8 @@ from .terms import (
     Iri,
     Literal,
     Term,
-    TermId,
     Triple,
+    term_text,
     validate_term,
 )
 
@@ -194,18 +194,12 @@ class BlankScope:
     source label is kept verbatim when no interned blank node uses it yet,
     so reloading a repository reproduces its labels byte-for-byte; only a
     label already taken by an earlier document is renamed.
-
-    Term texts: the id of every IRI or literal, keyed by its text without the
-    blanks before it, so a text read again is not decoded, validated or built
-    into a term.
-    Blank nodes stay out, since their labels depend on the scope.
     """
 
     def __init__(self, dictionary: Dictionary):
         self._dictionary = dictionary
         self._mapping: dict[str, str] = {}
         self._used: set[str] = set()
-        self._ids: dict[str, TermId] = {}
 
     @classmethod
     def of_history(cls, dictionary: Dictionary) -> BlankScope:
@@ -272,41 +266,40 @@ def read_statements(
     With marks, every statement line starts with one of its characters and a
     space or tab, and that character is returned with the triple; otherwise
     the mark is "".  Passing a scope, made for this dictionary, shares
-    blank-label freshening and term texts across several documents; the
-    default is a fresh scope per call.
+    blank-label freshening across several documents; the default is a fresh
+    scope per call.
     """
     if scope is None:
         scope = BlankScope(dictionary)
     elif scope._dictionary is not dictionary:
         raise ValueError("the scope was made for another dictionary")
-    ids = scope._ids
+    by_text = dictionary._by_text
     mark = f"([{re.escape(marks)}])[ \t]" if marks else "()"  # re caches the compiled pattern
     rows = re.findall(rf"^{mark}[ \t]*{_STATEMENT}[ \t]*\.[ \t]*\r?$", text, re.MULTILINE)
+    keys = dict.fromkeys(chain.from_iterable(rows))  # each text where it first occurs
+    for m in (*marks, ""):  # a mark is not a term
+        keys.pop(m, None)
     new = None
     if len(rows) == len(_STATEMENT_LINE_RE.findall(text)):  # no line left over
         with contextlib.suppress(ValidationError):
             new = {
                 key: term_from_match(TERM_RE.fullmatch(key))
-                for key in dict.fromkeys(chain.from_iterable(rows))
-                if key not in ids and key[:1] in ("<", '"')
+                for key in keys
+                if key not in by_text and not key.startswith("_:")
             }
     if new is None:  # the per-line reader raises the first error, with its line
         _raise_first_error(text, marks)
         raise AssertionError("the statement pattern missed a statement the per-line reader reads")
 
-    # every line has parsed: intern each text where it first occurs, statement
-    # by statement; the terms above are valid, and so are a scope's blank labels
-    tids: dict[str, TermId] = {}
-    for key in dict.fromkeys(chain.from_iterable(rows)):
-        tid = ids.get(key)
-        if tid is None:
-            if key in new:
-                tid = ids[key] = dictionary.intern_valid(new[key])
-            elif key.startswith("_:"):
-                tid = dictionary.intern_valid(scope.rename(BlankNode(key[2:])))
-            else:
-                continue  # a mark
-        tids[key] = tid
+    # every line has parsed: intern each text in order; the terms above are
+    # valid, and so are a scope's blank labels
+    intern = dictionary.intern_valid
+    tids = {
+        key: intern(new[key]) if key in new
+        else intern(scope.rename(BlankNode(key[2:]))) if key.startswith("_:")
+        else by_text[key]
+        for key in keys
+    }
     return [(mark, Triple(tids[s], tids[p], tids[o])) for mark, s, p, o in rows]
 
 
@@ -316,16 +309,15 @@ def parse_ntriples(text: str, dictionary: Dictionary) -> list[Triple]:
 
 
 def format_term(term: Term) -> str:
-    """One term in N-Triples syntax."""
-    try:
-        return term.nt
-    except AttributeError:
-        raise ValidationError(f"not a term: {term!r}") from None
+    """One term in N-Triples syntax; ValidationError if it is not a term."""
+    if not isinstance(term, (Iri, BlankNode, Literal)):
+        raise ValidationError(f"not a term: {term!r}")
+    return term_text(term)
 
 
 def format_triple(triple: Triple, dictionary: Dictionary) -> str:
     """One triple as `s p o`, without the final dot: the only triple writer."""
-    return " ".join(format_term(dictionary.resolve(tid)) for tid in triple)
+    return " ".join(map(dictionary.text, triple))
 
 
 def serialize_ntriples(triples: set[Triple] | list[Triple], dictionary: Dictionary) -> str:

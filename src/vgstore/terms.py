@@ -11,9 +11,9 @@ indexes can work on ints.  Interning the same term twice returns the same id,
 and ids are never reused.  The dictionary is not thread-safe for writes;
 callers must not interleave intern calls from several threads.
 
-Each term serializes to N-Triples at most once: the text is made on the first
-read of its `nt` property and kept on the instance (cached_property writes
-the instance __dict__, which a frozen dataclass still has).
+The dictionary keys each term by its canonical N-Triples text (term_text),
+made once, when the term is interned, and kept by id (Dictionary.text); two
+valid terms are equal exactly when their texts are.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 from .errors import NotFoundError, ValidationError
@@ -61,26 +60,18 @@ _LANG_TAG_RE = re.compile(LANG_TAG)
 _SURROGATE_RE = re.compile(r"[\ud800-\udfff]")
 
 
-class _Serialized:
-    """The N-Triples text of a term, made on first read and kept after."""
-
-    @cached_property
-    def nt(self) -> str:
-        return term_text(self)
-
-
 @dataclass(frozen=True)
-class Iri(_Serialized):
+class Iri:
     text: str
 
 
 @dataclass(frozen=True)
-class BlankNode(_Serialized):
+class BlankNode:
     label: str
 
 
 @dataclass(frozen=True)
-class Literal(_Serialized):
+class Literal:
     lex: str
     datatype: str = XSD_STRING
     lang: str | None = None
@@ -120,11 +111,13 @@ _LEX_ESCAPE_RE = re.compile(r'["\\\x00-\x1f\x7f]')
 
 
 def _escape_lex(lex: str) -> str:
+    if _LEX_ESCAPE_RE.search(lex) is None:  # most literals: search is cheaper than sub
+        return lex
     return _LEX_ESCAPE_RE.sub(lambda m: _LEX_ESCAPES[m[0]], lex)
 
 
 def term_text(term: Term) -> str:
-    """A term in N-Triples syntax, made anew; `term.nt` keeps the first one."""
+    """A term in N-Triples syntax, made anew; Dictionary.text keeps the first."""
     if isinstance(term, Iri):
         return f"<{term.text}>"
     if isinstance(term, BlankNode):
@@ -171,11 +164,13 @@ def validate_term(term: Term) -> None:
 
 
 class Dictionary:
-    """Bidirectional term <-> dense id mapping."""
+    """Bidirectional term <-> dense id mapping, keyed by each term's text; its
+    maps only ever grow, so the reader and the evaluator read them directly."""
 
     def __init__(self):
-        self._by_term: dict[Term, TermId] = {}
+        self._by_text: dict[str, TermId] = {}
         self._by_id: list[Term] = []
+        self._texts: list[str] = []
         self._blank_counter = 0
 
     def __len__(self) -> int:
@@ -183,33 +178,44 @@ class Dictionary:
 
     def intern(self, term: Term) -> TermId:
         """Return the id for term, assigning the next dense id if new."""
-        if term not in self._by_term:
-            validate_term(term)
+        validate_term(term)
         return self.intern_valid(term)
 
     def intern_valid(self, term: Term) -> TermId:
         """intern for a term the caller has validated: it is not checked again."""
-        tid = self._by_term.get(term)
+        text = term_text(term)
+        tid = self._by_text.get(text)
         if tid is None:
-            tid = self._by_term[term] = len(self._by_id)
+            tid = self._by_text[text] = len(self._by_id)
             self._by_id.append(term)
+            self._texts.append(text)
         return tid
 
     def lookup(self, term: Term) -> TermId | None:
-        """Return the id for term without interning, or None if unknown."""
-        return self._by_term.get(term)
+        """Return the id for term without interning, or None if it is unknown
+        or invalid: Iri(5) is refused, though it writes <5> like Iri("5")."""
+        try:
+            validate_term(term)
+        except ValidationError:
+            return None
+        return self._by_text.get(term_text(term))
 
     def resolve(self, tid: TermId) -> Term:
         if not isinstance(tid, int) or tid < 0 or tid >= len(self._by_id):
             raise NotFoundError(f"unknown term id: {tid}")
         return self._by_id[tid]
 
+    def text(self, tid: TermId) -> str:
+        """The N-Triples text of the term with id tid, made when it was interned."""
+        self.resolve(tid)  # NotFoundError for an unknown id
+        return self._texts[tid]
+
     def fresh_blank_label(self) -> str:
         """A blank label never handed out before and not yet interned."""
         while True:
             label = f"b{self._blank_counter}"
             self._blank_counter += 1
-            if BlankNode(label) not in self._by_term:
+            if self.lookup(BlankNode(label)) is None:
                 return label
 
     def triple(self, s: Term, p: Term, o: Term) -> Triple:

@@ -816,15 +816,20 @@ def test_a_projected_version_variable_builds_one_iri_per_version(monkeypatch):
 
 @pytest.mark.parametrize("select", ["SELECT ?v ?s ?o", "SELECT ?s ?o"])
 def test_sorting_and_formatting_20000_rows_serializes_each_term_once(monkeypatch, select):
+    """Each data term was serialized once, when the dictionary interned it:
+    evaluating and formatting read those texts, and make only the text that
+    looks up the query's constant."""
+    import vgstore.ntriples
     import vgstore.terms
 
     store, dag = wide_store(100, 200)
     q = parse_query(f"{select} WHERE {{ GRAPH ?v {{ ?s <{EX}p> ?o }} }}")
-    serialized = count_calls(monkeypatch, vgstore.terms, "term_text")
+    serialized = [count_calls(monkeypatch, module, "term_text")
+                  for module in (vgstore.terms, vgstore.ntriples)]
     text = format_results(eval_annotated(store, dag, q))
     assert text.count("\n") == 1 + 20_000
-    # the 200 subjects and 10 objects; a version's text is made without term_text
-    assert len(serialized) == len(set(serialized)) == 200 + 10
+    # a version's text is made without term_text
+    assert serialized == [[Iri(EX + "p")], []]
     if "?v" in select:
         column = {line.split("\t")[0] for line in text.splitlines()[1:]}
         assert column == {f"<urn:vg:version:{v}>" for v in range(100)}
@@ -1251,6 +1256,36 @@ def test_the_non_head_set_is_built_once_per_dag_state(monkeypatch):
     for _ in range(2):
         assert eval_annotated(store, dag, query) == eval_checkout(store, dag, query)
     assert built.count(non_head()) == 1
+
+
+def test_an_empty_graph_block_builds_the_every_version_set_once_per_dag_state(monkeypatch):
+    """GRAPH ?v { } ranges ?v over every version in the all domain: that
+    set is built on the first evaluation and kept, until a commit adds a
+    version."""
+    from vgstore.versionsets import set_class
+
+    store, dag = wide_store(30, 2)
+    query = parse_query("SELECT ?v WHERE { GRAPH ?v { } }")
+    cls = set_class(store.encoding)
+    original = cls.__dict__["from_iterable"].__func__
+    built = []
+
+    def counting(klass, members):
+        out = original(klass, members)
+        built.append(set(out))
+        return out
+
+    monkeypatch.setattr(cls, "from_iterable", classmethod(counting))
+    for _ in range(3):
+        table = eval_annotated(store, dag, query)
+        assert len(table.rows) == 30
+        assert set(table.rows) == {(Iri(version_iri(v)),) for v in range(30)}
+    assert built == [set(range(30))]
+    filler = store.dictionary.triple(Iri(EX + "new"), Iri(EX + "p"), Literal("7", XSD_INTEGER))
+    store.apply_commit(dag, [29], "main", Delta(frozenset({filler}), frozenset()))
+    for _ in range(3):
+        assert eval_annotated(store, dag, query) == eval_checkout(store, dag, query)
+    assert built == [set(range(30)), set(range(31))]
 
 
 # --- the per-dictionary constants -----------------------------------------

@@ -261,14 +261,6 @@ def test_escape_lex_matches_the_per_character_loop_on_mixed_text(text):
     assert _escape_lex(text) == _escape_lex_per_character(text)
 
 
-@given(objects)
-def test_term_text_is_kept_on_the_term_and_leaves_equality_alone(term):
-    assert format_term(term) == term_text(term)
-    assert term.__dict__["nt"] == term_text(term)
-    twin = type(term)(**{k: v for k, v in vars(term).items() if k != "nt"})
-    assert twin == term and hash(twin) == hash(term) and "nt" not in vars(twin)
-
-
 def test_format_term_rejects_a_non_term():
     with pytest.raises(ValidationError, match="not a term"):
         format_term("urn:a")
@@ -416,14 +408,14 @@ def test_a_patch_failing_on_its_last_line_leaves_dictionary_and_scope_alone(last
     d = Dictionary()
     scope = BlankScope(d)
     parse_patch('A _:n <urn:p> "x" .\nA <urn:a> <urn:p> <urn:b> .\n', d, scope)
-    before = (list(d._by_id), dict(scope._ids), dict(scope._mapping), set(scope._used))
+    before = (list(d._by_id), dict(d._by_text), dict(scope._mapping), set(scope._used))
     text = (
         'A <urn:a> <urn:p> <urn:new> .\nA _:m <urn:p> _:n .\n'
         f'D <urn:\\u0061> <urn:p> "x" .\n{last_line}\n'
     )
     with pytest.raises(ValidationError, match="line 4"):
         parse_patch(text, d, scope)
-    assert (list(d._by_id), dict(scope._ids), dict(scope._mapping), set(scope._used)) == before
+    assert (list(d._by_id), dict(d._by_text), dict(scope._mapping), set(scope._used)) == before
     # the scope still reads as if the failed patch never came
     delta = parse_patch('A _:n <urn:p> <urn:new> .\n', d, scope)
     assert d.resolve(next(iter(delta.additions)).s) == BlankNode("n")
@@ -435,7 +427,7 @@ def test_a_scope_made_for_another_dictionary_is_refused():
     parse_patch('A <urn:a> <urn:p> "x" .\n', other, scope)
     with pytest.raises(ValueError, match="another dictionary"):
         parse_patch('A <urn:a> <urn:p> "x" .\n', d, scope)
-    assert len(d) == 0 and len(scope._ids) == 3
+    assert len(d) == 0 and len(other._by_text) == 3
 
 
 patch_lists = st.lists(
@@ -464,6 +456,44 @@ def test_term_ids_after_a_load_equal_those_of_a_reference_interning(patches):
     for text in texts:
         parse_patch(text, d, scope)
     assert d._by_id == reference_interning(texts)._by_id
+
+
+def _other_spelling(term) -> str:
+    """A text that spells the term without being its canonical text, where
+    there is one: an IRI's first character as a \\u escape, and a literal's
+    tabs raw and its datatype written out, xsd:string too."""
+    if isinstance(term, Iri):
+        return f"<\\u{ord(term.text[0]):04X}{term.text[1:]}>"
+    if isinstance(term, Literal):
+        body = "\t".join(map(_escape_lex, term.lex.split("\t")))
+        return f'"{body}"' + (f"@{term.lang}" if term.lang else f"^^<{term.datatype}>")
+    return format_term(term)
+
+
+@given(patch_lists)
+@example([
+    ([(Iri("urn:x:a"), Iri("urn:x:p"), Literal("a\tb"))], [False] * 3),
+    ([(Iri("urn:x:a"), Iri("urn:x:p"), Literal("a\tb")),
+      (Iri("urn:x:b"), Iri("urn:x:p"), Literal("c", XSD_STRING))], [True] * 3),
+])
+def test_each_id_keeps_its_term_s_text_and_other_spellings_land_on_it(patches):
+    """Every id's text is its term's canonical text, and the text map is the
+    inverse of the texts by id; a load spelling terms otherwise gives the ids
+    a load of their canonical texts gives."""
+    loaded = []
+    for spell in (_other_spelling, format_term):
+        d = Dictionary()
+        scope = BlankScope(d)
+        for triples, other in patches:
+            parse_patch("".join(
+                f"A {' '.join(spell(t) if o else format_term(t) for t, o in zip(triple, other))} .\n"
+                for triple in triples
+            ), d, scope)
+        texts = [d.text(i) for i in range(len(d))]
+        assert texts == [term_text(d.resolve(i)) for i in range(len(d))]
+        assert d._by_text == {text: i for i, text in enumerate(texts)}
+        loaded.append(d._by_id)
+    assert loaded[0] == loaded[1]
 
 
 def _read_per_line(texts: list[str], marks: str, d: Dictionary) -> list:

@@ -23,6 +23,7 @@ from vgstore.terms import (
     Triple,
     compare_values,
     iri_text_ok,
+    term_text,
     validate_term,
 )
 
@@ -97,6 +98,36 @@ def test_lookup_does_not_intern():
     d = Dictionary()
     assert d.lookup(Iri("urn:never")) is None
     assert len(d) == 0
+
+
+@pytest.mark.parametrize("malformed,valid", [
+    (Iri(5), Iri("5")),
+    (Literal("a", "urn:dt", "en"), Literal("a", lang="en")),
+])
+def test_a_malformed_term_does_not_alias_the_valid_term_with_its_text(malformed, valid):
+    d = Dictionary()
+    tid = d.intern(valid)
+    assert term_text(malformed) == d.text(tid)
+    assert d.lookup(malformed) is None
+    with pytest.raises(ValidationError):
+        d.intern(malformed)
+    assert len(d) == 1 and d.lookup(valid) == tid
+
+
+def test_a_non_term_is_not_found_and_not_interned():
+    d = Dictionary()
+    assert d.lookup("urn:a") is None
+    with pytest.raises(ValidationError, match="not a term"):
+        d.intern("urn:a")
+    assert len(d) == 0
+
+
+def test_text_of_an_unknown_id():
+    d = Dictionary()
+    d.intern(Iri("urn:a"))
+    for tid in (-1, 1, "0"):
+        with pytest.raises(NotFoundError):
+            d.text(tid)
 
 
 # compare_values
