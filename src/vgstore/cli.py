@@ -18,8 +18,8 @@ import argparse
 import fcntl
 import sys
 from contextlib import contextmanager
-from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable
 
 from .dag import Provenance, VersionDag, version_iri
 from .engine import eval_annotated, eval_checkout, format_results
@@ -54,10 +54,6 @@ def _locked(repo_dir: str, create: bool = False):
         yield
 
 
-def _now() -> datetime:
-    return datetime.now(timezone.utc)
-
-
 def _commit(args, store: AnnotatedStore, dag: VersionDag, parents: list[int],
             branch: str, message: str, strict: bool = True) -> int:
     """Apply args.patch, or no change, as one commit and save the repository."""
@@ -67,7 +63,7 @@ def _commit(args, store: AnnotatedStore, dag: VersionDag, parents: list[int],
         delta = parse_patch(text, store.dictionary, BlankScope.of_history(store.dictionary))
     seq = store.apply_commit(
         dag, parents, branch, delta,
-        message=message, author=args.author, timestamp=_now(),
+        message=message, author=args.author,
         provenance=Provenance(args.code_ref, args.tool), strict=strict,
     )
     save_repository(store, dag, args.repo)
@@ -83,10 +79,11 @@ def _add_commit_meta(p: argparse.ArgumentParser) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="vg", description="versioned RDF graph repositories")
-    sub = parser.add_subparsers(dest="command", metavar="COMMAND", required=True)
+    sub = parser.add_subparsers(metavar="COMMAND", required=True)
 
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
+    def add(name: str, help_text: str, handler: Callable) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         p.add_argument("--repo", required=True, help="repository directory")
         p.add_argument(
             "--encoding",
@@ -96,11 +93,11 @@ def build_parser() -> argparse.ArgumentParser:
         )
         return p
 
-    p = add("init", "create a repository with a root version from a patch")
+    p = add("init", "create a repository with a root version from a patch", _cmd_init)
     p.add_argument("--patch", required=True, help="patch file for version 0")
     _add_commit_meta(p)
 
-    p = add("commit", "apply a patch as a new version on a branch")
+    p = add("commit", "apply a patch as a new version on a branch", _cmd_commit)
     p.add_argument("--branch", required=True, help="branch to commit to")
     p.add_argument("--patch", required=True, help="patch file to apply")
     _add_commit_meta(p)
@@ -118,21 +115,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="warn instead of failing on removals absent from every parent",
     )
 
-    p = add("branch", "create a branch pointing at an existing version")
+    p = add("branch", "create a branch pointing at an existing version", _cmd_branch)
     p.add_argument("name", help="new branch name")
     p.add_argument("--at", required=True, type=int, metavar="SEQ", help="version to branch from")
 
-    p = add("merge", "merge another version into a branch (two-parent commit)")
+    p = add("merge", "merge another version into a branch (two-parent commit)", _cmd_merge)
     p.add_argument("--branch", required=True, help="branch receiving the merge")
     p.add_argument("--from", dest="from_seq", required=True, type=int, metavar="SEQ")
     p.add_argument("--patch", default=None, help="optional patch applied on top of the union")
     _add_commit_meta(p)
 
-    p = add("checkout", "write one version's triples as N-Triples")
+    p = add("checkout", "write one version's triples as N-Triples", _cmd_checkout)
     p.add_argument("--version", required=True, type=int, metavar="SEQ")
     p.add_argument("--out", default=None, help="output file (default: stdout)")
 
-    p = add("query", "evaluate a query against the repository")
+    p = add("query", "evaluate a query against the repository", _cmd_query)
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--file", help="file containing the query")
     src.add_argument("--inline", help="query text on the command line")
@@ -141,11 +138,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="domain version variables range over")
     p.add_argument("--format", choices=("tsv", "csv"), default="tsv")
 
-    add("log", "print commit metadata, newest first")
+    add("log", "print commit metadata, newest first", _cmd_log)
 
-    add("stats", "print store statistics")
+    add("stats", "print store statistics", _cmd_stats)
 
-    p = add("bench", "time the canonical queries under every configuration")
+    p = add("bench", "time the canonical queries under every configuration", _cmd_bench)
     p.add_argument("--out", default=None, help="CSV report path (default: stdout)")
     p.add_argument("--runs", type=int, default=3, help="timed runs per configuration")
 
@@ -265,19 +262,6 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "init": _cmd_init,
-    "commit": _cmd_commit,
-    "branch": _cmd_branch,
-    "merge": _cmd_merge,
-    "checkout": _cmd_checkout,
-    "query": _cmd_query,
-    "log": _cmd_log,
-    "stats": _cmd_stats,
-    "bench": _cmd_bench,
-}
-
-
 def run(argv: list[str] | None = None) -> int:
     """Parse argv, execute one command, and return the exit code."""
     parser = build_parser()
@@ -286,7 +270,7 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except QueryError as exc:
         print(f"vg: query error: {exc}", file=sys.stderr)
         return 3

@@ -55,8 +55,8 @@ term id's value key, each version's and COUNT's text and term) are made once
 per Dictionary, on first read, and kept while the dictionary lives
 (_Constants).  A term id's meaning never changes, so they are never
 invalidated; two readers filling one entry at once make equal values.  The
-head, non-head and every-version sets are kept likewise for the last dag
-state (heads, version count) seen per encoding.
+head, non-head and every-version sets depend on the dag, so eval_annotated
+builds each at most once per evaluation, on its first read, and keeps none.
 """
 
 from __future__ import annotations
@@ -242,7 +242,7 @@ class _Memo(dict):
 
 
 class _Constants:
-    """One dictionary's evaluation constants, each made on its first read.
+    """One dictionary's per-term evaluation constants, each made on its first read.
 
     keys: term id -> value key; versions: seq -> its IRI's text, made
     directly (an IRI is written <text>, unescaped); numbers: a COUNT -> its
@@ -259,7 +259,6 @@ class _Constants:
         self.versions = _Memo(self._version)
         self.numbers = _Memo(self._number)
         self.text_keys = _Memo(lambda text: value_key(next(self.terms([text], text in self.made))))
-        self._sides: dict[type, tuple[tuple[frozenset[int], int], _Memo]] = {}
 
     def terms(self, texts: Iterable[str], made: bool) -> Iterable[Term]:
         """The terms some texts spell: texts made here if made, else the dictionary's."""
@@ -277,20 +276,6 @@ class _Constants:
         out = format_term(term)
         self.made[out] = term
         return out
-
-    def sides(self, set_cls: type, heads: set[int], n_versions: int) -> _Memo:
-        """{True: the head set, False: every other version, None: every version}
-        in set_cls, each built on first read and kept until the dag state changes."""
-        state = (frozenset(heads), n_versions)
-        kept = self._sides.get(set_cls)
-        if kept is not None and kept[0] == state:
-            return kept[1]
-        heads = state[0]
-        sides = _Memo(lambda at_head: set_cls.from_iterable(
-            range(n_versions) if at_head is None
-            else heads if at_head else (v for v in range(n_versions) if v not in heads)))
-        self._sides[set_cls] = (state, sides)
-        return sides
 
 
 _CONSTANTS: weakref.WeakKeyDictionary[Dictionary, _Constants] = weakref.WeakKeyDictionary()
@@ -567,10 +552,13 @@ def eval_annotated(
     """Evaluate over version-annotated triples without materializing versions."""
     _check_domain(version_domain)
     dictionary = store.dictionary
-    memo = _constants(dictionary)
-    keys = memo.keys
+    keys = _constants(dictionary).keys
     set_cls = set_class(store.encoding)
-    sides = memo.sides(set_cls, dag.heads(), store.n_versions)
+    heads, every = dag.heads(), range(store.n_versions)
+    # {True: the heads, False: every other version, None: every version}, each
+    # built at most once per evaluation, on its first read
+    sides = _Memo(lambda at_head: set_cls.from_iterable(
+        every if at_head is None else heads if at_head else (v for v in every if v not in heads)))
     placed, required, _ = _place(query, per_assignment=False)
     # a bare isHead(?v) operand ranges ?v over the heads, and the heads domain
     # ranges every version variable over them

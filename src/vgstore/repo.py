@@ -244,13 +244,15 @@ def _check_commit_record(record, expected_seq: int) -> None:
     parents = record["parents"]
     if not isinstance(parents, list) or any(
         not is_int(p) or p < 0 or p >= expected_seq for p in parents
-    ):
+    ) or len(set(parents)) != len(parents):
         raise _manifest_error(f"commit {expected_seq} has bad parents {parents!r}")
     if expected_seq > 0 and not parents:
         raise _manifest_error(f"commit {expected_seq} has no parents")
     for key in ("branch", "message", "author", "timestamp"):
         if not isinstance(record[key], str):
             raise _manifest_error(f"commit {expected_seq} has a non-string {key!r}")
+    if not record["branch"]:
+        raise _manifest_error(f"commit {expected_seq} has an empty 'branch'")
     if expected_seq == 0 and (parents or record["branch"] != "main"):
         raise _manifest_error('the root commit must be on branch "main" with no parents')
     prov = record["provenance"]

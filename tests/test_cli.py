@@ -9,6 +9,7 @@ import os
 import signal
 import subprocess
 import sys
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
@@ -202,7 +203,7 @@ def test_an_internal_fault_exits_4_not_the_usage_code(repo, capsys, monkeypatch)
     def broken(args):
         raise RuntimeError("boom")
 
-    monkeypatch.setitem(vgstore.cli._COMMANDS, "log", broken)
+    monkeypatch.setattr(vgstore.cli, "_cmd_log", broken)
     err = fails(capsys, 4, "log", "--repo", repo)
     assert err == "vg: internal error: RuntimeError: boom\n"
 
@@ -226,6 +227,30 @@ def test_log_is_newest_first_with_branch_markers(repo, capsys):
     for line in out.splitlines():
         if line.startswith("date:"):
             assert line.endswith("Z")
+
+
+def test_init_commit_and_merge_record_the_utc_time_of_the_command(tmp_path, capsys, patches):
+    """The dag stamps each commit with UTC now: a version's timestamp falls
+    between two clock reads taken around the command that made it."""
+    r = str(tmp_path / "r")
+
+    def timed(*argv):
+        before = datetime.now(timezone.utc)
+        ok(capsys, *argv)
+        return before, datetime.now(timezone.utc)
+
+    windows = {
+        0: timed("init", "--repo", r, "--patch", patches["city0"]),
+        1: timed("commit", "--repo", r, "--branch", "main", "--patch", patches["city1"]),
+    }
+    ok(capsys, "branch", "--repo", r, "side", "--at", "0")
+    windows[2] = timed("commit", "--repo", r, "--branch", "side", "--patch", patches["side"])
+    windows[3] = timed("merge", "--repo", r, "--branch", "main", "--from", "2")
+    _store, dag = load_repository(r)
+    for seq, (before, after) in windows.items():
+        stamp = dag.commit_meta(seq).timestamp
+        assert stamp.utcoffset() == timedelta(0)
+        assert before <= stamp <= after
 
 
 def test_stats_reports_the_five_counters(repo, capsys):

@@ -1223,14 +1223,18 @@ def test_the_heads_domain_builds_only_the_head_set(monkeypatch, encoding, qid):
     assert [set(b) for b in built] == [dag.heads()]
 
 
-def test_the_non_head_set_is_built_once_per_dag_state(monkeypatch):
-    """head-or-x splits rows around isHead(?v) in the all domain: the head
-    and non-head sets are built on the first evaluation and kept, until a
-    commit changes the heads and the version count."""
+def test_the_non_head_set_is_built_once_per_evaluation(monkeypatch):
+    """Two FILTERs split rows around isHead(?v) in the all domain: each
+    evaluation builds the head and the non-head set once, shared by both
+    FILTERs, and a commit that changes the heads and the version count is
+    seen by the next evaluation."""
     from vgstore.versionsets import set_class
 
     store, dag = random_repo(random.Random(3), encoding="extension", max_versions=9)
-    query = parse_query(PUSHDOWN_QUERIES["head-or-x"])
+    query = parse_query(
+        f"SELECT ?v ?s ?o WHERE {{ {_TRIPLE} FILTER (isHead(?v) || ?o > 1) "
+        "FILTER (!isHead(?v) || ?o < 12.5) }"
+    )
     cls = set_class("extension")
     original = cls.__dict__["from_iterable"].__func__
     built = []
@@ -1242,30 +1246,31 @@ def test_the_non_head_set_is_built_once_per_dag_state(monkeypatch):
 
     monkeypatch.setattr(cls, "from_iterable", classmethod(counting))
 
-    def non_head():
-        return set(range(store.n_versions)) - dag.heads()
+    def evaluate_twice():
+        for _ in range(2):
+            expected = eval_checkout(store, dag, query)
+            built.clear()
+            assert eval_annotated(store, dag, query) == expected
+            assert expected.rows
+            non_head = set(range(store.n_versions)) - dag.heads()
+            assert non_head and sorted(built, key=sorted) == sorted(
+                [dag.heads(), non_head], key=sorted)
 
-    for _ in range(2):
-        assert eval_annotated(store, dag, query) == eval_checkout(store, dag, query)
-    assert non_head() and built.count(non_head()) == 1
-    assert built.count(dag.heads()) == 1
+    evaluate_twice()
     head = dag.branch_head("main")
     filler = store.dictionary.triple(Iri(EX + "new"), Iri(EX + "p"), Literal("7", XSD_INTEGER))
     store.apply_commit(dag, [head], "main", Delta(frozenset({filler}), frozenset()))
-    built.clear()
-    for _ in range(2):
-        assert eval_annotated(store, dag, query) == eval_checkout(store, dag, query)
-    assert built.count(non_head()) == 1
+    evaluate_twice()
 
 
-def test_an_empty_graph_block_builds_the_every_version_set_once_per_dag_state(monkeypatch):
-    """GRAPH ?v { } ranges ?v over every version in the all domain: that
-    set is built on the first evaluation and kept, until a commit adds a
-    version."""
+def test_an_empty_graph_block_builds_the_every_version_set_once_per_evaluation(monkeypatch):
+    """GRAPH ?v { } ranges ?v over every version in the all domain: two
+    empty blocks share that set, built once per evaluation, and a commit
+    that adds a version is seen by the next evaluation."""
     from vgstore.versionsets import set_class
 
     store, dag = wide_store(30, 2)
-    query = parse_query("SELECT ?v WHERE { GRAPH ?v { } }")
+    query = parse_query("SELECT ?v ?w WHERE { GRAPH ?v { } GRAPH ?w { } }")
     cls = set_class(store.encoding)
     original = cls.__dict__["from_iterable"].__func__
     built = []
@@ -1276,16 +1281,20 @@ def test_an_empty_graph_block_builds_the_every_version_set_once_per_dag_state(mo
         return out
 
     monkeypatch.setattr(cls, "from_iterable", classmethod(counting))
+    every = [Iri(version_iri(v)) for v in range(30)]
     for _ in range(3):
+        built.clear()
         table = eval_annotated(store, dag, query)
-        assert len(table.rows) == 30
-        assert set(table.rows) == {(Iri(version_iri(v)),) for v in range(30)}
-    assert built == [set(range(30))]
+        assert set(table.rows) == set(itertools.product(every, every))
+        assert len(table.rows) == 900
+        assert built == [set(range(30))]
     filler = store.dictionary.triple(Iri(EX + "new"), Iri(EX + "p"), Literal("7", XSD_INTEGER))
     store.apply_commit(dag, [29], "main", Delta(frozenset({filler}), frozenset()))
     for _ in range(3):
-        assert eval_annotated(store, dag, query) == eval_checkout(store, dag, query)
-    assert built == [set(range(30)), set(range(31))]
+        expected = eval_checkout(store, dag, query)
+        built.clear()
+        assert eval_annotated(store, dag, query) == expected
+        assert built == [set(range(31))]
 
 
 # --- the per-dictionary constants -----------------------------------------
@@ -1316,7 +1325,8 @@ def test_a_term_committed_after_a_query_is_keyed_by_the_next_one():
 @pytest.mark.parametrize("encoding", ["extension", "interval"])
 def test_queries_after_a_repack_equal_the_checkout(encoding):
     """repack keeps the dictionary and renumbers the versions: the kept
-    constants stay right, and the kept version sets follow the new heads."""
+    constants stay right, and each evaluation's version sets follow the new
+    heads."""
     from vgstore.store import repack
 
     params = ScenarioParams(buildings=12, stations=6, versions=30, branch_prob=0.3, churn=0.2)
@@ -1336,8 +1346,9 @@ def test_queries_after_a_repack_equal_the_checkout(encoding):
 
 
 def test_eight_threads_evaluating_one_query_on_one_store_return_equal_tables():
-    """The threads fill one dictionary's constants and version sets at once;
-    a race makes an equal value twice, never a wrong one."""
+    """The threads fill one dictionary's constants at once, each building
+    its own version sets; a race makes an equal value twice, never a wrong
+    one."""
     import threading
     from concurrent.futures import ThreadPoolExecutor
 

@@ -343,6 +343,8 @@ def _branch(name, head):
         pytest.param(_set(1, "author", ["gen"]), "author", id="author-list"),
         pytest.param(_set(1, "seq", True), "dense", id="seq-bool"),
         pytest.param(_set(2, "parents", [True]), "parents", id="parent-bool"),
+        pytest.param(_set(2, "parents", [1, 1]), "parents", id="parents-duplicate"),
+        pytest.param(_set(1, "branch", ""), "branch", id="branch-empty"),
         pytest.param(_set(1, "provenance", "gen"), "provenance", id="provenance-str"),
         pytest.param(
             _set(1, "provenance", {"code_ref": "step:1", "tool": 3}),
