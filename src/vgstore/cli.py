@@ -10,6 +10,9 @@ patches are durable, so a reader sees the old history or the new one.  The
 file stays on disk and the lock dies with the process holding it, so a
 killed command leaves nothing to clean up.  flock makes the writing
 commands POSIX-only.
+
+log and branch read only manifest.json (repo.read_history), so a bad patch
+does not fail them; only the six commands that build a store take --encoding.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ from .dag import Provenance, VersionDag, version_iri
 from .engine import eval_annotated, eval_checkout, format_results
 from .errors import QueryError, RepositoryError, StateError, VgError
 from .ntriples import BlankScope, serialize_ntriples
-from .repo import MANIFEST_NAME, _format_timestamp, load_repository, parse_patch, save_repository
+from .repo import MANIFEST_NAME, _format_timestamp, _write_manifest, load_repository, parse_patch
+from .repo import read_history, save_repository
 from .sparql import parse_query
 from .store import EMPTY_DELTA, AnnotatedStore
 from .versionsets import ENCODINGS
@@ -85,6 +89,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(handler=handler)
         p.add_argument("--repo", required=True, help="repository directory")
+        return p
+
+    def add_store(name: str, help_text: str, handler: Callable) -> argparse.ArgumentParser:
+        p = add(name, help_text, handler)  # a command that builds a store picks its encoding
         p.add_argument(
             "--encoding",
             choices=tuple(ENCODINGS),
@@ -93,11 +101,11 @@ def build_parser() -> argparse.ArgumentParser:
         )
         return p
 
-    p = add("init", "create a repository with a root version from a patch", _cmd_init)
+    p = add_store("init", "create a repository with a root version from a patch", _cmd_init)
     p.add_argument("--patch", required=True, help="patch file for version 0")
     _add_commit_meta(p)
 
-    p = add("commit", "apply a patch as a new version on a branch", _cmd_commit)
+    p = add_store("commit", "apply a patch as a new version on a branch", _cmd_commit)
     p.add_argument("--branch", required=True, help="branch to commit to")
     p.add_argument("--patch", required=True, help="patch file to apply")
     _add_commit_meta(p)
@@ -119,17 +127,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", help="new branch name")
     p.add_argument("--at", required=True, type=int, metavar="SEQ", help="version to branch from")
 
-    p = add("merge", "merge another version into a branch (two-parent commit)", _cmd_merge)
+    p = add_store("merge", "merge another version into a branch (two-parent commit)", _cmd_merge)
     p.add_argument("--branch", required=True, help="branch receiving the merge")
     p.add_argument("--from", dest="from_seq", required=True, type=int, metavar="SEQ")
     p.add_argument("--patch", default=None, help="optional patch applied on top of the union")
     _add_commit_meta(p)
 
-    p = add("checkout", "write one version's triples as N-Triples", _cmd_checkout)
+    p = add_store("checkout", "write one version's triples as N-Triples", _cmd_checkout)
     p.add_argument("--version", required=True, type=int, metavar="SEQ")
     p.add_argument("--out", default=None, help="output file (default: stdout)")
 
-    p = add("query", "evaluate a query against the repository", _cmd_query)
+    p = add_store("query", "evaluate a query against the repository", _cmd_query)
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--file", help="file containing the query")
     src.add_argument("--inline", help="query text on the command line")
@@ -140,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     add("log", "print commit metadata, newest first", _cmd_log)
 
-    add("stats", "print store statistics", _cmd_stats)
+    add_store("stats", "print store statistics", _cmd_stats)
 
     p = add("bench", "time the canonical queries under every configuration", _cmd_bench)
     p.add_argument("--out", default=None, help="CSV report path (default: stdout)")
@@ -171,9 +179,9 @@ def _cmd_commit(args) -> int:
 
 def _cmd_branch(args) -> int:
     with _locked(args.repo):
-        store, dag = load_repository(args.repo, encoding=args.encoding)
+        dag = read_history(args.repo)
         dag.create_branch(args.name, at=args.at)
-        save_repository(store, dag, args.repo)
+        _write_manifest(Path(args.repo), dag)
     print(f"created branch {args.name} at {version_iri(args.at)}")
     return 0
 
@@ -213,14 +221,12 @@ def _cmd_query(args) -> int:
 
 
 def _cmd_log(args) -> int:
-    _store, dag = load_repository(args.repo, encoding=args.encoding)
-    branches = dag.branches
-    commits = dag.commits()
+    dag = read_history(args.repo)
     by_head: dict[int, list[str]] = {}
-    for name, head in branches.items():
+    for name, head in dag.branches.items():
         by_head.setdefault(head, []).append(name)
     blocks = []
-    for meta in reversed(commits):
+    for meta in reversed(dag.commits()):
         markers = "".join(f" [{name}]" for name in sorted(by_head.get(meta.seq, [])))
         lines = [
             f"commit {meta.iri}{markers}",
@@ -274,10 +280,7 @@ def run(argv: list[str] | None = None) -> int:
     except QueryError as exc:
         print(f"vg: query error: {exc}", file=sys.stderr)
         return 3
-    except VgError as exc:
-        print(f"vg: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (VgError, OSError, UnicodeDecodeError) as exc:
         print(f"vg: error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # a fault of vg itself, told apart from usage errors

@@ -150,6 +150,11 @@ class VersionDag:
         self.commit_meta(at)
         self._branches[name] = at
 
+    def start_branch(self, name: str, parents: list[int] | tuple[int, ...]) -> None:
+        """Start a replayed commit's branch at its first parent, unless it exists."""
+        if parents and name not in self._branches:
+            self.create_branch(name, at=parents[0])
+
     def _set_branches(self, branches: dict[str, int]) -> None:
         """Replace the branch map wholesale, as store.replay does at its end."""
         if "main" not in branches:

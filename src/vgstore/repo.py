@@ -4,9 +4,9 @@ A patch holds the delta of a single commit: lines starting with "A " add the
 following N-Triples statement, lines starting with "D " remove it, and # or
 blank lines are ignored.  The manifest lists every commit in dense order with
 its metadata and patch path, plus the branch map.  Version sets are never
-persisted; loading checks the whole manifest, then replays all patches
-through store.replay, which rebuilds the annotations and revalidates every
-delta.
+persisted.  A load reads the whole manifest into a VersionDag (read_history)
+before any patch, then replays every patch through store.replay, which
+rebuilds the annotations and revalidates every delta.
 
 Saving appends.  It reads the manifest already in the directory, which must
 list the first k commits of the history being saved, and writes only the
@@ -38,8 +38,8 @@ import os
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .dag import CommitMeta, Provenance, VersionDag, is_int, version_iri
-from .errors import RepositoryError, StateError, ValidationError
+from .dag import Provenance, VersionDag, is_int, version_iri
+from .errors import NotFoundError, RepositoryError, StateError, ValidationError
 from .ntriples import BlankScope, format_triple, read_statements
 from .store import AnnotatedStore, Delta, replay
 from .terms import Dictionary
@@ -83,10 +83,9 @@ def _format_timestamp(ts: datetime) -> str:
 
 
 def _parse_timestamp(text: str) -> datetime:
+    """A time with no UTC offset stays naive; VersionDag.commit reads it as UTC."""
     try:
-        return datetime.fromisoformat(text.replace("Z", "+00:00")).astimezone(
-            timezone.utc
-        )
+        return datetime.fromisoformat(text.replace("Z", "+00:00"))
     except ValueError:
         raise RepositoryError(f"bad timestamp in manifest: {text!r}") from None
 
@@ -131,7 +130,7 @@ def _saved_prefix(repo: Path, dag: VersionDag) -> int:
     """
     if not (repo / MANIFEST_NAME).exists():
         return 0
-    saved, _branches = _read_manifest(repo)
+    saved = read_history(repo).commits()
     if saved != dag.commits()[: len(saved)]:
         raise StateError(
             f"{repo} holds another history than the one being saved; "
@@ -209,6 +208,11 @@ def save_repository(store: AnnotatedStore, dag: VersionDag, repo_dir: str | Path
         _write_file(repo / _patch_path(meta.seq), patch.encode("utf-8"))
     if saved < len(commits):
         _fsync_dir(deltas)
+    _write_manifest(repo, dag)
+
+
+def _write_manifest(repo: Path, dag: VersionDag) -> None:
+    """Replace repo's manifest.json with dag's, the last step of every save."""
     _write_file(repo / MANIFEST_NAME, _manifest_bytes(dag))
     _fsync_dir(repo)
 
@@ -218,6 +222,7 @@ def _manifest_error(msg: str) -> RepositoryError:
 
 
 def _check_commit_record(record, expected_seq: int) -> None:
+    """What JSON can get wrong in one record; the dag checks the history's rules."""
     if not isinstance(record, dict):
         raise _manifest_error(f"commit {expected_seq} is not an object")
     required = (
@@ -242,19 +247,11 @@ def _check_commit_record(record, expected_seq: int) -> None:
     if record["iri"] != version_iri(expected_seq):
         raise _manifest_error(f"commit {expected_seq} has wrong iri {record['iri']!r}")
     parents = record["parents"]
-    if not isinstance(parents, list) or any(
-        not is_int(p) or p < 0 or p >= expected_seq for p in parents
-    ) or len(set(parents)) != len(parents):
+    if not isinstance(parents, list) or not all(is_int(p) for p in parents):
         raise _manifest_error(f"commit {expected_seq} has bad parents {parents!r}")
-    if expected_seq > 0 and not parents:
-        raise _manifest_error(f"commit {expected_seq} has no parents")
     for key in ("branch", "message", "author", "timestamp"):
         if not isinstance(record[key], str):
             raise _manifest_error(f"commit {expected_seq} has a non-string {key!r}")
-    if not record["branch"]:
-        raise _manifest_error(f"commit {expected_seq} has an empty 'branch'")
-    if expected_seq == 0 and (parents or record["branch"] != "main"):
-        raise _manifest_error('the root commit must be on branch "main" with no parents')
     prov = record["provenance"]
     if not isinstance(prov, dict) or not all(isinstance(v, str) for v in prov.values()):
         raise _manifest_error(f"commit {expected_seq} has bad provenance {prov!r}")
@@ -266,46 +263,42 @@ def _check_commit_record(record, expected_seq: int) -> None:
         )
 
 
-def _read_manifest(repo: Path) -> tuple[list[CommitMeta], dict]:
-    """The commits manifest.json lists and its branch map, all checked."""
-    manifest_path = repo / MANIFEST_NAME
+def read_history(repo_dir: str | Path) -> VersionDag:
+    """The history manifest.json records, as a VersionDag; no patch is read.
+
+    Each record is checked for what JSON can get wrong, then committed to a
+    dag, which checks the history's rules.  A fault raises RepositoryError.
+    """
+    manifest_path = Path(repo_dir) / MANIFEST_NAME
     if not manifest_path.is_file():
         raise RepositoryError(f"not a repository: missing {manifest_path}")
     try:
         manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
         raise RepositoryError(f"unreadable manifest: {e}") from None
     if not isinstance(manifest, dict):
         raise _manifest_error("top level must be an object")
     records = manifest.get("commits")
     branches = manifest.get("branches")
-    if not isinstance(records, list) or not records:
-        raise _manifest_error("needs a nonempty commit list")
-    if not isinstance(branches, dict) or "main" not in branches:
-        raise _manifest_error('needs a branch map including "main"')
-    for name, head in branches.items():
-        if not name:
-            raise _manifest_error("bad branch map: branch name must be nonempty")
-        if not is_int(head) or not 0 <= head < len(records):
-            raise _manifest_error(f"bad branch map: unknown version: {head}")
-    commits = []
-    for seq, record in enumerate(records):
-        _check_commit_record(record, seq)
-        prov = record["provenance"]
-        commits.append(
-            CommitMeta(
-                seq=seq,
-                parents=tuple(record["parents"]),
-                branch=record["branch"],
-                message=record["message"],
-                author=record["author"],
+    if not isinstance(records, list) or not records or not isinstance(branches, dict):
+        raise _manifest_error("needs a nonempty commit list and a branch map")
+    dag = VersionDag()
+    try:  # the dag's errors name the commit or the branch map at fault
+        for seq, record in enumerate(records):
+            _check_commit_record(record, seq)
+            parents, branch, prov = record["parents"], record["branch"], record["provenance"]
+            where = f"commit {seq}"
+            dag.start_branch(branch, parents)
+            dag.commit(
+                parents, branch, message=record["message"], author=record["author"],
                 timestamp=_parse_timestamp(record["timestamp"]),
-                provenance=Provenance(
-                    code_ref=prov.get("code_ref", ""), tool=prov.get("tool", "")
-                ),
+                provenance=Provenance(prov.get("code_ref", ""), prov.get("tool", "")),
             )
-        )
-    return commits, branches
+        where = "bad branch map"
+        dag._set_branches(branches)
+    except (ValidationError, NotFoundError) as e:
+        raise _manifest_error(f"{where}: {e}") from None
+    return dag
 
 
 def load_repository(
@@ -313,21 +306,21 @@ def load_repository(
 ) -> tuple[AnnotatedStore, VersionDag]:
     """Rebuild a store and dag by replaying every patch in commit order."""
     repo = Path(repo_dir)
-    commits, branches = _read_manifest(repo)
+    recorded = read_history(repo)
     dictionary = Dictionary()
     scope = BlankScope(dictionary)
 
     def history():  # each commit with its delta, one patch read at a time
-        for meta in commits:
+        for meta in recorded.commits():
             patch_path = repo / _patch_path(meta.seq)
             if not patch_path.is_file():
                 raise RepositoryError(f"missing patch file: {patch_path}")
             try:
                 delta = parse_patch(patch_path.read_text(encoding="utf-8"), dictionary, scope)
-            except ValidationError as e:
+            except (ValidationError, UnicodeDecodeError) as e:
                 raise RepositoryError(f"{patch_path}: {e}") from None
             yield meta, delta
 
     store, dag = AnnotatedStore(dictionary, encoding=encoding), VersionDag()
-    replay(store, dag, history(), branches)
+    replay(store, dag, history(), recorded.branches)
     return store, dag

@@ -353,8 +353,7 @@ def replay(
     new branch starts at its first commit's first parent.  Then branches
     becomes the branch map, and only its heads keep snapshots."""
     for meta, delta in history:
-        if meta.parents and meta.branch not in dag.branches:
-            dag.create_branch(meta.branch, at=meta.parents[0])
+        dag.start_branch(meta.branch, meta.parents)
         store.apply_commit(
             dag, list(meta.parents), meta.branch, delta, message=meta.message,
             author=meta.author, timestamp=meta.timestamp, provenance=meta.provenance,

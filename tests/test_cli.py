@@ -5,19 +5,24 @@ internals, and byte-level comparisons against the library wherever the
 output is specified to round-trip.
 """
 
+import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
+import time
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
 
-from vgstore import format_triple, load_repository, parse_patch, serialize_ntriples
+from vgstore import format_triple, load_repository, parse_patch, save_repository, serialize_ntriples
 from vgstore.bench import QUERIES, REPORT_HEADER, ScenarioParams, generate
 import vgstore.cli
-from vgstore.store import TripleIndex
+import vgstore.repo
+from vgstore.repo import read_history
+from vgstore.store import AnnotatedStore, TripleIndex
 from vgstore.cli import run as vg
 
 from helpers import INVALID_CONSTANTS, assert_snapshots_are_heads_and_scans
@@ -641,6 +646,120 @@ def test_missing_patch_file_in_repo_dir(repo, capsys):
     victim.unlink()
     err = fails(capsys, 2, "stats", "--repo", repo)
     assert "2.patch" in err
+
+
+def test_log_and_branch_read_only_the_manifest(repo, tmp_path, capsys, monkeypatch):
+    """log and branch parse no patch and build no store, so neither needs deltas/;
+    the manifest branch writes is the one a save of the loaded history writes."""
+    sound = ok(capsys, "log", "--repo", repo)
+    before = tmp_path / "before"
+    shutil.copytree(repo, before)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a history-only command read a patch or built a store")
+
+    with monkeypatch.context() as m:
+        m.setattr(vgstore.repo, "parse_patch", boom)
+        m.setattr(AnnotatedStore, "__init__", boom)
+        assert ok(capsys, "log", "--repo", repo) == sound
+        ok(capsys, "branch", "--repo", repo, "first", "--at", "1")
+    deltas, aside = Path(repo) / "deltas", tmp_path / "deltas.aside"
+    deltas.rename(aside)
+    ok(capsys, "branch", "--repo", repo, "second", "--at", "2")
+    assert not deltas.exists()
+    aside.rename(deltas)
+    with_branches = ok(capsys, "log", "--repo", repo)
+    deltas.rename(aside)
+    assert ok(capsys, "log", "--repo", repo) == with_branches
+    aside.rename(deltas)
+    store, dag = load_repository(before)
+    dag.create_branch("first", at=1)
+    dag.create_branch("second", at=2)
+    save_repository(store, dag, before)
+    assert _files(repo) == _files(before)
+
+
+def _argv(command, repo):
+    """A complete command line for each command, short of running it."""
+    return {
+        "init": ["init", "--repo", repo, "--patch", "p"],
+        "commit": ["commit", "--repo", repo, "--branch", "main", "--patch", "p"],
+        "merge": ["merge", "--repo", repo, "--branch", "main", "--from", "1"],
+        "checkout": ["checkout", "--repo", repo, "--version", "0"],
+        "query": ["query", "--repo", repo, "--inline", "q"],
+        "stats": ["stats", "--repo", repo],
+        "log": ["log", "--repo", repo],
+        "branch": ["branch", "--repo", repo, "other", "--at", "0"],
+        "bench": ["bench", "--repo", repo],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["log", "branch", "bench"])
+def test_commands_that_build_no_chosen_store_take_no_encoding(repo, capsys, command):
+    before = _files(repo)
+    err = fails(capsys, 1, *_argv(command, repo), "--encoding", "extension")
+    assert "unrecognized arguments: --encoding" in err
+    assert _files(repo) == before
+
+
+@pytest.mark.parametrize("command", ["init", "commit", "merge", "checkout", "query", "stats"])
+def test_commands_that_build_a_store_take_an_encoding(command):
+    args = vgstore.cli.build_parser().parse_args(
+        _argv(command, "r") + ["--encoding", "interval"]
+    )
+    assert args.encoding == "interval"
+
+
+NOT_UTF8 = b'A <urn:ex:b9> <urn:ex:name> "\xff" .\n'
+
+
+@pytest.mark.parametrize("case", ["commit-patch", "query-file", "repo-patch", "manifest"])
+def test_a_file_that_is_not_utf8_exits_2(repo, tmp_path, capsys, case):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(NOT_UTF8)
+    root = Path(repo)
+    if case == "commit-patch":
+        argv = ["commit", "--repo", repo, "--branch", "main", "--patch", str(bad)]
+    elif case == "query-file":
+        argv = ["query", "--repo", repo, "--file", str(bad)]
+    elif case == "repo-patch":
+        (root / "deltas" / "1.patch").write_bytes(NOT_UTF8)
+        argv = ["stats", "--repo", repo]
+    else:
+        (root / "manifest.json").write_bytes(b"\xff" + (root / "manifest.json").read_bytes())
+        argv = ["log", "--repo", repo]
+    before = _files(repo)
+    code = vg(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("vg: error:")
+    # a refused commit leaves the patches and the manifest as they were
+    assert _files(repo) == before
+    if case == "repo-patch":
+        assert "1.patch" in err
+    if case == "manifest":
+        assert "unreadable manifest" in err
+
+
+def test_a_timestamp_without_an_offset_is_read_as_utc(repo, capsys, monkeypatch):
+    path = Path(repo) / "manifest.json"
+    manifest = json.loads(path.read_text(encoding="utf-8"))
+    manifest["commits"][1]["timestamp"] = "2026-01-01T00:01:00"
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    expected = datetime(2026, 1, 1, 0, 1, tzinfo=timezone.utc)
+    logs = []
+    try:
+        with monkeypatch.context() as m:
+            for zone in ("Europe/Paris", "America/New_York"):
+                m.setenv("TZ", zone)
+                time.tzset()
+                stamp = read_history(repo).commit_meta(1).timestamp
+                assert stamp == expected and stamp.utcoffset() == timedelta(0)
+                logs.append(ok(capsys, "log", "--repo", repo))
+    finally:
+        time.tzset()
+    assert "date:     2026-01-01T00:01:00Z" in logs[0]
+    assert logs[0] == logs[1]
 
 
 def test_bench_subcommand_writes_a_report(tmp_path, capsys):

@@ -171,6 +171,17 @@ def test_create_branch():
         dag.create_branch("", at=0)
 
 
+def test_start_branch_starts_only_a_missing_branch_at_the_first_parent():
+    dag = chain(3)
+    dag.start_branch("main", [1])
+    dag.start_branch("side", [1, 0])
+    dag.start_branch("side", [0])
+    dag.start_branch("rootless", [])
+    assert dag.branches == {"main": 2, "side": 1}
+    with pytest.raises(NotFoundError):
+        dag.start_branch("other", [7])
+
+
 def test_fork_heads_example():
     dag = chain(2)
     dag.create_branch("side", at=0)

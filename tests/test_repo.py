@@ -28,6 +28,7 @@ from vgstore import (
 )
 from vgstore.bench import ScenarioParams, generate
 from vgstore.cli import run as vg
+from vgstore.repo import read_history
 from vgstore.store import AnnotatedStore
 from vgstore.versionsets import ExtensionSet, IntervalSet
 
@@ -271,12 +272,16 @@ def test_manifest_iri_mismatch(tmp_path):
         load_repository(corrupt(tmp_path, mutate))
 
 
-def test_manifest_parent_not_smaller(tmp_path):
+def test_manifest_parent_not_smaller(tmp_path, capsys):
     def mutate(m):
         m["commits"][2]["parents"] = [2]
 
-    with pytest.raises(RepositoryError, match="parents"):
-        load_repository(corrupt(tmp_path, mutate))
+    outdir = corrupt(tmp_path, mutate)
+    shutil.rmtree(outdir / "deltas")
+    with pytest.raises(RepositoryError, match="commit 2: unknown version: 2"):
+        load_repository(outdir)
+    assert vg(["log", "--repo", str(outdir)]) == 2
+    capsys.readouterr()
 
 
 def test_manifest_missing_main_branch(tmp_path):
@@ -357,7 +362,7 @@ def _branch(name, head):
         pytest.param(_patch_outside, "deltas/1.patch", id="patch-outside"),
         pytest.param(_record_list, "object", id="record-list"),
         pytest.param(_record_int, "object", id="record-int"),
-        pytest.param(_set(0, "branch", "dev"), "root", id="root-branch"),
+        pytest.param(_set(0, "branch", "dev"), 'first commit, on "main"', id="root-branch"),
         pytest.param(_branch("main", lambda n: True), "branch map", id="head-bool"),
         pytest.param(_branch("main", lambda n: n), "branch map", id="head-past-last"),
         pytest.param(_branch("side", lambda n: -1), "branch map", id="head-negative"),
@@ -387,6 +392,18 @@ def test_save_load_round_trip_property(seed, blanks):
             assert serialize_ntriples(
                 loaded_store.materialize(v), loaded_store.dictionary
             ) == serialize_ntriples(store.materialize(v), store.dictionary)
+
+
+@given(st.integers(0, 10_000))
+@settings(max_examples=25, deadline=None)
+def test_read_history_is_the_history_a_load_replays(seed):
+    store, dag = random_repo(random.Random(seed))
+    with tempfile.TemporaryDirectory() as tmp:
+        save_repository(store, dag, tmp)
+        recorded = read_history(tmp)
+        _store, loaded = load_repository(tmp)
+        assert recorded.commits() == loaded.commits() == dag.commits()
+        assert recorded.branches == loaded.branches == dag.branches
 
 
 @given(st.integers(0, 10_000), st.sampled_from(["extension", "interval"]))
