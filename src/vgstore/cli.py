@@ -26,7 +26,7 @@ from typing import Callable
 
 from .dag import Provenance, VersionDag, version_iri
 from .engine import eval_annotated, eval_checkout, format_results
-from .errors import QueryError, RepositoryError, StateError, VgError
+from .errors import QueryError, RepositoryError, StateError, ValidationError, VgError
 from .ntriples import BlankScope, serialize_ntriples
 from .repo import MANIFEST_NAME, _format_timestamp, _write_manifest, load_repository, parse_patch
 from .repo import read_history, save_repository
@@ -58,12 +58,20 @@ def _locked(repo_dir: str, create: bool = False):
         yield
 
 
+def _read_text(path: str) -> str:
+    """A file's UTF-8 text; a file that is not UTF-8 raises a ValidationError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise ValidationError(f"{path}: {e}") from None
+
+
 def _commit(args, store: AnnotatedStore, dag: VersionDag, parents: list[int],
             branch: str, message: str, strict: bool = True) -> int:
     """Apply args.patch, or no change, as one commit and save the repository."""
     delta = EMPTY_DELTA
     if args.patch:
-        text = Path(args.patch).read_text(encoding="utf-8")
+        text = _read_text(args.patch)
         delta = parse_patch(text, store.dictionary, BlankScope.of_history(store.dictionary))
     seq = store.apply_commit(
         dag, parents, branch, delta,
@@ -208,11 +216,7 @@ def _cmd_checkout(args) -> int:
 
 
 def _cmd_query(args) -> int:
-    if args.file is not None:
-        text = Path(args.file).read_text(encoding="utf-8")
-    else:
-        text = args.inline
-    query = parse_query(text)
+    query = parse_query(args.inline if args.file is None else _read_text(args.file))
     store, dag = load_repository(args.repo, encoding=args.encoding)
     evaluate = eval_annotated if args.evaluator == "annotated" else eval_checkout
     table = evaluate(store, dag, query, version_domain=args.versions)

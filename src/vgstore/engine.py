@@ -32,8 +32,8 @@ under || or ! beside data) stays at its FILTER, where the annotated
 evaluator splits a row's sets into their head and non-head parts.
 
 Each test is a tree of closures with three-valued logic.  A comparison reads
-each operand's value key (terms.value_key); a constant's is made when the
-query is compiled, and MIN and MAX compare the same keys in one pass.
+each operand's value key (terms.value_key); a constant's is computed when
+the query is compiled, and MIN and MAX compare the same keys in one pass.
 
 Both end in one finish, _finish, on compact rows: a row's data term ids plus
 the members of each version variable (one member in a checkout).  A row's
@@ -45,31 +45,32 @@ adds those counts and a projection without DISTINCT repeats its key that
 often, while DISTINCT, MIN and MAX ignore them, so `SELECT DISTINCT ?b` or a
 COUNT per data value reads no version text at all.  Serialization is
 injective, so the keys group, dedupe and sort as the terms would, and
-sorting pays per distinct row; only the sorted keys are turned back into
-term rows.  The table carries those sorted keys as its texts, which TSV
-formatting joins without serializing anything again, so equal results from
-both evaluators are byte-equal after formatting.
+sorting pays per distinct row.  The sorted keys are the table: TSV
+formatting joins them without serializing anything again, so equal results
+from both evaluators are byte-equal after formatting, and no term is built
+for a row unless a reader asks for SolutionTable.rows.
 
-A data term's text is the Dictionary's.  The other per-term constants (each
-term id's value key, each version's and COUNT's text and term) are made once
-per Dictionary, on first read, and kept while the dictionary lives
-(_Constants).  A term id's meaning never changes, so they are never
-invalidated; two readers filling one entry at once make equal values.  The
-head, non-head and every-version sets depend on the dag, so eval_annotated
-builds each at most once per evaluation, on its first read, and keeps none.
+A data term's text is the Dictionary's.  The other per-term constants (a
+term id's value key, a version's or COUNT's text, and a text's value key for
+MIN and MAX) are computed once per Dictionary, on first read, and kept while
+the dictionary lives (_Constants).  A term id's meaning never changes, so
+they are never invalidated; two readers filling one entry at once compute
+equal values.  The head, non-head and every-version sets depend on the dag,
+so eval_annotated builds each at most once per evaluation, on its first
+read, and keeps none.
 """
 
 from __future__ import annotations
 
 import operator
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from itertools import chain, product, repeat
 from typing import Callable, Iterable
 
 from .dag import VersionDag, parse_version_iri, version_iri
-from .ntriples import format_term
+from .ntriples import format_term, read_term
 from .sparql import (
     Aggregate,
     And,
@@ -81,7 +82,6 @@ from .sparql import (
     Not,
     Or,
     Query,
-    SelectClause,
     TriplePattern,
     Var,
     _expr_vars,
@@ -105,18 +105,21 @@ _DOMAINS = ("all", "heads")
 
 @dataclass
 class SolutionTable:
-    """A query's header and sorted rows; texts holds each row's N-Triples
-    texts, 1:1 with rows.  The finish passes the texts it sorted on, and a
-    table built from rows alone serializes them here.  texts is left out of
-    equality and repr, and does not follow later edits to rows."""
+    """A query's header and its sorted rows, each row a tuple of canonical
+    N-Triples texts, which TSV formatting joins.  rows reads them back as
+    terms.  A table of term rows is SolutionTable(header,
+    [tuple(map(format_term, row)) for row in rows])."""
 
     header: tuple[str, ...]
-    rows: list[tuple[Term, ...]]
-    texts: list[tuple[str, ...]] | None = field(default=None, compare=False, repr=False)
+    texts: list[tuple[str, ...]]
 
-    def __post_init__(self) -> None:
-        if self.texts is None:
-            self.texts = [tuple(map(format_term, row)) for row in self.rows]
+    @property
+    def rows(self) -> list[tuple[Term, ...]]:
+        """The rows as terms: read_term reads each distinct text once, and zip
+        builds the row tuples column by column, cheaper than a tuple() per row."""
+        terms = {text: read_term(text) for text in set(chain.from_iterable(self.texts))}
+        columns = (map(operator.itemgetter(i), self.texts) for i in range(len(self.header)))
+        return list(zip(*(map(terms.__getitem__, column) for column in columns)))
 
 
 def _check_domain(version_domain: str) -> None:
@@ -144,7 +147,7 @@ def _join(
 ) -> list[_Row]:
     """Extend each row by every triple `match` finds for the pattern.
 
-    Every row binds the same variables, so the plan is made once, from the
+    Every row binds the same variables, so the plan is drawn once, from the
     first row: a slot probes with a constant or a bound variable's id, binds
     a new variable, or must equal the earlier slot that binds its variable.
     check, the FILTER operands placed at this step, must be True on the
@@ -230,7 +233,7 @@ _SIGN_TESTS = {"<": operator.lt, "<=": operator.le, "=": operator.eq,
 
 
 class _Memo(dict):
-    """make(key) for each key, made on its first read and kept."""
+    """make(key) for each key, computed on its first read and kept."""
 
     def __init__(self, make: Callable[[object], object]):
         super().__init__()
@@ -242,40 +245,21 @@ class _Memo(dict):
 
 
 class _Constants:
-    """One dictionary's per-term evaluation constants, each made on its first read.
+    """One dictionary's per-term evaluation constants, each computed on its first read.
 
-    keys: term id -> value key; versions: seq -> its IRI's text, made
+    keys: term id -> value key; versions: seq -> its IRI's text, built
     directly (an IRI is written <text>, unescaped); numbers: a COUNT -> its
-    literal's text; made: each text made here -> its term; and text_keys:
-    text -> value key, for MIN and MAX.  They read the dictionary's term list
-    and text map, never the dictionary itself, so that it can be the key of
-    _CONSTANTS.
+    literal's text; and text_keys: text -> value key, for MIN and MAX.  They
+    read the dictionary's term list, never the dictionary itself, so that it
+    can be the key of _CONSTANTS.
     """
 
     def __init__(self, dictionary: Dictionary):
-        self._by_id, self._by_text = dictionary._by_id, dictionary._by_text
-        self.made: dict[str, Term] = {}
-        self.keys = _Memo(lambda tid: value_key(self._by_id[tid]))
-        self.versions = _Memo(self._version)
-        self.numbers = _Memo(self._number)
-        self.text_keys = _Memo(lambda text: value_key(next(self.terms([text], text in self.made))))
-
-    def terms(self, texts: Iterable[str], made: bool) -> Iterable[Term]:
-        """The terms some texts spell: texts made here if made, else the dictionary's."""
-        if made:
-            return map(self.made.__getitem__, texts)
-        return map(self._by_id.__getitem__, map(self._by_text.__getitem__, texts))
-
-    def _version(self, seq: int) -> str:
-        iri = version_iri(seq)
-        self.made[f"<{iri}>"] = Iri(iri)
-        return f"<{iri}>"
-
-    def _number(self, n: int) -> str:
-        term = Literal(str(n), XSD_INTEGER)
-        out = format_term(term)
-        self.made[out] = term
-        return out
+        by_id = dictionary._by_id
+        self.keys = _Memo(lambda tid: value_key(by_id[tid]))
+        self.versions = _Memo(lambda seq: f"<{version_iri(seq)}>")
+        self.numbers = _Memo(lambda n: format_term(Literal(str(n), XSD_INTEGER)))
+        self.text_keys = _Memo(lambda text: value_key(read_term(text)))
 
 
 _CONSTANTS: weakref.WeakKeyDictionary[Dictionary, _Constants] = weakref.WeakKeyDictionary()
@@ -296,7 +280,7 @@ def _compile(expr: Expr, keys: _Memo) -> _Test:
     """expr as test(env, at_head): three-valued, None meaning an error, which
     drops the row; at_head[name] answers isHead(?name)."""
     if isinstance(expr, Comparison):
-        # a variable operand reads its bound term's key; a constant's is made here
+        # a variable operand reads its bound term's key; a constant's is computed here
         (a, key_a), (b, key_b) = (
             (t.name, None) if isinstance(t, Var) else (None, value_key(t))
             for t in (expr.lhs, expr.rhs)
@@ -429,7 +413,7 @@ def _finish(
 
     A row is its data ids plus the members of each version variable.  Each
     column the SELECT reads becomes a list of texts, one per data id or per
-    version, each made once per dictionary; the product of those lists gives
+    version, each computed once per dictionary; the product of those lists gives
     the row's keys.  A version variable the SELECT does not read multiplies
     the count of each key by its size.  Serializations are equal exactly when
     terms are, so keys group, dedupe, count and sort as the rows would.
@@ -489,18 +473,9 @@ def _finish(
                 out = tuple(map(cells.__getitem__, header))
                 counts[out] = counts.get(out, 0) + 1
     ordered = sorted(counts)
-    # a column of versions or COUNTs holds texts made here, any other the dictionary's
-    version_vars = query.version_vars()
-    made = [item.name in version_vars if isinstance(item, Var)
-            else item.func == "COUNT" or item.arg.name in version_vars for item in select.items]
-    # zip builds the row tuples column by column, cheaper than a tuple() per row
-    table = list(zip(*(memo.terms(map(operator.itemgetter(i), ordered), here)
-                       for i, here in enumerate(made))))
     if not select.distinct and sum(counts.values()) > len(ordered):
-        times = list(map(counts.__getitem__, ordered))  # each key's rows, converted once
-        ordered, table = (list(chain.from_iterable(map(repeat, rows, times)))
-                          for rows in (ordered, table))
-    return SolutionTable(header, table, ordered)
+        ordered = list(chain.from_iterable(map(repeat, ordered, map(counts.__getitem__, ordered))))
+    return SolutionTable(header, ordered)
 
 
 # --- annotated evaluation ------------------------------------------------
@@ -668,7 +643,7 @@ def eval_checkout(
 def format_results(table: SolutionTable, fmt: str = "tsv") -> str:
     """Render a table as TSV (N-Triples terms) or CSV (lexical forms).
 
-    TSV joins the table's texts, serializing no term; CSV reads its rows.
+    TSV joins the texts, serializing no term; CSV reads each distinct text once.
     """
     if fmt == "tsv":
         lines = ["\t".join(f"?{name}" for name in table.header)]
@@ -678,11 +653,11 @@ def format_results(table: SolutionTable, fmt: str = "tsv") -> str:
         import csv
         import io
 
+        cells = {t: _csv_cell(read_term(t)) for t in set(chain.from_iterable(table.texts))}
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\r\n")
         writer.writerow(table.header)
-        for row in table.rows:
-            writer.writerow([_csv_cell(cell) for cell in row])
+        writer.writerows(map(cells.__getitem__, row) for row in table.texts)
         return buf.getvalue()
     raise ValueError(f"unknown result format: {fmt!r}")
 

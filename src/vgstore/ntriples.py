@@ -29,7 +29,8 @@ interning time.  Every other term text, without the blanks before it, is
 first looked up in the dictionary's text map.  A canonical text (what
 terms.term_text writes) spells its own term, so a text the dictionary holds
 is not decoded, validated or built into a term again; any other spelling is
-decoded once per document and lands on its term's id.
+read once per document by read_term, which query results read their texts
+back with too, and lands on its term's id.
 
 Writing escapes only quotes, backslashes, and control characters, and
 format_triple writes every triple, in patches and documents alike, from the
@@ -162,6 +163,11 @@ def term_from_match(m: re.Match | None) -> Term:
     return term
 
 
+def read_term(text: str) -> Term:
+    """The valid term a whole N-Triples text spells; ValidationError if none."""
+    return term_from_match(TERM_RE.fullmatch(text))
+
+
 def _match_statement(text: str, line: int) -> tuple[re.Match, re.Match, re.Match]:
     """The matches of one statement's three terms, each of a kind its
     position allows, followed by the final dot."""
@@ -283,7 +289,7 @@ def read_statements(
     if len(rows) == len(_STATEMENT_LINE_RE.findall(text)):  # no line left over
         with contextlib.suppress(ValidationError):
             new = {
-                key: term_from_match(TERM_RE.fullmatch(key))
+                key: read_term(key)
                 for key in keys
                 if key not in by_text and not key.startswith("_:")
             }

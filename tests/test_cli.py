@@ -735,6 +735,8 @@ def test_a_file_that_is_not_utf8_exits_2(repo, tmp_path, capsys, case):
     assert err.startswith("vg: error:")
     # a refused commit leaves the patches and the manifest as they were
     assert _files(repo) == before
+    if case in ("commit-patch", "query-file"):  # a file the command line names is named
+        assert err.startswith(f"vg: error: {bad}: 'utf-8' codec can't decode byte 0xff")
     if case == "repo-patch":
         assert "1.patch" in err
     if case == "manifest":

@@ -18,7 +18,7 @@ from vgstore import (
     serialize_ntriples,
 )
 from vgstore import ntriples, parse_patch
-from vgstore.ntriples import BlankScope, read_statements
+from vgstore.ntriples import BlankScope, read_statements, read_term
 from vgstore.terms import RDF_LANGSTRING, XSD_STRING, _escape_lex, term_text, validate_term
 
 from helpers import parse_statement, reference_interning, statement_lines
@@ -259,6 +259,26 @@ def test_escape_lex_matches_the_per_character_loop_on_every_scalar_value():
 @given(lex)
 def test_escape_lex_matches_the_per_character_loop_on_mixed_text(text):
     assert _escape_lex(text) == _escape_lex_per_character(text)
+
+
+@pytest.mark.parametrize("text,term", [
+    (f'"y"^^<{XSD_STRING}>', Literal("y")),
+    ('"\\u0041"', Literal("A")),
+    ('"\\U0001F600\\t"', Literal("\U0001F600\t")),
+    ("<urn:\\u0061>", Iri("urn:a")),
+    ('"gare"@fr', Literal("gare", RDF_LANGSTRING, "fr")),
+])
+def test_read_term_reads_any_spelling_as_the_canonical_term(text, term):
+    assert read_term(text) == term
+    assert read_term(format_term(term)) == term
+
+
+@pytest.mark.parametrize("text", [
+    "<urn:a> .", '"y" x', "<urn:a><urn:b>", '"y"^^<urn:dt> ', "_:b1\n", "", '"\\uD800"',
+])
+def test_read_term_refuses_trailing_text_and_what_spells_no_term(text):
+    with pytest.raises(ValidationError):
+        read_term(text)
 
 
 def test_format_term_rejects_a_non_term():

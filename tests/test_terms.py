@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from vgstore.errors import NotFoundError, ValidationError
+from vgstore.ntriples import read_term
 from vgstore.terms import (
     RDF_LANGSTRING,
     XSD_BOOLEAN,
@@ -83,6 +84,11 @@ def test_resolve_unknown_id():
 def test_resolve_intern_identity(t):
     d = Dictionary()
     assert d.resolve(d.intern(t)) == t
+
+
+@given(terms)
+def test_read_term_reads_back_what_term_text_writes(t):
+    assert read_term(term_text(t)) == t
 
 
 @given(st.lists(terms, max_size=30))
