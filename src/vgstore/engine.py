@@ -57,7 +57,8 @@ the dictionary lives (_Constants).  A term id's meaning never changes, so
 they are never invalidated; two readers filling one entry at once compute
 equal values.  The head, non-head and every-version sets depend on the dag,
 so eval_annotated builds each at most once per evaluation, on its first
-read, and keeps none.
+read, and keeps none.  Both evaluators look each pattern constant's id up
+once per evaluation too, since a later commit can intern one absent now.
 """
 
 from __future__ import annotations
@@ -140,7 +141,7 @@ _EMPTY_INDEX = TripleIndex()
 def _join(
     rows: list[_Row],
     pattern: TriplePattern,
-    dictionary: Dictionary,
+    ids: _Memo,
     match: Callable,
     combine: _Combine,
     check: _Test | None = None,
@@ -148,7 +149,7 @@ def _join(
     """Extend each row by every triple `match` finds for the pattern.
 
     Every row binds the same variables, so the plan is drawn once, from the
-    first row: a slot probes with a constant or a bound variable's id, binds
+    first row: a slot probes with a constant's id in ids or a bound variable's, binds
     a new variable, or must equal the earlier slot that binds its variable.
     check, the FILTER operands placed at this step, must be True on the
     candidate's bindings; it runs before combine(annotation, leaf), which
@@ -157,7 +158,7 @@ def _join(
     """
     slots = (pattern.s, pattern.p, pattern.o)
     # the constants' ids, None at the variables; a constant never interned matches nothing
-    base = [None if isinstance(slot, Var) else dictionary.lookup(slot) for slot in slots]
+    base = [None if isinstance(slot, Var) else ids[slot] for slot in slots]
     if not rows or any(t is None and not isinstance(v, Var) for v, t in zip(slots, base)):
         return []
     probes: list[tuple[int, str]] = []  # (slot, bound variable) read per row
@@ -247,19 +248,19 @@ class _Memo(dict):
 class _Constants:
     """One dictionary's per-term evaluation constants, each computed on its first read.
 
-    keys: term id -> value key; versions: seq -> its IRI's text, built
-    directly (an IRI is written <text>, unescaped); numbers: a COUNT -> its
-    literal's text; and text_keys: text -> value key, for MIN and MAX.  They
-    read the dictionary's term list, never the dictionary itself, so that it
-    can be the key of _CONSTANTS.
+    text_keys: text -> value key, for MIN and MAX; keys: term id -> its
+    text's key; versions: seq -> its IRI's text, built directly (an IRI is
+    written <text>, unescaped); and numbers: a COUNT -> its literal's text.
+    They read the dictionary's text list, never the dictionary itself, so
+    that it can be the key of _CONSTANTS; no term is kept.
     """
 
     def __init__(self, dictionary: Dictionary):
-        by_id = dictionary._by_id
-        self.keys = _Memo(lambda tid: value_key(by_id[tid]))
+        texts = dictionary._texts
+        text_keys = self.text_keys = _Memo(lambda text: value_key(read_term(text)))
+        self.keys = _Memo(lambda tid: text_keys[texts[tid]])
         self.versions = _Memo(lambda seq: f"<{version_iri(seq)}>")
         self.numbers = _Memo(lambda n: format_term(Literal(str(n), XSD_INTEGER)))
-        self.text_keys = _Memo(lambda text: value_key(read_term(text)))
 
 
 _CONSTANTS: weakref.WeakKeyDictionary[Dictionary, _Constants] = weakref.WeakKeyDictionary()
@@ -528,6 +529,7 @@ def eval_annotated(
     _check_domain(version_domain)
     dictionary = store.dictionary
     keys = _constants(dictionary).keys
+    ids = _Memo(dictionary.lookup)  # a constant's id, or None until a commit interns it
     set_cls = set_class(store.encoding)
     heads, every = dag.heads(), range(store.n_versions)
     # {True: the heads, False: every other version, None: every version}, each
@@ -550,7 +552,7 @@ def eval_annotated(
         if not rows:
             break
         if isinstance(element, TriplePattern):
-            rows = _join(rows, element, dictionary, *at(main_head), _conjoin(operands[0], keys))
+            rows = _join(rows, element, ids, *at(main_head), _conjoin(operands[0], keys))
         elif isinstance(element, GraphBlock):
             if not isinstance(element.name, Var):
                 match, combine = at(_graph_version(element, store.n_versions))
@@ -566,7 +568,7 @@ def eval_annotated(
                     continue
                 match, combine = store.match, _over_var(name, within)
             for pattern, step in zip(element.patterns, operands):
-                rows = _join(rows, pattern, dictionary, match, combine, _conjoin(step, keys))
+                rows = _join(rows, pattern, ids, match, combine, _conjoin(step, keys))
                 if not rows:
                     break
         elif operands[0]:
@@ -591,6 +593,7 @@ def eval_checkout(
     _check_domain(version_domain)
     dictionary = store.dictionary
     keys = _constants(dictionary).keys
+    ids = _Memo(dictionary.lookup)  # a constant's id, or None until a commit interns it
     heads = dag.heads()
     domain = sorted(heads) if version_domain == "heads" else list(range(store.n_versions))
     version_names = sorted(query.version_vars())
@@ -621,14 +624,14 @@ def eval_checkout(
                 break
             if isinstance(element, TriplePattern):
                 match = graph_at(main_head).match
-                rows = _join(rows, element, dictionary, match, _keep, checks[0])
+                rows = _join(rows, element, ids, match, _keep, checks[0])
             elif isinstance(element, GraphBlock):
                 if isinstance(element.name, Var):
                     g = graph_at(assign[element.name.name])
                 else:
                     g = graph_at(_graph_version(element, store.n_versions))
                 for pattern, check in zip(element.patterns, checks):
-                    rows = _join(rows, pattern, dictionary, g.match, _keep, check)
+                    rows = _join(rows, pattern, ids, g.match, _keep, check)
                     if not rows:
                         break
             elif checks[0] is not None:

@@ -26,11 +26,11 @@ Reading a document is all-or-nothing: terms are interned only after every
 line has parsed, so a failed read leaves the dictionary untouched.  Blank
 node labels are scoped to the read and replaced with fresh labels at
 interning time.  Every other term text, without the blanks before it, is
-first looked up in the dictionary's text map.  A canonical text (what
-terms.term_text writes) spells its own term, so a text the dictionary holds
-is not decoded, validated or built into a term again; any other spelling is
-read once per document by read_term, which query results read their texts
-back with too, and lands on its term's id.
+first looked up in the dictionary's text map.  A text it lacks that
+terms.canonical passes is what terms.term_text writes for the valid term it
+spells, so the dictionary takes the text as it is and builds no term; any
+other spelling is read once per document by read_term, which query results
+and Dictionary.resolve read texts with too, and lands on its term's id.
 
 Writing escapes only quotes, backslashes, and control characters, and
 format_triple writes every triple, in patches and documents alike, from the
@@ -57,6 +57,7 @@ from .terms import (
     Literal,
     Term,
     Triple,
+    canonical,
     term_text,
     validate_term,
 )
@@ -213,14 +214,14 @@ class BlankScope:
         dictionary holds names its own node, so a later patch that writes it
         means that node."""
         scope = cls(dictionary)
-        scope._used = {term.label for term in dictionary._by_id if isinstance(term, BlankNode)}
+        scope._used = {text[2:] for text in dictionary._texts if text.startswith("_:")}
         scope._mapping = {label: label for label in scope._used}
         return scope
 
     def rename(self, node: BlankNode) -> BlankNode:
         label = self._mapping.get(node.label)
         if label is None:
-            if self._dictionary.lookup(node) is None and node.label not in self._used:
+            if f"_:{node.label}" not in self._dictionary._by_text and node.label not in self._used:
                 label = node.label
             else:
                 label = self._dictionary.fresh_blank_label()
@@ -285,28 +286,31 @@ def read_statements(
     keys = dict.fromkeys(chain.from_iterable(rows))  # each text where it first occurs
     for m in (*marks, ""):  # a mark is not a term
         keys.pop(m, None)
-    new = None
-    if len(rows) == len(_STATEMENT_LINE_RE.findall(text)):  # no line left over
-        with contextlib.suppress(ValidationError):
-            new = {
+    read, lines = None, text.count("\n") + (not text.endswith("\n"))
+    # each row is a whole line: every line is one, or no statement line is left over
+    if len(rows) == lines or len(rows) == len(_STATEMENT_LINE_RE.findall(text)):
+        with contextlib.suppress(ValidationError):  # the new texts that are not canonical
+            read = {
                 key: read_term(key)
                 for key in keys
-                if key not in by_text and not key.startswith("_:")
+                if key not in by_text and not key.startswith("_:") and not canonical(key)
             }
-    if new is None:  # the per-line reader raises the first error, with its line
+    if read is None:  # the per-line reader raises the first error, with its line
         _raise_first_error(text, marks)
         raise AssertionError("the statement pattern missed a statement the per-line reader reads")
 
-    # every line has parsed: intern each text in order; the terms above are
-    # valid, and so are a scope's blank labels
-    intern = dictionary.intern_valid
+    # every line has parsed: intern each text in order; the terms read above
+    # are valid, and so are the other texts and a scope's blank labels
+    intern, intern_text = dictionary.intern_valid, dictionary.intern_text
     tids = {
-        key: intern(new[key]) if key in new
-        else intern(scope.rename(BlankNode(key[2:]))) if key.startswith("_:")
-        else by_text[key]
+        key: intern_text(f"_:{scope.rename(BlankNode(key[2:])).label}") if key.startswith("_:")
+        else by_text[key] if key in by_text
+        else intern(read[key]) if key in read
+        else intern_text(key)
         for key in keys
     }
-    return [(mark, Triple(tids[s], tids[p], tids[o])) for mark, s, p, o in rows]
+    make = tuple.__new__  # what Triple._make calls, without its length check
+    return [(mark, make(Triple, (tids[s], tids[p], tids[o]))) for mark, s, p, o in rows]
 
 
 def parse_ntriples(text: str, dictionary: Dictionary) -> list[Triple]:

@@ -6,7 +6,8 @@ blank lines are ignored.  The manifest lists every commit in dense order with
 its metadata and patch path, plus the branch map.  Version sets are never
 persisted.  A load reads the whole manifest into a VersionDag (read_history)
 before any patch, then replays every patch through store.replay, which
-rebuilds the annotations and revalidates every delta.
+rebuilds the annotations and revalidates every delta.  A saved patch's term
+texts are canonical, so a load interns them as read (see ntriples).
 
 Saving appends.  It reads the manifest already in the directory, which must
 list the first k commits of the history being saved, and writes only the
@@ -58,11 +59,10 @@ def parse_patch(
     fresh scope per call.  A scope made for another dictionary raises
     ValueError.
     """
-    statements = read_statements(text, dictionary, scope, marks="AD")
-    return Delta(
-        frozenset(triple for mark, triple in statements if mark == "A"),
-        frozenset(triple for mark, triple in statements if mark == "D"),
-    )
+    sides: dict[str, list] = {"A": [], "D": []}
+    for mark, triple in read_statements(text, dictionary, scope, marks="AD"):
+        sides[mark].append(triple)
+    return Delta(frozenset(sides["A"]), frozenset(sides["D"]))
 
 
 def serialize_patch(delta: Delta, dictionary: Dictionary) -> str:

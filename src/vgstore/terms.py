@@ -9,11 +9,13 @@ compare_values treats them as numerically equal).
 A Dictionary interns terms to dense integer ids starting at 0 so triples and
 indexes can work on ints.  Interning the same term twice returns the same id,
 and ids are never reused.  The dictionary is not thread-safe for writes;
-callers must not interleave intern calls from several threads.
+callers must not interleave intern calls from several threads.  Reads,
+resolve included, may run on several threads at once.
 
-The dictionary keys each term by its canonical N-Triples text (term_text),
-made once, when the term is interned, and kept by id (Dictionary.text); two
-valid terms are equal exactly when their texts are.
+The dictionary keys each term by its canonical N-Triples text (term_text)
+and keeps it by id (Dictionary.text); two valid terms are equal exactly when
+their texts are.  The reader hands it each text canonical() passes as read,
+so a load makes no text; an id's term is read from its text on first resolve.
 """
 
 from __future__ import annotations
@@ -108,6 +110,10 @@ _LEX_ESCAPES = {chr(code): f"\\u{code:04X}" for code in (*range(0x20), 0x7F)} | 
     "\t": "\\t",
 }
 _LEX_ESCAPE_RE = re.compile(r'["\\\x00-\x1f\x7f]')
+# no canonical text holds a backslash (so its quotes delimit a literal), a
+# character _LEX_ESCAPE_RE escapes, or a lone surrogate (no valid term does)
+_NOT_CANONICAL_RE = re.compile(r'[\\\x00-\x1f\x7f\ud800-\udfff]')
+_NOT_CANONICAL_TAILS = (f"^^<{XSD_STRING}>", f"^^<{RDF_LANGSTRING}>")
 
 
 def _escape_lex(lex: str) -> str:
@@ -128,6 +134,13 @@ def term_text(term: Term) -> str:
     if term.datatype != XSD_STRING:
         return f"{body}^^<{term.datatype}>"
     return body
+
+
+def canonical(text: str) -> bool:
+    """Whether a text the N-Triples statement pattern matched can be interned
+    as it is: True only if it is term_text of the valid term it spells.  Some
+    canonical texts get False (an IRI holding DEL), and are read instead."""
+    return _NOT_CANONICAL_RE.search(text) is None and not text.endswith(_NOT_CANONICAL_TAILS)
 
 
 def iri_text_ok(text: str) -> bool:
@@ -164,17 +177,17 @@ def validate_term(term: Term) -> None:
 
 
 class Dictionary:
-    """Bidirectional term <-> dense id mapping, keyed by each term's text; its
-    maps only ever grow, so the reader and the evaluator read them directly."""
+    """Bidirectional text <-> dense id mapping, over each term's canonical text;
+    its maps only ever grow, so the reader and the evaluator read them directly."""
 
     def __init__(self):
         self._by_text: dict[str, TermId] = {}
-        self._by_id: list[Term] = []
         self._texts: list[str] = []
+        self._terms: dict[TermId, Term] = {}  # the terms interned or resolved so far
         self._blank_counter = 0
 
     def __len__(self) -> int:
-        return len(self._by_id)
+        return len(self._texts)
 
     def intern(self, term: Term) -> TermId:
         """Return the id for term, assigning the next dense id if new."""
@@ -186,8 +199,16 @@ class Dictionary:
         text = term_text(term)
         tid = self._by_text.get(text)
         if tid is None:
-            tid = self._by_text[text] = len(self._by_id)
-            self._by_id.append(term)
+            tid = self.intern_text(text)
+            self._terms[tid] = term  # so its first resolve reads nothing
+        return tid
+
+    def intern_text(self, text: str) -> TermId:
+        """intern for a canonical text (see canonical): it is not checked, and
+        its term is built on its first resolve."""
+        tid = self._by_text.get(text)
+        if tid is None:
+            tid = self._by_text[text] = len(self._texts)
             self._texts.append(text)
         return tid
 
@@ -201,13 +222,19 @@ class Dictionary:
         return self._by_text.get(term_text(term))
 
     def resolve(self, tid: TermId) -> Term:
-        if not isinstance(tid, int) or tid < 0 or tid >= len(self._by_id):
-            raise NotFoundError(f"unknown term id: {tid}")
-        return self._by_id[tid]
+        """The term with id tid, read from its text on the first call."""
+        text = self.text(tid)
+        term = self._terms.get(tid)
+        if term is None:
+            from .ntriples import read_term  # ntriples imports this module first
+            # readers racing on one id each store an equal term, in one assignment
+            term = self._terms[tid] = read_term(text)
+        return term
 
     def text(self, tid: TermId) -> str:
-        """The N-Triples text of the term with id tid, made when it was interned."""
-        self.resolve(tid)  # NotFoundError for an unknown id
+        """The canonical N-Triples text of the term with id tid."""
+        if not isinstance(tid, int) or tid < 0 or tid >= len(self._texts):
+            raise NotFoundError(f"unknown term id: {tid}")
         return self._texts[tid]
 
     def fresh_blank_label(self) -> str:
@@ -215,7 +242,7 @@ class Dictionary:
         while True:
             label = f"b{self._blank_counter}"
             self._blank_counter += 1
-            if self.lookup(BlankNode(label)) is None:
+            if f"_:{label}" not in self._by_text:
                 return label
 
     def triple(self, s: Term, p: Term, o: Term) -> Triple:

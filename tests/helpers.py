@@ -152,6 +152,11 @@ def parse_statement(text: str, line: int = 1) -> tuple[Term, Term, Term]:
     return _term_at(s, line), _term_at(p, line), _term_at(o, line)
 
 
+def terms_by_id(d: Dictionary) -> list[tuple[str, Term]]:
+    """Each id's text and term, in id order, read through text and resolve."""
+    return [(d.text(i), d.resolve(i)) for i in range(len(d))]
+
+
 def reference_interning(patches: list[str]) -> Dictionary:
     """The dictionary a load of these patches builds, by the plain rule:
     each statement is built into terms, then its blank labels are renamed

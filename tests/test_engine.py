@@ -1421,3 +1421,27 @@ def test_a_dictionary_s_constants_do_not_keep_it_alive():
     del store
     gc.collect()
     assert dictionary() is None and constants() is None
+
+
+def test_a_pattern_constant_is_looked_up_once_per_evaluation_and_an_absent_one_again():
+    """The checkout joins once per version, yet looks each constant up once;
+    a constant absent from the dictionary matches once a commit interns it."""
+    from unittest import mock
+
+    from vgstore.terms import Dictionary
+
+    store, dag = city()
+    query = parse_query(
+        f'SELECT ?v ?b WHERE {{ GRAPH ?v {{ ?b <{EX}height> ?h . ?b <{EX}note> "new" }} }}'
+    )
+    lookup = mock.patch.object(Dictionary, "lookup", autospec=True, side_effect=Dictionary.lookup)
+    for evaluate in BOTH:
+        with lookup as calls:
+            assert evaluate(store, dag, query).texts == []
+        assert calls.call_count == 3
+    d = store.dictionary
+    note = d.triple(Iri(EX + "b1"), Iri(EX + "note"), Literal("new"))
+    head = dag.branch_head("main")
+    seq = store.apply_commit(dag, [head], "main", Delta(frozenset({note}), frozenset()))
+    for evaluate in BOTH:
+        assert evaluate(store, dag, query).texts == [(f"<{version_iri(seq)}>", f"<{EX}b1>")]

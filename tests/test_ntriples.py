@@ -21,7 +21,7 @@ from vgstore import ntriples, parse_patch
 from vgstore.ntriples import BlankScope, read_statements, read_term
 from vgstore.terms import RDF_LANGSTRING, XSD_STRING, _escape_lex, term_text, validate_term
 
-from helpers import parse_statement, reference_interning, statement_lines
+from helpers import parse_statement, reference_interning, statement_lines, terms_by_id
 
 XSD_INT = "http://www.w3.org/2001/XMLSchema#integer"
 
@@ -428,14 +428,17 @@ def test_a_patch_failing_on_its_last_line_leaves_dictionary_and_scope_alone(last
     d = Dictionary()
     scope = BlankScope(d)
     parse_patch('A _:n <urn:p> "x" .\nA <urn:a> <urn:p> <urn:b> .\n', d, scope)
-    before = (list(d._by_id), dict(d._by_text), dict(scope._mapping), set(scope._used))
+    # texts, not terms: the snapshot builds none
+    before = (list(map(d.text, range(len(d)))), dict(d._by_text), dict(scope._mapping),
+              set(scope._used))
     text = (
         'A <urn:a> <urn:p> <urn:new> .\nA _:m <urn:p> _:n .\n'
         f'D <urn:\\u0061> <urn:p> "x" .\n{last_line}\n'
     )
     with pytest.raises(ValidationError, match="line 4"):
         parse_patch(text, d, scope)
-    assert (list(d._by_id), dict(d._by_text), dict(scope._mapping), set(scope._used)) == before
+    assert (list(map(d.text, range(len(d)))), dict(d._by_text), dict(scope._mapping),
+            set(scope._used)) == before
     # the scope still reads as if the failed patch never came
     delta = parse_patch('A _:n <urn:p> <urn:new> .\n', d, scope)
     assert d.resolve(next(iter(delta.additions)).s) == BlankNode("n")
@@ -475,7 +478,7 @@ def test_term_ids_after_a_load_equal_those_of_a_reference_interning(patches):
     scope = BlankScope(d)
     for text in texts:
         parse_patch(text, d, scope)
-    assert d._by_id == reference_interning(texts)._by_id
+    assert terms_by_id(d) == terms_by_id(reference_interning(texts))
 
 
 def _other_spelling(term) -> str:
@@ -512,7 +515,7 @@ def test_each_id_keeps_its_term_s_text_and_other_spellings_land_on_it(patches):
         texts = [d.text(i) for i in range(len(d))]
         assert texts == [term_text(d.resolve(i)) for i in range(len(d))]
         assert d._by_text == {text: i for i, text in enumerate(texts)}
-        loaded.append(d._by_id)
+        loaded.append(terms_by_id(d))
     assert loaded[0] == loaded[1]
 
 
@@ -641,7 +644,7 @@ def test_the_one_pattern_reader_reads_as_the_per_line_reader(documents):
                 got.append(str(e))
                 break
     assert got == expected
-    assert d._by_id == reference._by_id
+    assert terms_by_id(d) == terms_by_id(reference)
     # the pattern misses no statement line: only a document the per-line
     # reader rejects is read again by it, and a document it accepts is read
     # by the pattern alone
@@ -661,9 +664,9 @@ def test_a_fresh_scope_over_a_full_dictionary_adds_no_term():
     d = Dictionary()
     text = 'A <urn:a> <urn:p> "x"^^<urn:dt> .\nA <urn:\\u0062> <urn:p> "y"@en .\n'
     first = parse_patch(text, d, BlankScope(d))
-    terms = list(d._by_id)
+    terms = terms_by_id(d)
     again = parse_patch(
         'D\t<urn:a>\t<urn:p> "x"^^<urn:dt> .\r\nD <urn:b><urn:p>"y"@en.\n', d, BlankScope(d)
     )
-    assert d._by_id == terms
+    assert terms_by_id(d) == terms
     assert again.removals == first.additions

@@ -1,11 +1,13 @@
 """Patch format and repository save/load round trips."""
 
+import gc
 import json
 import random
 import shutil
 import tempfile
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,13 +28,16 @@ from vgstore import (
     serialize_ntriples,
     serialize_patch,
 )
+from vgstore import engine, terms
 from vgstore.bench import ScenarioParams, generate
 from vgstore.cli import run as vg
+from vgstore.engine import eval_annotated
 from vgstore.repo import read_history
+from vgstore.sparql import parse_query
 from vgstore.store import AnnotatedStore
 from vgstore.versionsets import ExtensionSet, IntervalSet
 
-from helpers import random_repo, reference_delta, reference_interning
+from helpers import random_repo, reference_delta, reference_interning, terms_by_id
 
 
 def test_parse_patch_single_addition():
@@ -180,7 +185,7 @@ def test_blank_labels_across_patches_reload_byte_identically(tmp_path):
     assert _files(tmp_path / "b") == _files(tmp_path / "a")
     texts = [(tmp_path / "a" / "deltas" / f"{v}.patch").read_text() for v in range(3)]
     assert "D _:b0 <urn:p> <urn:x> ." in texts[1] and "D _:n " in texts[2]
-    assert loaded.dictionary._by_id == reference_interning(texts)._by_id
+    assert terms_by_id(loaded.dictionary) == terms_by_id(reference_interning(texts))
     for v in range(3):
         assert serialize_ntriples(loaded.materialize(v), loaded.dictionary) == (
             serialize_ntriples(store.materialize(v), d)
@@ -198,7 +203,7 @@ def test_term_ids_after_a_load_equal_those_of_a_reference_interning(seed, blanks
             for v in range(len(dag))
         ]
         loaded, _ = load_repository(tmp)
-    assert loaded.dictionary._by_id == reference_interning(texts)._by_id
+    assert terms_by_id(loaded.dictionary) == terms_by_id(reference_interning(texts))
 
 
 def test_second_save_is_byte_identical(tmp_path):
@@ -484,3 +489,47 @@ def test_replay_and_save_cost_does_not_grow_with_history(tmp_path, monkeypatch, 
     # root's 72 triples
     assert last_inserts == [8, 8]
     assert read_inserts == [72, 72]
+
+
+def test_a_load_builds_no_term_and_writes_no_text(tmp_path):
+    """A load interns the texts it reads as they are; a query that filters on
+    ?h reads a term, and not into the dictionary, only for each ?h it compares."""
+    generate(ScenarioParams(buildings=40, stations=6, versions=60, branch_prob=0.0,
+                            churn=0.05, seed=3), tmp_path / "repo")
+    read = mock.patch.object(engine, "read_term", wraps=engine.read_term)
+    with mock.patch.object(terms, "term_text", wraps=terms.term_text) as term_text:
+        store, dag = load_repository(tmp_path / "repo")
+        assert term_text.call_count == 0
+        assert len(store.dictionary) > 0 and store.dictionary._terms == {}
+        height = store.dictionary.lookup(Iri("http://ex.org/height"))
+        heights = {t.o for t, _ in store.match(None, height, None)}
+        query = parse_query("PREFIX ex: <http://ex.org/> SELECT ?b ?h WHERE "
+                            "{ GRAPH ?v { ?b ex:height ?h } FILTER (?h > 50.0) }")
+        with read as read_term:
+            assert eval_annotated(store, dag, query).texts
+        assert read_term.call_count == len(heights) > 0
+        assert store.dictionary._terms == {}
+
+
+@pytest.mark.parametrize("fail", [False, True])
+def test_a_load_and_a_command_leave_the_collector_as_they_found_it(tmp_path, fail):
+    generate(ScenarioParams(buildings=5, stations=2, versions=3, branch_prob=0.0,
+                            churn=0.1, seed=3), tmp_path / "repo")
+    if fail:
+        (tmp_path / "repo" / "deltas" / "1.patch").write_text("A <urn:a> .\n")
+    before = (gc.isenabled(), gc.get_threshold())
+    try:
+        gc.set_threshold(500, 7, 9)
+        expected = (gc.isenabled(), gc.get_threshold())
+        if fail:
+            with pytest.raises(RepositoryError):
+                load_repository(tmp_path / "repo")
+        else:
+            load_repository(tmp_path / "repo")
+        assert (gc.isenabled(), gc.get_threshold()) == expected
+        query = "SELECT ?s WHERE { ?s ?p ?o }"
+        code = vg(["query", "--repo", str(tmp_path / "repo"), "--inline", query])
+        assert code == (2 if fail else 0)
+        assert (gc.isenabled(), gc.get_threshold()) == expected
+    finally:
+        gc.set_threshold(*before[1])

@@ -2,12 +2,14 @@
 
 import re
 import sys
+import threading
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
+from vgstore import ntriples
 from vgstore.errors import NotFoundError, ValidationError
-from vgstore.ntriples import read_term
+from vgstore.ntriples import TERM_RE, read_term
 from vgstore.terms import (
     RDF_LANGSTRING,
     XSD_BOOLEAN,
@@ -22,6 +24,7 @@ from vgstore.terms import (
     Iri,
     Literal,
     Triple,
+    canonical,
     compare_values,
     iri_text_ok,
     term_text,
@@ -134,6 +137,84 @@ def test_text_of_an_unknown_id():
     for tid in (-1, 1, "0"):
         with pytest.raises(NotFoundError):
             d.text(tid)
+
+
+def test_the_text_of_an_id_is_read_into_its_term_on_the_first_resolve_only():
+    d = Dictionary()
+    tid = d.intern_text('"x"@en')
+    assert d._terms == {}
+    term = d.resolve(tid)
+    assert term == Literal("x", lang="en") and d._terms == {tid: term}
+    assert d.resolve(tid) is term
+    for bad in (-1, 1, 0.0, "0"):
+        with pytest.raises(NotFoundError):
+            d.resolve(bad)
+
+
+def test_threads_resolving_the_same_fresh_ids_get_equal_terms():
+    d = Dictionary()
+    texts = [f"<urn:t{i}>" for i in range(200)] + [f'"{i}"^^<{XSD_INTEGER}>' for i in range(200)]
+    ids = [d.intern_text(text) for text in texts]
+    start, got = threading.Barrier(8), []
+
+    def resolve_all():
+        start.wait()
+        got.append([d.resolve(tid) for tid in ids])
+
+    threads = [threading.Thread(target=resolve_all) for _ in range(8)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert len(got) == 8 and all(terms == list(map(read_term, texts)) for terms in got)
+    assert [d.resolve(tid) for tid in ids] == got[0]
+
+
+# what the statement pattern hands the dictionary: one term text with no
+# blank before it, which may hold a lone surrogate TERM_RE stops at
+_READER_KEY_RE = re.compile(
+    f"{ntriples._IRI}|{ntriples._BLANK}|{ntriples._LITERAL}".replace(r"\ud800-\udfff", ""),
+    re.DOTALL,
+)
+_pieces = st.sampled_from(["a", "é", ":", " ", "\t", "\x01", "\x7f", "\x85", "\u2028", "#",
+                           "\\t", "\\u0062", "\\U0001F600", '\\"', "\\\\", "\ud800"])
+_raw_iris = st.lists(st.sampled_from(["urn:", "a", "é", "\\u0061", "\x7f", "\ud800", "%20"]),
+                     min_size=1, max_size=4).map("".join)
+_raw_texts = st.one_of(
+    _raw_iris.map(lambda iri: f"<{iri}>"),
+    st.sampled_from(["_:b", "_:n0"]),
+    st.builds(
+        lambda body, tail: f'"{body}"{tail}',
+        st.lists(_pieces, max_size=5).map("".join),
+        st.one_of(
+            st.sampled_from(["", "@en", "@fr-CA", "@EN"]),
+            st.one_of(_raw_iris, st.sampled_from([XSD_STRING, RDF_LANGSTRING, XSD_INTEGER]))
+            .map(lambda iri: f"^^<{iri}>"),
+        ),
+    ),
+)
+
+
+@given(_raw_texts)
+@example('"a\tb"')
+@example('"a\\u0062"')
+@example(f'"y"^^<{XSD_STRING}>')
+@example(f'"y"^^<{RDF_LANGSTRING}>')
+@example('"a\ud800"')
+@example('<urn:\ud800>')
+@example('"é\u2028"^^<urn:dt>')
+def test_a_text_the_canonical_test_passes_is_valid_and_its_term_s_text(text):
+    assume(TERM_RE.fullmatch(text) or _READER_KEY_RE.fullmatch(text))
+    if canonical(text):
+        assert term_text(read_term(text)) == text
+
+
+@pytest.mark.parametrize("text", [
+    '"a\tb"', '"a\\tb"', '<urn:\\u0061>', f'"y"^^<{XSD_STRING}>', f'"y"^^<{RDF_LANGSTRING}>',
+    '"a\ud800"', '"\x7f"',
+])
+def test_the_canonical_test_refuses_what_term_text_writes_otherwise_or_not_at_all(text):
+    assert not canonical(text)
 
 
 # compare_values
