@@ -7,9 +7,9 @@
 It measures the vgstore sources of the checkout it lives in, and writes:
 
 - BENCH_query-history.json, BENCH_commit-history.json and
-  BENCH_eval-branching.json: perfbench/run.py, run as a subprocess once per
-  seed in SEEDS, with each run's end-to-end metrics read from the JSON line
-  it prints last;
+  BENCH_eval-branching.json: perfbench/run.py, run as a subprocess for
+  PERFBENCH_SECONDS once per seed in SEEDS, with each run's end-to-end
+  metrics read from the JSON line it prints last;
 - BENCH_cold-start.json: what perfbench cannot see, because it calls
   cli.run in one process on histories of at most 200 versions.  Every vg
   command runs as its own process, through cli.main as the installed vg
@@ -49,6 +49,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("query-history", "commit-history", "eval-branching")
 SEEDS = (42, 1009, 3, 5, 7)
+PERFBENCH_SECONDS = 10  # measuring time of each perfbench run
 CITY = dict(buildings=500, stations=50, churn=0.01, seed=42)
 # scenario -> (generator parameters beyond CITY, timed runs per command)
 SCENARIOS = {
@@ -152,7 +153,7 @@ def _commit() -> str:
     return head + ("-dirty" if dirty.strip() else "")
 
 
-def perfbench(workload: str, seeds: tuple[int, ...], seconds: float, quick: bool) -> dict:
+def perfbench(workload: str, seeds: tuple[int, ...], quick: bool) -> dict:
     """Each end-to-end metric over the seeds, one perfbench run per seed."""
     samples: dict[str, list[float]] = {}
     units: dict[str, str] = {}
@@ -161,7 +162,7 @@ def perfbench(workload: str, seeds: tuple[int, ...], seconds: float, quick: bool
             argv = [sys.executable, "-c", TINY_RUN, str(ROOT), workload, str(seed)]
         else:
             argv = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
-                    "--seed", str(seed), "--seconds", str(seconds)]
+                    "--seed", str(seed), "--seconds", str(PERFBENCH_SECONDS)]
         result = json.loads(_output(argv).strip().splitlines()[-1])
         if result["correct"] is not True or result["failed"]:
             raise RuntimeError(f"{workload} seed {seed}: {result}")
@@ -239,8 +240,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", type=Path, default=ROOT, help="where the BENCH files go")
     parser.add_argument("--work", type=Path, default=ROOT / ".bench_trajectory_work",
                         help="where generated scenarios are kept")
-    parser.add_argument("--seconds", type=float, default=10.0,
-                        help="measuring time of each perfbench run")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(ROOT / "src"))
     seeds = SEEDS[:1] if args.quick else SEEDS
@@ -251,7 +250,7 @@ def main(argv: list[str] | None = None) -> int:
     results = {}
     calibrations = [_calibration()]
     for workload in WORKLOADS:
-        results[workload] = (perfbench(workload, seeds, args.seconds, args.quick), seeds)
+        results[workload] = (perfbench(workload, seeds, args.quick), seeds)
         calibrations.append(_calibration())
     scenarios = QUICK_SCENARIOS if args.quick else SCENARIOS
     results["cold-start"] = (cold_start(args.work, scenarios, 1 if args.quick else STARTUP_RUNS),
