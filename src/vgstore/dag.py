@@ -75,6 +75,8 @@ class VersionDag:
     def __init__(self):
         self._commits: list[CommitMeta] = []
         self._branches: dict[str, int] = {}
+        # the manifest text repo.read_history read, and how many commits it lists
+        self._manifest: tuple[str, int] | None = None
 
     def __len__(self) -> int:
         return len(self._commits)
@@ -129,16 +131,10 @@ class VersionDag:
         if parents and branch not in self._branches:
             raise NotFoundError(f"unknown branch: {branch}")
         seq = len(self._commits)
-        meta = CommitMeta(
-            seq=seq,
-            parents=tuple(parents),
-            branch=branch,
-            message=message,
-            author=author,
-            timestamp=_as_utc(timestamp),
-            provenance=provenance or Provenance(),
-        )
-        self._commits.append(meta)
+        self._commits.append(CommitMeta(
+            seq=seq, parents=tuple(parents), branch=branch, message=message, author=author,
+            timestamp=_as_utc(timestamp), provenance=provenance or Provenance(),
+        ))
         self._branches[branch] = seq
         return seq
 

@@ -5,20 +5,21 @@ following N-Triples statement, lines starting with "D " remove it, and # or
 blank lines are ignored.  The manifest lists every commit in dense order with
 its metadata and patch path, plus the branch map.  Version sets are never
 persisted.  A load reads the whole manifest into a VersionDag (read_history)
-before any patch, then replays every patch through store.replay, which
-rebuilds the annotations and revalidates every delta.  A saved patch's term
-texts are canonical, so a load interns them as read (see ntriples).
+before any patch, then replays every patch onto that dag through
+store.replay, which rebuilds the annotations and revalidates every delta.
+Saved term texts are canonical, so a load interns them as read (ntriples).
 
-Saving appends.  It reads the manifest already in the directory, which must
-list the first k commits of the history being saved, and writes only the
-patches of commits k and later, from the deltas the store recorded, then the
-manifest.  A patch the manifest lists is never rewritten, so a repacked
+Saving appends.  The directory's manifest must list the first k commits of
+the history being saved: one that still holds the text the load read lists
+the loaded commits and is not parsed again; any other is read and checked.
+The save writes only the patches of commits k and later, from the recorded
+deltas, then the manifest.  A listed patch is never rewritten, so a repacked
 (renumbered) or unrelated history raises StateError and must be saved to a
 new directory.  The check compares commit metadata only (parents, branch,
 message, author, timestamp, provenance), never content: two histories with
 the same metadata and different graphs look like one, so a caller must not
-save different contents under the same explicit timestamps and messages
-into one directory.  Every file is written to a temp file, fsynced and renamed
+save different contents under the same explicit timestamps and messages into
+one directory.  Every file is written to a temp file, fsynced and renamed
 into place, patches before the manifest, so a save killed at any point
 leaves a manifest that names only complete patches: the directory loads as
 the old history or the new one.  A patch file the manifest does not list
@@ -123,12 +124,16 @@ def _fsync_dir(path: Path) -> None:
 def _saved_prefix(repo: Path, dag: VersionDag) -> int:
     """How many of dag's commits the manifest in repo already lists.
 
-    0 when there is no manifest.  StateError when the listed commits are not
-    the dag's first ones: a renumbered history or another repository.  Only
-    metadata is compared, so another repository with the same metadata and
-    different content passes.
+    The text dag was read from lists its first commits and is not parsed
+    again.  Else 0 when there is no manifest, and StateError when the listed
+    commits are not dag's first ones: a renumbered or another history.  Only
+    metadata is compared: one with the same metadata and other content passes.
     """
-    if not (repo / MANIFEST_NAME).exists():
+    path = repo / MANIFEST_NAME
+    with contextlib.suppress(OSError, UnicodeDecodeError):
+        if dag._manifest and path.read_text(encoding="utf-8") == dag._manifest[0]:
+            return dag._manifest[1]
+    if not path.exists():
         return 0
     saved = read_history(repo).commits()
     if saved != dag.commits()[: len(saved)]:
@@ -152,10 +157,7 @@ def _manifest_bytes(dag: VersionDag) -> bytes:
                 "message": meta.message,
                 "author": meta.author,
                 "timestamp": _format_timestamp(meta.timestamp),
-                "provenance": {
-                    "code_ref": meta.provenance.code_ref,
-                    "tool": meta.provenance.tool,
-                },
+                "provenance": {"code_ref": meta.provenance.code_ref, "tool": meta.provenance.tool},
                 "patch": _patch_path(meta.seq),
             }
             for meta in dag.commits()
@@ -225,17 +227,8 @@ def _check_commit_record(record, expected_seq: int) -> None:
     """What JSON can get wrong in one record; the dag checks the history's rules."""
     if not isinstance(record, dict):
         raise _manifest_error(f"commit {expected_seq} is not an object")
-    required = (
-        "seq",
-        "iri",
-        "parents",
-        "branch",
-        "message",
-        "author",
-        "timestamp",
-        "provenance",
-        "patch",
-    )
+    required = ("seq", "iri", "parents", "branch", "message", "author", "timestamp",
+                "provenance", "patch")
     for key in required:
         if key not in record:
             raise _manifest_error(f"commit {expected_seq} is missing {key!r}")
@@ -273,7 +266,8 @@ def read_history(repo_dir: str | Path) -> VersionDag:
     if not manifest_path.is_file():
         raise RepositoryError(f"not a repository: missing {manifest_path}")
     try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        text = manifest_path.read_text(encoding="utf-8")
+        manifest = json.loads(text)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
         raise RepositoryError(f"unreadable manifest: {e}") from None
     if not isinstance(manifest, dict):
@@ -298,29 +292,32 @@ def read_history(repo_dir: str | Path) -> VersionDag:
         dag._set_branches(branches)
     except (ValidationError, NotFoundError) as e:
         raise _manifest_error(f"{where}: {e}") from None
+    dag._manifest = (text, len(dag))
     return dag
 
 
 def load_repository(
     repo_dir: str | Path, encoding: str = "extension"
 ) -> tuple[AnnotatedStore, VersionDag]:
-    """Rebuild a store and dag by replaying every patch in commit order."""
+    """Read the history into a dag, then replay every patch onto it in order."""
     repo = Path(repo_dir)
-    recorded = read_history(repo)
+    dag = read_history(repo)
     dictionary = Dictionary()
     scope = BlankScope(dictionary)
 
     def history():  # each commit with its delta, one patch read at a time
-        for meta in recorded.commits():
+        for meta in dag.commits():
             patch_path = repo / _patch_path(meta.seq)
-            if not patch_path.is_file():
-                raise RepositoryError(f"missing patch file: {patch_path}")
             try:
                 delta = parse_patch(patch_path.read_text(encoding="utf-8"), dictionary, scope)
+            except OSError:  # only a failed read stats the path
+                if patch_path.is_file():
+                    raise
+                raise RepositoryError(f"missing patch file: {patch_path}") from None
             except (ValidationError, UnicodeDecodeError) as e:
                 raise RepositoryError(f"{patch_path}: {e}") from None
             yield meta, delta
 
-    store, dag = AnnotatedStore(dictionary, encoding=encoding), VersionDag()
-    replay(store, dag, history(), recorded.branches)
+    store = AnnotatedStore(dictionary, encoding=encoding)
+    replay(store, dag, history(), dag.branches)
     return store, dag

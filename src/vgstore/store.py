@@ -23,9 +23,9 @@ old version a new branch starts from, is rebuilt by scanning the store.
 Only apply_commit changes what the store holds; a read only writes out the
 runs it left open and builds the permutations it reads.  replay, the one way
 a recorded history becomes a store, applies commits through it, then sets
-the branch map.  A load replays the parsed patches; repack renumbers the
-versions by emptying the dag and store and replaying the recorded deltas in
-the new order.
+the branch map.  A load replays the parsed patches onto the dag read from
+the manifest, which keeps its records; repack renumbers the versions by
+emptying the dag and store and replaying the recorded deltas in a new order.
 
 TripleIndex is the package's one permutation index: a dict from each triple
 to its leaf value, and SPO, POS and OSP permutations over it, read by a
@@ -219,12 +219,14 @@ class AnnotatedStore:
         removals) plus additions.  In strict mode a removal absent from every
         parent raises DeltaError; with strict=False it is ignored with a
         warning.  Adding a triple some parent already holds is fine either
-        way.  Returns the new version number.
+        way.  Returns the new version number.  A dag that already records
+        the new version, as a loaded one does, keeps its record, which must
+        have these parents and branch; only the branch's head moves to it.
         """
-        if len(dag) != self._n_versions:
-            raise StateError(
-                f"store knows {self._n_versions} versions but dag has {len(dag)}"
-            )
+        n = self._n_versions
+        record = dag.commit_meta(n) if len(dag) > n else None
+        if len(dag) < n or record and (record.parents, record.branch) != (tuple(parents), branch):
+            raise StateError(f"store knows {n} versions but dag has {len(dag)}")
         for p in parents:
             self._check_version(p)
         last, open_ = self._n_versions - 1, self._open
@@ -247,10 +249,11 @@ class AnnotatedStore:
                     f"e.g. {format_triple(sample, self.dictionary)}"
                 )
             log.warning("ignoring %d removal(s) absent from all parents", len(spurious))
-        seq = dag.commit(
-            parents, branch,
-            message=message, author=author, timestamp=timestamp, provenance=provenance,
-        )
+        if record is None:
+            seq = dag.commit(parents, branch, message=message, author=author,
+                             timestamp=timestamp, provenance=provenance)
+        else:  # as dag.commit would, move the branch head
+            seq = dag._branches[branch] = n
         heads = dag.heads()
         if last in heads:
             self._snapshots[last] = frozenset(open_)
@@ -349,9 +352,13 @@ def replay(
     history: Iterable[tuple[CommitMeta, Delta]], branches: dict[str, int],
 ) -> None:
     """Apply each recorded delta on its meta's parents, with the meta's branch
-    and metadata but not its seq, after what dag and store already hold; a
-    new branch starts at its first commit's first parent.  Then branches
-    becomes the branch map, and only its heads keep snapshots."""
+    and metadata but not its seq, after what the store already holds; a new
+    branch starts at its first commit's first parent.  Then branches becomes
+    the branch map, and only its heads keep snapshots.  A dag that records
+    the commits to come, as a load's does, keeps its records, and its branch
+    map is rebuilt as they are applied, as onto an empty dag."""
+    if len(dag) > store.n_versions:
+        dag._branches = {meta.branch: meta.seq for meta in dag.commits()[: store.n_versions]}
     for meta, delta in history:
         dag.start_branch(meta.branch, meta.parents)
         store.apply_commit(

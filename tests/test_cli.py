@@ -648,6 +648,22 @@ def test_missing_patch_file_in_repo_dir(repo, capsys):
     assert "2.patch" in err
 
 
+@pytest.mark.parametrize("case", ["missing", "directory"])
+@pytest.mark.parametrize("command", ["stats", "commit"])
+def test_a_patch_that_is_no_file_is_reported_as_missing(repo, capsys, patches, case, command):
+    victim = Path(repo) / "deltas" / "2.patch"
+    victim.unlink()
+    if case == "directory":
+        victim.mkdir()
+    argv = {"stats": ["stats", "--repo", repo],
+            "commit": ["commit", "--repo", repo, "--branch", "main", "--patch", patches["side"]]}
+    manifest = (Path(repo) / "manifest.json").read_bytes()
+    code = vg(argv[command])
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (2, "", f"vg: error: missing patch file: {victim}\n")
+    assert (Path(repo) / "manifest.json").read_bytes() == manifest
+
+
 def test_log_and_branch_read_only_the_manifest(repo, tmp_path, capsys, monkeypatch):
     """log and branch parse no patch and build no store, so neither needs deltas/;
     the manifest branch writes is the one a save of the loaded history writes."""

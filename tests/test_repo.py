@@ -13,12 +13,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from vgstore import (
+    EMPTY_DELTA,
     BlankNode,
     Delta,
     Dictionary,
     Iri,
     Literal,
     RepositoryError,
+    StateError,
     ValidationError,
     VersionDag,
     load_repository,
@@ -34,10 +36,16 @@ from vgstore.cli import run as vg
 from vgstore.engine import eval_annotated
 from vgstore.repo import read_history
 from vgstore.sparql import parse_query
-from vgstore.store import AnnotatedStore
+from vgstore.store import AnnotatedStore, replay
 from vgstore.versionsets import ExtensionSet, IntervalSet
 
-from helpers import random_repo, reference_delta, reference_interning, terms_by_id
+from helpers import (
+    assert_snapshots_are_heads_and_scans,
+    random_repo,
+    reference_delta,
+    reference_interning,
+    terms_by_id,
+)
 
 
 def test_parse_patch_single_addition():
@@ -489,6 +497,91 @@ def test_replay_and_save_cost_does_not_grow_with_history(tmp_path, monkeypatch, 
     # root's 72 triples
     assert last_inserts == [8, 8]
     assert read_inserts == [72, 72]
+
+
+def test_a_load_commits_each_record_once_and_a_write_parses_the_manifest_once(
+    tmp_path, monkeypatch, capsys
+):
+    repo = tmp_path / "repo"
+    generate(ScenarioParams(buildings=5, stations=2, versions=6, branch_prob=0.0,
+                            churn=0.1, seed=3), repo)
+    counts: Counter = Counter()
+    _count_calls(monkeypatch, counts, "commit", VersionDag, "commit")
+    _count_calls(monkeypatch, counts, "loads", json, "loads")
+    store, dag = load_repository(repo)
+    assert counts == {"commit": 6, "loads": 1}
+    patch = tmp_path / "one.patch"
+    patch.write_text('A <urn:a> <urn:p> "x" .\n', encoding="utf-8")
+    for versions, argv in ((6, ["commit", "--branch", "main", "--patch", str(patch)]),
+                           (7, ["merge", "--branch", "main", "--from", "2"])):
+        counts.clear()
+        assert vg([argv[0], "--repo", str(repo), *argv[1:]]) == 0
+        # the load commits each record once, then the command its new commit
+        assert counts == {"commit": versions + 1, "loads": 1}
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("other", ["appended", "rewritten"])
+def test_a_loaded_history_is_not_saved_over_another_writer_s(tmp_path, other):
+    """A save that finds other manifest bytes than its load read checks the
+    history they list, and refuses it."""
+    repo = tmp_path / "r"
+    save_repository(*random_repo(random.Random(27)), repo)
+    store, dag = load_repository(repo)
+    if other == "appended":
+        theirs, their_dag = load_repository(repo)
+        theirs.apply_commit(their_dag, [their_dag.branch_head("main")], "main",
+                            EMPTY_DELTA, message="theirs")
+        save_repository(theirs, their_dag, repo)
+    else:  # the same number of commits, one with another message
+        path = repo / "manifest.json"
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        manifest["commits"][1]["message"] = "rewritten"
+        path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
+    before = _files(repo)
+    store.apply_commit(dag, [dag.branch_head("main")], "main", EMPTY_DELTA, message="ours")
+    with pytest.raises(StateError, match="new directory"):
+        save_repository(store, dag, repo)
+    assert _files(repo) == before
+
+
+def _replay_states(source: AnnotatedStore, source_dag: VersionDag, dag: VersionDag):
+    """Replay source's recorded history onto dag; return the store and what
+    it keeps after each commit, then after the replay."""
+    store = AnnotatedStore(source.dictionary, source.encoding)
+    states = []
+
+    def kept():
+        return dict(store._open), store._written, dict(store._snapshots), dag.heads()
+
+    def history():
+        for meta in source_dag.commits():
+            yield meta, source.delta(meta.seq)
+            states.append((*kept(), store.delta(meta.seq)))
+
+    replay(store, dag, history(), source_dag.branches)
+    states.append(kept())
+    return store, states
+
+
+@given(st.integers(0, 10_000), st.sampled_from(["extension", "interval"]))
+@settings(max_examples=30, deadline=None)
+def test_a_replay_onto_the_loaded_dag_keeps_what_one_onto_an_empty_dag_keeps(seed, encoding):
+    source, source_dag = random_repo(
+        random.Random(seed), encoding=encoding, max_versions=16, allow_blanks=True
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        save_repository(source, source_dag, tmp)
+        loaded = read_history(tmp)
+        on_empty, empty_states = _replay_states(source, source_dag, VersionDag())
+        on_loaded, loaded_states = _replay_states(source, source_dag, loaded)
+        assert loaded_states == empty_states
+        assert loaded.commits() == source_dag.commits()
+        assert loaded.branches == source_dag.branches
+        store, dag = load_repository(tmp, encoding=encoding)
+        assert_snapshots_are_heads_and_scans(store, dag)
+        repack(dag, store)
+        assert_snapshots_are_heads_and_scans(store, dag)
 
 
 def test_a_load_builds_no_term_and_writes_no_text(tmp_path):
