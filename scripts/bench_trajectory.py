@@ -20,7 +20,10 @@ It measures the vgstore sources of the checkout it lives in, and writes:
   (buildings=500, stations=50, churn=0.01, generator seed 42), and for
   `python -S -c pass` and `python -S -c "import vgstore.cli"`.  One process
   per linear scenario also splits that query into load, evaluation and TSV
-  formatting.
+  formatting.  Beside each *.wall_ms metric, *.wall_scaled holds its
+  samples divided by the median of startup.python-S.wall_ms, the same run's
+  bare interpreter start, so files refreshed on hosts of other speeds can be
+  compared.
 
 Each file holds the commit, the Python version, the CPU count, the
 calibration (perfbench's fixed dict workload, timed around the runs), the
@@ -229,7 +232,11 @@ def cold_start(work: Path, scenarios: dict, startup_runs: int) -> dict:
                     split = json.loads(_output([sys.executable, "-c", LAYERS, str(repo)]))
                     for layer, ms in split.items():
                         samples.setdefault(f"layers.{name}.{layer}", []).append(ms)
-    return {name: summary(values, "MiB" if name.endswith("_mib") else "ms")
+    startup = summary(samples["startup.python-S.wall_ms"], "ms")["median"]
+    for name in [name for name in samples if name.endswith(".wall_ms")]:
+        samples[name.removesuffix("_ms") + "_scaled"] = [ms / startup for ms in samples[name]]
+    units = {"_mib": "MiB", "_scaled": "x startup.python-S"}
+    return {name: summary(values, units.get(name[name.rindex("_"):], "ms"))
             for name, values in sorted(samples.items())}
 
 

@@ -5,16 +5,17 @@ statement per line, full-line # comments, blank lines, IRIs in angle
 brackets, _:label blank nodes, and double-quoted literals with an optional
 @lang tag or ^^<datatype>.  Terms are read with one term regex, TERM_RE,
 whose IRI, blank-label and language-tag parts are the pattern strings of
-terms.py, and what a pattern cannot decide (what escapes decode to, a
-langString datatype without a tag) is left to terms.validate_term, so every
-term term_from_match returns is one the dictionary accepts.  Queries read
-their terms with the same two.  IRIs follow IRIREF, with the two deviations
-terms.IRI_CHAR records, and take only \\u/\\U escapes; literals take those
-and the string escapes.  Escapes are strict: \\uXXXX and \\UXXXXXXXX take
-exactly 4 or 8 hex digits naming a Unicode scalar value.  A raw lone
-surrogate is rejected too, since no UTF-8 file can hold one.  Anything else
-is rejected with the 1-based line number, and term_failure names the
-cause where it can, for patches and queries alike.
+terms.py.  term_from_match builds every term by one path: it decodes the
+escapes, constructs the term and leaves what a pattern cannot decide (what
+escapes decode to, a langString datatype without a tag) to
+terms.validate_term, so every term it returns is one the dictionary
+accepts.  Queries read their terms with the same two.  IRIs follow IRIREF,
+with the two deviations terms.IRI_CHAR records, and take only \\u/\\U
+escapes; literals take those and the string escapes.  Escapes are strict:
+\\uXXXX and \\UXXXXXXXX take exactly 4 or 8 hex digits naming a Unicode
+scalar value.  A raw lone surrogate is rejected too, since no UTF-8 file can
+hold one.  Anything else is rejected with the 1-based line number, and
+term_failure names the cause where it can, for patches and queries alike.
 
 A document is read by one statement pattern, built from TERM_RE's parts and
 matched over the whole text; it alone yields statements.  If it misses a line
@@ -24,13 +25,14 @@ first bad line.
 
 Reading a document is all-or-nothing: terms are interned only after every
 line has parsed, so a failed read leaves the dictionary untouched.  Blank
-node labels are scoped to the read and replaced with fresh labels at
-interning time.  Every other term text, without the blanks before it, is
-first looked up in the dictionary's text map.  A text it lacks that
-terms.canonical passes is what terms.term_text writes for the valid term it
-spells, so the dictionary takes the text as it is and builds no term; any
+node labels are scoped to the read: a BlankScope maps each to a
+dictionary-wide label at interning time.  Every other term text, without
+the blanks before it, is first looked up in the dictionary's text map.  A
+text it lacks that terms.canonical passes is what terms.term_text writes for
+the valid term it spells, so the dictionary takes the text as it is; any
 other spelling is read once per document by read_term, which query results
-and Dictionary.resolve read texts with too, and lands on its term's id.
+and Dictionary.resolve read texts with too, and the dictionary takes its
+term's canonical text, so it lands on that term's id.  A load keeps no term.
 
 Writing escapes only quotes, backslashes, and control characters, and
 format_triple writes every triple, in patches and documents alike, from the
@@ -49,7 +51,7 @@ from .terms import (
     BLANK_LABEL,
     IRI_CHAR,
     LANG_TAG,
-    RDF_LANGSTRING,
+    XSD_STRING,
     _SURROGATE_RE,
     BlankNode,
     Dictionary,
@@ -145,19 +147,11 @@ def term_from_match(m: re.Match | None) -> Term:
         raise ValidationError("not a term")
     iri, blank, lex, lang, datatype = m.groups()
     if blank is not None:
-        return BlankNode(blank)
-    if lex is None:
-        if "\\" not in iri:
-            return Iri(iri)
-        term: Term = Iri(_decode_escapes(iri))
-    elif lang is not None:
-        return Literal(_decode_escapes(lex), RDF_LANGSTRING, lang)
-    elif datatype is None:
-        return Literal(_decode_escapes(lex))
-    elif "\\" not in datatype and datatype != RDF_LANGSTRING:
-        return Literal(_decode_escapes(lex), datatype)
+        term: Term = BlankNode(blank)
+    elif lex is None:
+        term = Iri(_decode_escapes(iri))
     else:
-        term = Literal(_decode_escapes(lex), _decode_escapes(datatype))
+        term = Literal(_decode_escapes(lex), _decode_escapes(datatype or XSD_STRING), lang)
     # what escapes decode to, and a langString datatype without a tag, are
     # beyond the pattern
     validate_term(term)
@@ -197,10 +191,11 @@ def _term_at(m: re.Match, line: int) -> Term:
 class BlankScope:
     """What several documents read into one dictionary share.
 
-    Blank labels: a document-local label becomes a dictionary-wide one.  A
-    source label is kept verbatim when no interned blank node uses it yet,
-    so reloading a repository reproduces its labels byte-for-byte; only a
-    label already taken by an earlier document is renamed.
+    Blank labels: rename maps a document-local label to a dictionary-wide
+    one, a label to a label, so a read builds no BlankNode.  A source label
+    is kept verbatim when no interned blank node uses it yet, so reloading a
+    repository reproduces its labels byte-for-byte; only a label already
+    taken by an earlier document is renamed.
     """
 
     def __init__(self, dictionary: Dictionary):
@@ -218,18 +213,18 @@ class BlankScope:
         scope._mapping = {label: label for label in scope._used}
         return scope
 
-    def rename(self, node: BlankNode) -> BlankNode:
-        label = self._mapping.get(node.label)
-        if label is None:
-            if f"_:{node.label}" not in self._dictionary._by_text and node.label not in self._used:
-                label = node.label
+    def rename(self, label: str) -> str:
+        new = self._mapping.get(label)
+        if new is None:
+            if f"_:{label}" not in self._dictionary._by_text and label not in self._used:
+                new = label
             else:
-                label = self._dictionary.fresh_blank_label()
-                while label in self._used:
-                    label = self._dictionary.fresh_blank_label()
-            self._mapping[node.label] = label
-            self._used.add(label)
-        return BlankNode(label)
+                new = self._dictionary.fresh_blank_label()
+                while new in self._used:
+                    new = self._dictionary.fresh_blank_label()
+            self._mapping[label] = new
+            self._used.add(new)
+        return new
 
 
 def _raise_first_error(text: str, marks: str) -> None:
@@ -291,7 +286,7 @@ def read_statements(
     if len(rows) == lines or len(rows) == len(_STATEMENT_LINE_RE.findall(text)):
         with contextlib.suppress(ValidationError):  # the new texts that are not canonical
             read = {
-                key: read_term(key)
+                key: term_text(read_term(key))
                 for key in keys
                 if key not in by_text and not key.startswith("_:") and not canonical(key)
             }
@@ -299,14 +294,13 @@ def read_statements(
         _raise_first_error(text, marks)
         raise AssertionError("the statement pattern missed a statement the per-line reader reads")
 
-    # every line has parsed: intern each text in order; the terms read above
-    # are valid, and so are the other texts and a scope's blank labels
-    intern, intern_text = dictionary.intern_valid, dictionary.intern_text
+    # every line has parsed: intern each text in order, one read above as its
+    # term's canonical text; all are valid, and so are a scope's labels
+    intern_text = dictionary.intern_text
     tids = {
-        key: intern_text(f"_:{scope.rename(BlankNode(key[2:])).label}") if key.startswith("_:")
+        key: intern_text(f"_:{scope.rename(key[2:])}") if key.startswith("_:")
         else by_text[key] if key in by_text
-        else intern(read[key]) if key in read
-        else intern_text(key)
+        else intern_text(read.get(key, key))
         for key in keys
     }
     make = tuple.__new__  # what Triple._make calls, without its length check

@@ -258,12 +258,23 @@ class _Parser:
         tok = self.peek()
         return _EOF if tok.kind == "EOF" else repr(tok.value)
 
+    def var(self, missing: str | None = None) -> Var | None:
+        """The variable the next token names, consumed; if there is none,
+        None, or with missing given, a positioned error with that message."""
+        tok = self.peek()
+        if tok.kind == "VAR":
+            self.next()
+            return Var(tok.value[1:])
+        if missing is not None:
+            raise self.error(missing)
+        return None
+
     # grammar
 
     def parse(self) -> Query:
         while self.at_word("PREFIX"):
             self.parse_prefix()
-        select = self.parse_select()
+        distinct, items = self.parse_select()
         if self.at_word("WHERE"):
             self.next()
         where = self.parse_group()
@@ -271,18 +282,12 @@ class _Parser:
         if self.at_word("GROUP"):
             self.next()
             self.expect_word("BY")
-            names = []
-            while self.peek().kind == "VAR":
-                names.append(Var(self.next().value[1:]))
-            if not names:
-                raise self.error("GROUP BY needs at least one variable")
-            group_by = tuple(names)
+            group_by = (self.var("GROUP BY needs at least one variable"), *iter(self.var, None))
         if self.peek().kind != "EOF":
             raise self.error(f"unexpected {self._shown()} after query")
-        select = SelectClause(select.distinct, select.items, group_by)
         query = Query(
             prefixes=tuple(sorted(self.prefixes.items())),
-            select=select,
+            select=SelectClause(distinct, items, group_by),
             where=where,
         )
         _validate(query)
@@ -299,24 +304,19 @@ class _Parser:
             raise self.error("expected an IRI in angle brackets")
         self.prefixes[name] = self.next().term.text
 
-    def parse_select(self) -> SelectClause:
+    def parse_select(self) -> tuple[bool, tuple[Var | Aggregate, ...]]:
+        """SELECT's DISTINCT flag and items."""
         self.expect_word("SELECT")
         distinct = False
         if self.at_word("DISTINCT"):
             self.next()
             distinct = True
         items: list[Var | Aggregate] = []
-        while True:
-            tok = self.peek()
-            if tok.kind == "VAR":
-                items.append(Var(self.next().value[1:]))
-            elif self.at_op("("):
-                items.append(self.parse_aggregate())
-            else:
-                break
+        while self.peek().kind == "VAR" or self.at_op("("):
+            items.append(self.var() or self.parse_aggregate())
         if not items:
             raise self.error("SELECT needs at least one variable or aggregate")
-        return SelectClause(distinct, tuple(items))
+        return distinct, tuple(items)
 
     def parse_aggregate(self) -> Aggregate:
         self.expect_op("(")
@@ -324,16 +324,10 @@ class _Parser:
             raise self.error("expected COUNT, MIN, or MAX")
         func = self.next().value.upper()
         self.expect_op("(")
-        tok = self.peek()
-        if tok.kind != "VAR":
-            raise self.error("aggregates take a single variable")
-        arg = Var(self.next().value[1:])
+        arg = self.var("aggregates take a single variable")
         self.expect_op(")")
         self.expect_word("AS")
-        tok = self.peek()
-        if tok.kind != "VAR":
-            raise self.error("expected an alias variable after AS")
-        alias = Var(self.next().value[1:])
+        alias = self.var("expected an alias variable after AS")
         self.expect_op(")")
         return Aggregate(func, arg, alias)
 
@@ -364,11 +358,7 @@ class _Parser:
 
     def parse_graph_block(self) -> GraphBlock:
         self.next()
-        tok = self.peek()
-        if tok.kind == "VAR":
-            name: Var | Iri = Var(self.next().value[1:])
-        else:
-            name = self.parse_iri("GRAPH name")
+        name = self.var() or self.parse_iri("GRAPH name")
         self.expect_op("{")
         patterns: list[TriplePattern] = []
         while not self.at_op("}"):
@@ -412,10 +402,10 @@ class _Parser:
         return term
 
     def parse_term(self, position: str) -> Var | Term:
+        var = self.var()
+        if var is not None:
+            return var
         tok = self.peek()
-        if tok.kind == "VAR":
-            self.next()
-            return Var(tok.value[1:])
         if isinstance(tok.term, BlankNode):
             if position == "predicate":
                 raise self.error("a blank node cannot be a predicate")
@@ -487,10 +477,7 @@ class _Parser:
         if self.at_word("ISHEAD"):
             self.next()
             self.expect_op("(")
-            tok = self.peek()
-            if tok.kind != "VAR":
-                raise self.error("isHead takes a version variable")
-            var = Var(self.next().value[1:])
+            var = self.var("isHead takes a version variable")
             self.expect_op(")")
             return IsHead(var)
         return self.parse_comparison()
@@ -505,11 +492,7 @@ class _Parser:
         return Comparison(op, lhs, rhs)
 
     def parse_operand(self) -> Var | Literal:
-        tok = self.peek()
-        if tok.kind == "VAR":
-            self.next()
-            return Var(tok.value[1:])
-        return self.parse_literal()
+        return self.var() or self.parse_literal()
 
 
 # --- Validation --------------------------------------------------------

@@ -14,8 +14,10 @@ resolve included, may run on several threads at once.
 
 The dictionary keys each term by its canonical N-Triples text (term_text)
 and keeps it by id (Dictionary.text); two valid terms are equal exactly when
-their texts are.  The reader hands it each text canonical() passes as read,
-so a load makes no text; an id's term is read from its text on first resolve.
+their texts are.  Dictionary.intern, the one way to intern a term, makes
+that text and keeps the term; the reader hands intern_text each text
+canonical() passes as read and any other spelling's canonical text, so a
+load keeps no term, and an id's term is read from its text on first resolve.
 """
 
 from __future__ import annotations
@@ -190,17 +192,14 @@ class Dictionary:
         return len(self._texts)
 
     def intern(self, term: Term) -> TermId:
-        """Return the id for term, assigning the next dense id if new."""
+        """Return the id for a valid term, assigning the next dense id if new;
+        a new id keeps the term, so its first resolve reads nothing."""
         validate_term(term)
-        return self.intern_valid(term)
-
-    def intern_valid(self, term: Term) -> TermId:
-        """intern for a term the caller has validated: it is not checked again."""
         text = term_text(term)
         tid = self._by_text.get(text)
         if tid is None:
             tid = self.intern_text(text)
-            self._terms[tid] = term  # so its first resolve reads nothing
+            self._terms[tid] = term
         return tid
 
     def intern_text(self, text: str) -> TermId:

@@ -168,9 +168,9 @@ def reference_interning(patches: list[str]) -> Dictionary:
         statements = [parse_statement(line[2:], n) for n, line in enumerate(lines, 1)]
         for s, p, o in statements:
             if isinstance(s, BlankNode):
-                s = scope.rename(s)
+                s = BlankNode(scope.rename(s.label))
             if isinstance(o, BlankNode):
-                o = scope.rename(o)
+                o = BlankNode(scope.rename(o.label))
             d.triple(s, p, o)
     return d
 

@@ -384,15 +384,15 @@ def test_blank_scope_renames_consistently_on_collision():
     d = Dictionary()
     d.intern(BlankNode("b0"))
     scope = BlankScope(d)
-    renamed = scope.rename(BlankNode("b0"))
-    assert renamed.label != "b0"
-    assert scope.rename(BlankNode("b0")) == renamed
+    renamed = scope.rename("b0")
+    assert renamed != "b0"
+    assert scope.rename("b0") == renamed
 
 
 def test_blank_scope_never_aliases_two_source_labels():
     d = Dictionary()
     scope = BlankScope(d)
-    out = {scope.rename(BlankNode(label)).label for label in ("a", "b", "b0", "b1")}
+    out = {scope.rename(label) for label in ("a", "b", "b0", "b1")}
     assert len(out) == 4
 
 
@@ -543,8 +543,8 @@ def _read_per_line(texts: list[str], marks: str, d: Dictionary) -> list:
             return out + [str(e)]
         triples = []
         for mark, (s, p, o) in statements:
-            s = scope.rename(s) if isinstance(s, BlankNode) else s
-            o = scope.rename(o) if isinstance(o, BlankNode) else o
+            s = BlankNode(scope.rename(s.label)) if isinstance(s, BlankNode) else s
+            o = BlankNode(scope.rename(o.label)) if isinstance(o, BlankNode) else o
             triples.append((mark, d.triple(s, p, o)))
         out.append(triples)
     return out

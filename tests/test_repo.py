@@ -30,7 +30,7 @@ from vgstore import (
     serialize_ntriples,
     serialize_patch,
 )
-from vgstore import engine, terms
+from vgstore import engine, ntriples, terms
 from vgstore.bench import ScenarioParams, generate
 from vgstore.cli import run as vg
 from vgstore.engine import eval_annotated
@@ -586,7 +586,9 @@ def test_a_replay_onto_the_loaded_dag_keeps_what_one_onto_an_empty_dag_keeps(see
 
 def test_a_load_builds_no_term_and_writes_no_text(tmp_path):
     """A load interns the texts it reads as they are; a query that filters on
-    ?h reads a term, and not into the dictionary, only for each ?h it compares."""
+    ?h reads a term, and not into the dictionary, only for each ?h it compares.
+    Blank labels that patches reuse across commits are read as labels too:
+    the load builds no BlankNode, and a save writes the history back."""
     generate(ScenarioParams(buildings=40, stations=6, versions=60, branch_prob=0.0,
                             churn=0.05, seed=3), tmp_path / "repo")
     read = mock.patch.object(engine, "read_term", wraps=engine.read_term)
@@ -602,6 +604,24 @@ def test_a_load_builds_no_term_and_writes_no_text(tmp_path):
             assert eval_annotated(store, dag, query).texts
         assert read_term.call_count == len(heights) > 0
         assert store.dictionary._terms == {}
+
+    blanks = tmp_path / "blanks"
+    patches = ['A _:n <urn:p> _:m .\nA _:m <urn:p> "x" .\n',
+               'A _:n <urn:q> <urn:x> .\nD _:m <urn:p> "x" .\nA _:k <urn:p> _:n .\n',
+               'A _:m <urn:q> _:n .\nD _:k <urn:p> _:n .\n']
+    for i, text in enumerate(patches):
+        (tmp_path / f"{i}.patch").write_text(text)
+        argv = ["init"] if i == 0 else ["commit", "--branch", "main"]
+        assert vg([*argv, "--repo", str(blanks), "--patch", str(tmp_path / f"{i}.patch")]) == 0
+    with mock.patch.object(ntriples, "BlankNode", wraps=ntriples.BlankNode) as blank_node:
+        store, dag = load_repository(blanks)
+    assert blank_node.call_count == 0
+    assert store.dictionary._terms == {}
+    save_repository(store, dag, tmp_path / "resaved")
+    saved = _files(blanks)
+    assert saved.pop(".vglock") == b""  # the CLI's lock file, which a save does not write
+    assert b"A _:m <urn:q> _:n ." in saved["deltas/2.patch"]  # the labels of commit 0
+    assert _files(tmp_path / "resaved") == saved
 
 
 @pytest.mark.parametrize("fail", [False, True])

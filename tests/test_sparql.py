@@ -301,6 +301,25 @@ def test_an_unreadable_string_names_its_cause(text, cause, position):
     assert (exc.value.line, exc.value.col) == position
 
 
+@pytest.mark.parametrize(
+    "text,message,position",
+    [
+        pytest.param("SELECT (COUNT(<urn:x>) AS ?n) WHERE { ?s ?p ?o }",
+                     "aggregates take a single variable", (1, 15), id="aggregate"),
+        pytest.param("SELECT (MAX(?o) AS n) WHERE { ?s ?p ?o }",
+                     "expected an alias variable after AS", (1, 20), id="alias"),
+        pytest.param("SELECT ?s WHERE {\n  GRAPH ?v { ?s ?p ?o }\n  FILTER (isHead(3)) }",
+                     "isHead takes a version variable", (3, 18), id="is-head"),
+        pytest.param("SELECT (COUNT(?s) AS ?n) WHERE { ?s ?p ?o }\nGROUP BY",
+                     "GROUP BY needs at least one variable", (2, 9), id="group-by"),
+    ],
+)
+def test_a_missing_variable_is_named_where_it_is_missing(text, message, position):
+    with pytest.raises(QueryError) as exc:
+        parse_query(text)
+    assert (exc.value.message, exc.value.line, exc.value.col) == (message, *position)
+
+
 def test_constants_read_with_the_patch_term_grammar():
     q = parse_query(
         "PREFIX u: <urn:\\u0041:>\n"

@@ -26,6 +26,13 @@ def check_schema(path: Path, quick: bool) -> dict:
         for kind in ("query.accessible-pairs", "commit", "log"):
             assert any(name.startswith(kind + ".") for name in names)
         assert any(name.startswith("layers.") and name.endswith(".load_ms") for name in names)
+        # every wall time has a figure scaled by the same run's bare start
+        startup = doc["metrics"]["startup.python-S.wall_ms"]["median"]
+        for name in (name for name in names if name.endswith(".wall_ms")):
+            scaled = doc["metrics"][name.removesuffix("_ms") + "_scaled"]
+            assert scaled["unit"] == "x startup.python-S"
+            assert scaled["values"] == pytest.approx(
+                [ms / startup for ms in doc["metrics"][name]["values"]])
     else:
         assert set(doc["metrics"]) == END_TO_END
         assert all(metric["n"] == len(doc["seeds"]) for metric in doc["metrics"].values())
