@@ -58,7 +58,7 @@ CITY = dict(buildings=500, stations=50, churn=0.01, seed=42)
 SCENARIOS = {
     "linear-400": (dict(versions=400, branch_prob=0.0), 5),
     "linear-2000": (dict(versions=2000, branch_prob=0.0), 5),
-    "branching-2000": (dict(versions=2000, branch_prob=0.2), 2),
+    "branching-2000": (dict(versions=2000, branch_prob=0.2), 4),
 }
 QUICK_SCENARIOS = {
     "linear-tiny": (dict(versions=8, branch_prob=0.0, buildings=20, stations=5), 1),

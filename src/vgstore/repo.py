@@ -38,6 +38,7 @@ import contextlib
 import json
 import os
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .dag import Provenance, VersionDag, is_int, version_iri
@@ -145,25 +146,35 @@ def _saved_prefix(repo: Path, dag: VersionDag) -> int:
 
 
 def _manifest_bytes(dag: VersionDag) -> bytes:
-    """The manifest.json a save of dag writes."""
-    manifest = {
-        "branches": {name: head for name, head in sorted(dag.branches.items())},
-        "commits": [
-            {
-                "seq": meta.seq,
-                "iri": meta.iri,
-                "parents": list(meta.parents),
-                "branch": meta.branch,
-                "message": meta.message,
-                "author": meta.author,
-                "timestamp": _format_timestamp(meta.timestamp),
-                "provenance": {"code_ref": meta.provenance.code_ref, "tool": meta.provenance.tool},
-                "patch": _patch_path(meta.seq),
-            }
-            for meta in dag.commits()
-        ],
-    }
-    return (json.dumps(manifest, indent=2) + "\n").encode("utf-8")
+    """The manifest.json a save of dag writes: the bytes of json.dumps(manifest,
+    indent=2) and a newline, laid out here because indent makes json use its
+    pure-Python encoder."""
+    q = encode_basestring_ascii
+    commits = [_json_block("{}", "    ", [
+        f'"seq": {meta.seq}',
+        f'"iri": {q(meta.iri)}',
+        f'"parents": {_json_block("[]", "      ", map(str, meta.parents))}',
+        f'"branch": {q(meta.branch)}',
+        f'"message": {q(meta.message)}',
+        f'"author": {q(meta.author)}',
+        f'"timestamp": {q(_format_timestamp(meta.timestamp))}',
+        '"provenance": ' + _json_block("{}", "      ", [
+            f'"code_ref": {q(meta.provenance.code_ref)}', f'"tool": {q(meta.provenance.tool)}'
+        ]),
+        f'"patch": {q(_patch_path(meta.seq))}',
+    ]) for meta in dag.commits()]
+    branches = (f"{q(name)}: {head}" for name, head in sorted(dag.branches.items()))
+    return (_json_block("{}", "", [
+        f'"branches": {_json_block("{}", "  ", branches)}',
+        f'"commits": {_json_block("[]", "  ", commits)}',
+    ]) + "\n").encode("utf-8")
+
+
+def _json_block(brackets: str, indent: str, items) -> str:
+    """A JSON object or array of the given item texts, laid out as json.dumps
+    with indent=2 lays it out at that indent."""
+    inner = f",\n{indent}  ".join(items)
+    return f"{brackets[0]}\n{indent}  {inner}\n{indent}{brackets[1]}" if inner else brackets
 
 
 def holds_history(store: AnnotatedStore, dag: VersionDag, repo_dir: str | Path) -> bool:

@@ -1,14 +1,16 @@
 """Triple store annotated with the set of versions containing each triple.
 
 Instead of storing one graph per version, the store keeps every distinct
-triple once and tags it with a VersionSet.  A commit does not stamp its
-number onto everything present in it.  Each triple of the version applied
-last has an open run of versions; a commit closes a triple's run with one
-range insert when the triple leaves, and opens one when a triple arrives.
-A commit's work is therefore its difference from the version applied last,
-which on a linear chain is its delta, plus one index add per triple new to
-the store.  The first read after commits writes the open runs up to the last
-version, under a lock so that concurrent readers do it once.
+triple once and tags it with a VersionSet.  A commit writes no version set.
+Each triple of the version applied last has an open run of versions; a
+commit closes a triple's run when the triple leaves, by noting the run, and
+opens one when a triple arrives.  A commit's work is therefore its
+difference from the version applied last, which on a linear chain is its
+delta, in dict operations.  The first read after commits writes every run
+they closed and every open run up to the last version, adding each triple new
+to the store to the index, under a lock so that concurrent readers do it
+once.  A command that only writes, such as vg commit on a linear history,
+builds no set at all.
 
 Applying a commit also records the version's delta against the union of its
 parents, which a save writes, by one rule over the parents' content.  The
@@ -21,19 +23,20 @@ content and not to the whole store.  A parent without a snapshot, such as an
 old version a new branch starts from, is rebuilt by scanning the store.
 
 Only apply_commit changes what the store holds; a read only writes out the
-runs it left open and builds the permutations it reads.  replay, the one way
-a recorded history becomes a store, applies commits through it, then sets
-the branch map.  A load replays the parsed patches onto the dag read from
-the manifest, which keeps its records; repack renumbers the versions by
-emptying the dag and store and replaying the recorded deltas in a new order.
+runs commits closed or left open and builds the permutations it reads.
+replay, the one way a recorded history becomes a store, applies commits
+through it, then sets the branch map.  A load replays the parsed patches
+onto the dag read from the manifest, which keeps its records; repack
+renumbers the versions by emptying the dag and store and replaying the
+recorded deltas in a new order.
 
 TripleIndex is the package's one permutation index: a dict from each triple
 to its leaf value, and SPO, POS and OSP permutations over it, read by a
 bound-prefix walk.  A permutation is built from the leaves by the first match
 that reads it, so a query pays only for the permutations it probes.  The
 store's leaves dict is its own dict of live VersionSets, shared by every
-permutation, and a commit stores a new triple through the index's add, so
-every permutation built holds every stored triple; the checkout evaluator
+permutation, and the first read stores a new triple through the index's add,
+so every permutation built holds every stored triple; the checkout evaluator
 indexes one materialized version with the leaf True.
 """
 
@@ -43,6 +46,7 @@ import logging
 import threading
 from dataclasses import dataclass, replace
 from datetime import datetime
+from itertools import chain
 from typing import Iterable, Iterator
 
 from .dag import CommitMeta, Provenance, VersionDag, _repack_order, is_int
@@ -182,9 +186,11 @@ class AnnotatedStore:
         self._deltas: dict[int, Delta] = {}
         self._snapshots: dict[int, frozenset[Triple]] = {}
         # for each triple of the version applied last, a version from which
-        # the triple is in every version up to it; the versions of those
-        # runs from _written on are not yet in the sets
+        # the triple is in every version up to it; then the runs commits
+        # closed, as (triple, first, last).  The versions of those runs from
+        # _written on are not yet in the sets, nor a triple new to the store
         self._open: dict[Triple, int] = {}
+        self._closed: list[tuple[Triple, int, int]] = []
         self._written = 0
         self._flush_lock = threading.Lock()
 
@@ -193,6 +199,7 @@ class AnnotatedStore:
         return self._n_versions
 
     def __contains__(self, triple: Triple) -> bool:
+        self._flush()
         return triple in self._sets
 
     def version_set(self, triple: Triple) -> VersionSet | None:
@@ -257,16 +264,10 @@ class AnnotatedStore:
         heads = dag.heads()
         if last in heads:
             self._snapshots[last] = frozenset(open_)
-        # a triple that leaves closes its run at last, the old version
-        written = self._written
-        for triple in leaving:
-            lo = max(open_.pop(triple), written)
-            if lo < seq:
-                self._sets[triple].insert(lo, seq - 1)
-        for triple in arriving:
-            if triple not in self._sets:
-                self._index.add(triple, self._set_cls())
-            open_[triple] = seq
+        # a triple that leaves closes its run at last, the old version; the
+        # first read writes it
+        self._closed.extend((triple, open_.pop(triple), last) for triple in leaving)
+        open_.update(dict.fromkeys(arriving, seq))
         self._n_versions = seq + 1
         self._deltas[seq] = recorded
         self._prune_snapshots(heads)
@@ -333,17 +334,24 @@ class AnnotatedStore:
         )
 
     def _flush(self) -> None:
-        """Write the open runs up to the version applied last; every commit
-        adds a version, so they wait on it."""
+        """Write the runs commits closed, then the open runs up to the version
+        applied last, each from _written on; every commit adds a version, so
+        they wait on it."""
         if self._written == self._n_versions:
             return
         with self._flush_lock:
             n, written = self._n_versions, self._written
             if written == n:
                 return  # another reader wrote them first
-            sets = self._sets
-            for triple, start in self._open.items():
-                sets[triple].insert(max(start, written), n - 1)
+            sets, add, new = self._sets, self._index.add, self._set_cls
+            open_runs = ((triple, start, n - 1) for triple, start in self._open.items())
+            for triple, start, end in chain(self._closed, open_runs):
+                vset = sets.get(triple)
+                if vset is None:
+                    add(triple, vset := new())
+                if written <= end:
+                    vset.insert(max(start, written), end)
+            self._closed = []
             self._written = n
 
 

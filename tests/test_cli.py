@@ -23,6 +23,7 @@ import vgstore.cli
 import vgstore.repo
 from vgstore.repo import read_history
 from vgstore.store import AnnotatedStore, TripleIndex
+from vgstore.versionsets import ExtensionSet, IntervalSet, set_class
 from vgstore.cli import run as vg
 
 from helpers import INVALID_CONSTANTS, assert_snapshots_are_heads_and_scans
@@ -376,6 +377,47 @@ def test_commit_removes_loaded_terms_and_builds_no_index(tmp_path, capsys, patch
     assert [format_triple(x, store.dictionary) + " ." for x in gone] == [
         stmt("b1", "height", f'"10.5"{DEC}')
     ]
+
+
+@pytest.mark.parametrize("encoding", ["extension", "interval"])
+def test_a_commit_onto_a_saved_history_builds_no_version_set(
+    tmp_path, capsys, monkeypatch, encoding
+):
+    """vg commit replays the history without writing a run or constructing a
+    VersionSet; a later load's first read writes the sets one replay that
+    wrote every run at once would hold."""
+    repo = tmp_path / "r"
+    generate(ScenarioParams(buildings=20, stations=6, versions=12, branch_prob=0.0,
+                            churn=0.1, seed=9), repo)
+    store, dag = load_repository(repo)
+    gone = min(format_triple(x, store.dictionary) for x in store.materialize(11))
+    edit = tmp_path / "edit.patch"
+    edit.write_text(f"D {gone} .\nA <urn:ex:new> <urn:ex:p> \"v\" .\n", encoding="utf-8")
+    counts = {"insert": 0, "construct": 0}
+    for cls in (ExtensionSet, IntervalSet):
+        for name, attr in (("insert", "insert"), ("construct", "__init__")):
+            def counted(self, *args, _original=getattr(cls, attr), _name=name):
+                counts[_name] += 1
+                return _original(self, *args)
+
+            monkeypatch.setattr(cls, attr, counted)
+    ok(capsys, "commit", "--repo", str(repo), "--branch", "main", "--patch", str(edit),
+       "--encoding", encoding)
+    assert counts == {"insert": 0, "construct": 0}
+    monkeypatch.undo()
+    store, dag = load_repository(repo, encoding=encoding)
+    assert len(dag) == 13 and store._sets == {}
+    content: dict[int, set] = {}
+    for meta in dag.commits():
+        delta = store.delta(meta.seq)
+        union = set().union(*(content[p] for p in meta.parents))
+        content[meta.seq] = (union - delta.removals) | delta.additions
+    versions: dict = {}
+    for v, triples in content.items():
+        for x in triples:
+            versions.setdefault(x, []).append(v)
+    cls = set_class(encoding)
+    assert dict(store.match()) == {x: cls.from_iterable(vs) for x, vs in versions.items()}
 
 
 def test_commit_and_merge_patches_name_the_history_s_blank_nodes(tmp_path, capsys):

@@ -383,8 +383,8 @@ def test_a_replay_continued_after_a_prefix_equals_one_replay(tmp_path, encoding)
         replay(once, once_dag, history, dag.branches)
         saved = tmp_path / f"{encoding}{seed}"
         save_repository(once, once_dag, saved)
-        # the open runs as a replay leaves them, before a read writes them
-        runs = (once._open, once._written, once._snapshots)
+        # the runs as a replay leaves them, before a read writes them
+        runs = (once._open, once._closed, once._written, once._snapshots)
         stats, sets = once.stats(), {t: list(vset) for t, vset in once.match()}
         for k in range(1, len(history) + 1):
             # random_dag commits on every branch it creates, so the branch
@@ -395,7 +395,7 @@ def test_a_replay_continued_after_a_prefix_equals_one_replay(tmp_path, encoding)
             replay(store, split, history[k:], dag.branches)
             assert split.commits() == once_dag.commits()
             assert split.branches == once_dag.branches
-            assert (store._open, store._written, store._snapshots) == runs
+            assert (store._open, store._closed, store._written, store._snapshots) == runs
             assert all(store.delta(v) == once.delta(v) for v in range(len(history)))
             assert store.stats() == stats
             assert {t: list(vset) for t, vset in store.match()} == sets

@@ -6,6 +6,7 @@ import random
 import shutil
 import tempfile
 from collections import Counter
+from datetime import timezone
 from pathlib import Path
 from unittest import mock
 
@@ -34,7 +35,8 @@ from vgstore import engine, ntriples, terms
 from vgstore.bench import ScenarioParams, generate
 from vgstore.cli import run as vg
 from vgstore.engine import eval_annotated
-from vgstore.repo import read_history
+from vgstore.dag import Provenance
+from vgstore.repo import _format_timestamp, _manifest_bytes, read_history
 from vgstore.sparql import parse_query
 from vgstore.store import AnnotatedStore, replay
 from vgstore.versionsets import ExtensionSet, IntervalSet
@@ -227,6 +229,57 @@ def test_second_save_is_byte_identical(tmp_path):
         assert (second / "deltas" / name).read_bytes() == (
             outdir / "deltas" / name
         ).read_bytes()
+
+
+# non-ASCII, quotes, backslashes, control characters and lone surrogates
+MANIFEST_TEXTS = st.text(
+    st.characters() | st.sampled_from('\u00e9"\\\t\n\x00\x1f\x7f\u2028\ud800\udfff'), max_size=8
+)
+
+
+@st.composite
+def manifest_dags(draw) -> VersionDag:
+    """A history of up to six commits, with merges and several branches,
+    some of which have no commit of their own."""
+    dag = VersionDag()
+    for seq in range(draw(st.integers(0, 6))):
+        parents, branch = [], "main"
+        if seq:
+            parents = draw(st.lists(st.integers(0, seq - 1), min_size=1, max_size=3, unique=True))
+            branch = draw(st.sampled_from(sorted(dag.branches)) | MANIFEST_TEXTS.filter(bool))
+            if branch not in dag.branches:
+                dag.create_branch(branch, at=parents[0])
+        dag.commit(parents, branch, message=draw(MANIFEST_TEXTS), author=draw(MANIFEST_TEXTS),
+                   timestamp=draw(st.datetimes(timezones=st.none() | st.just(timezone.utc))),
+                   provenance=Provenance(draw(MANIFEST_TEXTS), draw(MANIFEST_TEXTS)))
+        name = draw(MANIFEST_TEXTS.filter(bool))
+        if draw(st.booleans()) and name not in dag.branches:
+            dag.create_branch(name, at=draw(st.integers(0, seq)))
+    return dag
+
+
+@given(manifest_dags())
+@settings(max_examples=100, deadline=None)
+def test_a_save_writes_the_manifest_json_dumps_writes(dag):
+    """The manifest writer lays out the bytes of json.dumps with indent=2."""
+    manifest = {
+        "branches": {name: head for name, head in sorted(dag.branches.items())},
+        "commits": [
+            {
+                "seq": meta.seq,
+                "iri": meta.iri,
+                "parents": list(meta.parents),
+                "branch": meta.branch,
+                "message": meta.message,
+                "author": meta.author,
+                "timestamp": _format_timestamp(meta.timestamp),
+                "provenance": {"code_ref": meta.provenance.code_ref, "tool": meta.provenance.tool},
+                "patch": f"deltas/{meta.seq}.patch",
+            }
+            for meta in dag.commits()
+        ],
+    }
+    assert _manifest_bytes(dag) == (json.dumps(manifest, indent=2) + "\n").encode("utf-8")
 
 
 def test_load_rebuilds_annotations_in_requested_encoding(tmp_path):
@@ -449,7 +502,8 @@ def _count_calls(monkeypatch, counts: Counter, name: str, owner, attr: str) -> N
 
 @pytest.mark.parametrize("encoding", ["extension", "interval"])
 def test_replay_and_save_cost_does_not_grow_with_history(tmp_path, monkeypatch, encoding):
-    """On a linear history a commit writes only the runs its removals close."""
+    """A commit writes no run; the first read writes each run commits closed
+    and each open run once."""
     counts: Counter = Counter()
     _count_calls(monkeypatch, counts, "materialize", AnnotatedStore, "materialize")
     for cls in (ExtensionSet, IntervalSet):
@@ -465,7 +519,7 @@ def test_replay_and_save_cost_does_not_grow_with_history(tmp_path, monkeypatch, 
         return seq
 
     monkeypatch.setattr(AnnotatedStore, "apply_commit", counted_apply)
-    last_inserts, read_inserts = [], []
+    read_inserts, reread_inserts = [], []
     for n in (10, 40):
         params = ScenarioParams(
             buildings=30, stations=6, versions=n, branch_prob=0.0, churn=0.1, seed=n
@@ -477,26 +531,28 @@ def test_replay_and_save_cost_does_not_grow_with_history(tmp_path, monkeypatch, 
         save_repository(store, dag, tmp_path / f"saved{n}")
         assert counts["materialize"] == 0
         assert counts["contains"] == 0
-        assert len(inserts) == n
-        # nothing is read during the replay, so each removal closes one
-        # unwritten run with one insert, and nothing else is written
-        assert [inserts[v] for v in range(n)] == [
-            len(store.delta(v).removals) for v in range(n)
-        ]
-        last_inserts.append(inserts[n - 1])
-        # the first read writes each open run once: one insert per triple
-        # of the last version
+        # nothing is read during the replay, so no commit writes a run: each
+        # removal closes one run, which waits for the first read
+        assert inserts == dict.fromkeys(range(n), 0)
+        assert len(store._closed) == sum(len(store.delta(v).removals) for v in range(n))
+        # the first read writes each closed run and each open run once
+        closed, open_runs = len(store._closed), len(store._open)
         counts.clear()
         store.stats()
+        assert counts["insert"] == closed + open_runs and store._closed == []
         read_inserts.append(counts["insert"])
-        # those runs are written now, so closing them writes nothing
+        # those runs are written now: closing three of them writes nothing,
+        # and the next read writes only the open runs' new version
         leaving = frozenset(sorted(store.delta(n - 1).additions, key=str)[:3])
         store.apply_commit(dag, [n - 1], "main", Delta(frozenset(), leaving))
         assert len(leaving) == 3 and inserts[n] == 0
+        counts.clear()
+        store.stats()
+        reread_inserts.append(counts["insert"])
     # churn edits ceil(0.1 x 72) values in place, and every version holds the
-    # root's 72 triples
-    assert last_inserts == [8, 8]
-    assert read_inserts == [72, 72]
+    # root's 72 triples: each commit after the root closes 8 runs
+    assert read_inserts == [8 * 9 + 72, 8 * 39 + 72]
+    assert reread_inserts == [69, 69]
 
 
 def test_a_load_commits_each_record_once_and_a_write_parses_the_manifest_once(
@@ -552,7 +608,8 @@ def _replay_states(source: AnnotatedStore, source_dag: VersionDag, dag: VersionD
     states = []
 
     def kept():
-        return dict(store._open), store._written, dict(store._snapshots), dag.heads()
+        return (dict(store._open), list(store._closed), store._written,
+                dict(store._snapshots), dag.heads())
 
     def history():
         for meta in source_dag.commits():

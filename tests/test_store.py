@@ -117,7 +117,8 @@ def test_strict_spurious_removal_fails_and_leaves_state_alone():
     def state():
         return (
             dict(store._deltas), dict(store._snapshots), dict(store._open),
-            store._written, store.n_versions, dag.commits(), dag.branches,
+            list(store._closed), store._written, store.n_versions, dag.commits(),
+            dag.branches,
         )
 
     before = state()
@@ -426,10 +427,12 @@ def _reference_sets(model: dict[int, set[Triple]]) -> dict[Triple, set[int]]:
 
 def _pending_view(store: AnnotatedStore) -> dict[Triple, set[int]]:
     """What reads would return, taken without a read: the written sets plus
-    the open runs not yet written."""
+    the versions not yet written of the runs commits closed and of the open
+    runs."""
     view = {triple: set(vset) for triple, vset in store._sets.items()}
-    for triple, start in store._open.items():
-        view[triple] |= set(range(max(start, store._written), store.n_versions))
+    last = store.n_versions - 1
+    for triple, start, end in [*store._closed, *((x, s, last) for x, s in store._open.items())]:
+        view.setdefault(triple, set()).update(range(max(start, store._written), end + 1))
     return view
 
 
@@ -496,7 +499,7 @@ def _run_reference_model(encoding, seed, steps, tmp: Path):
         model[seq] = (union - rems) | adds
 
     def read():
-        kind = rng.choice(("match", "version_set", "stats", "materialize"))
+        kind = rng.choice(("match", "version_set", "in", "stats", "materialize"))
         expected = _reference_sets(model)
         if kind == "match":
             assert {x: set(vset) for x, vset in store.match()} == expected
@@ -512,6 +515,9 @@ def _run_reference_model(encoding, seed, steps, tmp: Path):
             probe = rng.choice(pool)
             got = store.version_set(probe)
             assert (set(got) if got is not None else None) == expected.get(probe)
+        elif kind == "in":
+            probe = rng.choice(pool)
+            assert (probe in store) == (probe in expected)
         elif kind == "stats":
             stats = store.stats()
             assert stats.distinct_triples == len(expected)
@@ -632,11 +638,11 @@ def test_a_load_indexes_nothing_before_the_first_read(tmp_path, first_read):
         store.apply_commit(dag, [v - 1] if v else [], "main", delta)
     save_repository(store, dag, tmp_path)
     store, dag = load_repository(tmp_path)
-    assert _built(store) == {}
+    assert _built(store) == {} and store._sets == {}
     if first_read == "match":
         next(store.match())
     elif first_read == "version_set":
-        store.version_set(next(iter(store._sets)))
+        store.version_set(next(iter(store._open)))
     else:
         store.stats()
     # a full scan reads SPO; the other reads read no permutation
@@ -664,13 +670,13 @@ def test_a_load_or_a_commit_builds_no_permutation(tmp_path, encoding):
     x = t(store, "a")
     assert [y for y, _ in store.match(p=x.p, o=x.o)] == [x]
     assert set(_built(store)) == {"pos"}
-    # a commit adds what it stores to the permutations already built
-    new = t(store, "c")
+    # a commit leaves the permutations already built as they are, and the
+    # next read adds what the commit stored to them
+    new, built = t(store, "c"), _built(store)
     store.apply_commit(dag, [dag.branch_head("main")], "main", adds(new))
-    assert set(_built(store)) == {"pos"}
-    assert new in _built(store)["pos"]
-    _assert_built_permutations_hold_the_store(store)
+    assert _built(store) == built and new not in built["pos"]
     assert [y for y, _ in store.match(p=new.p, o=new.o)] == [new]
+    assert new in _built(store)["pos"]
     assert set(_built(store)) == {"pos"}
     _assert_built_permutations_hold_the_store(store)
 
@@ -777,6 +783,7 @@ def test_concurrent_first_reads_write_open_runs_once(encoding, monkeypatch):
             results.append(got)
 
         threads = [threading.Thread(target=first_read, args=(i,)) for i in range(8)]
+        unwritten = sum(end >= store._written for _, _, end in store._closed)
         writes.clear()
         indexed.clear()
         permutations.clear()
@@ -787,40 +794,44 @@ def test_concurrent_first_reads_write_open_runs_once(encoding, monkeypatch):
         assert not any(thread.is_alive() for thread in threads)
         assert len(results) == 8
         assert all(got == expected for got in results)
-        # one thread wrote each open run, once
-        assert len(writes) == len(store._open)
+        # one thread wrote each run, once: the open runs and the runs commits
+        # closed that a read has not written yet
+        assert len(writes) == len(store._open) + unwritten
 
     try:
         for _ in range(5):
+            writes.clear()
             indexed.clear()
             permutations.clear()
             store, dag, model = _linear_store(rng, encoding, n_triples=400, versions=30)
-            # the commits built no permutation and added each triple they
-            # stored once
-            assert permutations == [] and _built(store) == {}
-            assert sorted(indexed) == sorted(store._sets)
-            # after the replay: each permutation was built once, from the
-            # store's sets whole, and read by every probe; no read added a
+            # the commits built no permutation, wrote no run and added no
             # triple
+            assert permutations == [] and _built(store) == {}
+            assert writes == [] and indexed == []
+            # after the replay: the first read added each triple once, and
+            # each permutation was built once, from the store's sets whole,
+            # and read by every probe
             read_concurrently(store, _reference_sets(model))
-            assert indexed == []
+            assert sorted(indexed) == sorted(store._sets)
             assert {name for name, _ in permutations} == {"spo", "pos", "osp"}
             assert len(set(permutations)) == 3
             built = set(permutations)
-            # commits that store new triples add each of them once, to every
-            # permutation built, before any read; no read adds one, and none
-            # builds a permutation again
+            # commits that store new triples add none of them; the next read
+            # adds each of them once, to every permutation built, and builds
+            # no permutation again
             new: set = set()
+            writes.clear()
+            indexed.clear()
             for k in range(3):
                 more = {t(store, f"{k}.{i}") for i in range(20)}
                 last = len(dag) - 1
                 model[last + 1] = model[last] | more
                 store.apply_commit(dag, [last], "main", adds(*more))
                 new |= more
-            assert sorted(indexed) == sorted(new)
+            assert writes == [] and indexed == []
             _assert_built_permutations_hold_the_store(store)
             read_concurrently(store, _reference_sets(model))
-            assert indexed == []
+            assert sorted(indexed) == sorted(new)
             assert set(permutations) == built
             _assert_built_permutations_hold_the_store(store)
     finally:
