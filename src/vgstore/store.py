@@ -6,11 +6,12 @@ Each triple of the version applied last has an open run of versions; a
 commit closes a triple's run when the triple leaves, by noting the run, and
 opens one when a triple arrives.  A commit's work is therefore its
 difference from the version applied last, which on a linear chain is its
-delta, in dict operations.  The first read after commits writes every run
-they closed and every open run up to the last version, adding each triple new
-to the store to the index, under a lock so that concurrent readers do it
-once.  A command that only writes, such as vg commit on a linear history,
-builds no set at all.
+delta, in dict operations.  The first read after commits writes, under a lock
+so that concurrent readers do it once, every run they closed and every open run
+up to the last version: an insert per run into a stored set, or one set from
+all the runs of a triple new to the store, which an extension lists only when
+read.  So a command that only writes, such as vg commit on a linear history,
+builds no set.
 
 Applying a commit also records the version's delta against the union of its
 parents, which a save writes, by one rule over the parents' content.  The
@@ -335,22 +336,25 @@ class AnnotatedStore:
 
     def _flush(self) -> None:
         """Write the runs commits closed, then the open runs up to the version
-        applied last, each from _written on; every commit adds a version, so
-        they wait on it."""
+        applied last, each from _written on, as an insert into a stored set or
+        one set from all the runs of a new triple; every commit adds a
+        version, so they wait on it."""
         if self._written == self._n_versions:
             return
         with self._flush_lock:
             n, written = self._n_versions, self._written
             if written == n:
                 return  # another reader wrote them first
-            sets, add, new = self._sets, self._index.add, self._set_cls
+            sets, new_runs = self._sets, {}
             open_runs = ((triple, start, n - 1) for triple, start in self._open.items())
             for triple, start, end in chain(self._closed, open_runs):
                 vset = sets.get(triple)
                 if vset is None:
-                    add(triple, vset := new())
-                if written <= end:
+                    new_runs.setdefault(triple, []).append([start, end])
+                elif written <= end:
                     vset.insert(max(start, written), end)
+            for triple, runs in new_runs.items():
+                self._index.add(triple, self._set_cls._from_runs(runs))
             self._closed = []
             self._written = n
 

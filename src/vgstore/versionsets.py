@@ -6,12 +6,14 @@ form, so structural equality is set equality.  insert(lo, hi) adds the closed
 range [lo, hi] (one version when hi is omitted) and is the only mutator;
 everything else returns new sets, which lets a store hand out live references
 safely.  Appending a range past the last member is a list extend for an
-extension and one run merge or append for intervals.  An intersection costs
-the smaller operand: an extension hashes the smaller member list and only
-reads the larger one, and each run of the smaller interval list bisects into
-the larger one.  union is the one method the base class holds for both
-encodings: it rebuilds the members of both operands through the receiver's
-from_iterable, which writes them in that encoding's normal form.
+extension and one run merge or append for intervals.  _from_runs builds a set
+from ascending, disjoint, non-adjacent runs, which intervals keep and an
+extension lists only when first read.  An intersection costs the smaller
+operand: an extension hashes the smaller member list and only reads the larger
+one, and each run of the smaller interval list bisects into the larger one.
+union is the one method the base class holds for both encodings: it rebuilds
+the members of both operands through the receiver's from_iterable, which
+writes them in that encoding's normal form.
 
 scalar_cost is the stored footprint of a set: the member count for an extension,
 twice the run count for intervals.  It is the quantity the benchmark compares
@@ -52,7 +54,7 @@ class ExtensionSet(VersionSet):
 
     encoding = "extension"
 
-    __slots__ = ("_members",)
+    __slots__ = ("_members", "_runs")
 
     def __init__(self):
         self._members: list[int] = []
@@ -61,6 +63,13 @@ class ExtensionSet(VersionSet):
     def from_iterable(cls, members: Iterable[int]) -> "ExtensionSet":
         out = cls()
         out._members = sorted(set(members))
+        return out
+
+    @classmethod
+    def _from_runs(cls, runs: list[list[int]]) -> "ExtensionSet":
+        """The set of ascending, disjoint, non-adjacent [lo, hi] runs."""
+        out = object.__new__(_Unlisted)
+        out._runs = runs
         return out
 
     def contains(self, v: int) -> bool:
@@ -101,6 +110,23 @@ class ExtensionSet(VersionSet):
 
     def __repr__(self) -> str:
         return f"ExtensionSet({self._members})"
+
+
+class _Unlisted(ExtensionSet):
+    """An ExtensionSet whose first read lists its runs and makes it a plain one,
+    since __getattr__ slows every read; racing readers list equal members."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name: str):
+        if name != "_members":
+            raise AttributeError(name)
+        members: list[int] = []
+        for lo, hi in self._runs:
+            members += range(lo, hi + 1)
+        self._members = members
+        self.__class__ = ExtensionSet
+        return members
 
 
 class IntervalSet(VersionSet):

@@ -503,56 +503,65 @@ def _count_calls(monkeypatch, counts: Counter, name: str, owner, attr: str) -> N
 @pytest.mark.parametrize("encoding", ["extension", "interval"])
 def test_replay_and_save_cost_does_not_grow_with_history(tmp_path, monkeypatch, encoding):
     """A commit writes no run; the first read writes each run commits closed
-    and each open run once."""
+    and each open run once.  A run is written by an insert into a stored
+    triple's set, or handed to _from_runs with the other runs of a triple
+    new to the store."""
     counts: Counter = Counter()
     _count_calls(monkeypatch, counts, "materialize", AnnotatedStore, "materialize")
     for cls in (ExtensionSet, IntervalSet):
         _count_calls(monkeypatch, counts, "contains", cls, "contains")
-        _count_calls(monkeypatch, counts, "insert", cls, "insert")
-    inserts: dict[int, int] = {}
+        _count_calls(monkeypatch, counts, "written", cls, "insert")
+        from_runs = cls._from_runs
+
+        def counted_from_runs(runs, from_runs=from_runs):
+            counts["written"] += len(runs)
+            return from_runs(runs)
+
+        monkeypatch.setattr(cls, "_from_runs", staticmethod(counted_from_runs))
+    commit_runs: dict[int, int] = {}
     apply_commit = AnnotatedStore.apply_commit
 
     def counted_apply(self, *args, **kwargs):
-        before = counts["insert"]
+        before = counts["written"]
         seq = apply_commit(self, *args, **kwargs)
-        inserts[seq] = counts["insert"] - before
+        commit_runs[seq] = counts["written"] - before
         return seq
 
     monkeypatch.setattr(AnnotatedStore, "apply_commit", counted_apply)
-    read_inserts, reread_inserts = [], []
+    first_read_runs, reread_runs = [], []
     for n in (10, 40):
         params = ScenarioParams(
             buildings=30, stations=6, versions=n, branch_prob=0.0, churn=0.1, seed=n
         )
         generate(params, tmp_path / f"linear{n}")
         counts.clear()
-        inserts.clear()
+        commit_runs.clear()
         store, dag = load_repository(tmp_path / f"linear{n}", encoding=encoding)
         save_repository(store, dag, tmp_path / f"saved{n}")
         assert counts["materialize"] == 0
         assert counts["contains"] == 0
         # nothing is read during the replay, so no commit writes a run: each
         # removal closes one run, which waits for the first read
-        assert inserts == dict.fromkeys(range(n), 0)
+        assert commit_runs == dict.fromkeys(range(n), 0)
         assert len(store._closed) == sum(len(store.delta(v).removals) for v in range(n))
         # the first read writes each closed run and each open run once
         closed, open_runs = len(store._closed), len(store._open)
         counts.clear()
         store.stats()
-        assert counts["insert"] == closed + open_runs and store._closed == []
-        read_inserts.append(counts["insert"])
+        assert counts["written"] == closed + open_runs and store._closed == []
+        first_read_runs.append(counts["written"])
         # those runs are written now: closing three of them writes nothing,
         # and the next read writes only the open runs' new version
         leaving = frozenset(sorted(store.delta(n - 1).additions, key=str)[:3])
         store.apply_commit(dag, [n - 1], "main", Delta(frozenset(), leaving))
-        assert len(leaving) == 3 and inserts[n] == 0
+        assert len(leaving) == 3 and commit_runs[n] == 0
         counts.clear()
         store.stats()
-        reread_inserts.append(counts["insert"])
+        reread_runs.append(counts["written"])
     # churn edits ceil(0.1 x 72) values in place, and every version holds the
     # root's 72 triples: each commit after the root closes 8 runs
-    assert read_inserts == [8 * 9 + 72, 8 * 39 + 72]
-    assert reread_inserts == [69, 69]
+    assert first_read_runs == [8 * 9 + 72, 8 * 39 + 72]
+    assert reread_runs == [69, 69]
 
 
 def test_a_load_commits_each_record_once_and_a_write_parses_the_manifest_once(

@@ -35,7 +35,7 @@ from vgstore.bench import QUERIES, ScenarioParams, generate
 from vgstore.engine import eval_annotated
 from vgstore.sparql import parse_query
 from vgstore.store import TripleIndex
-from vgstore.versionsets import set_class
+from vgstore.versionsets import ExtensionSet, set_class
 
 from helpers import (
     assert_snapshots_are_heads_and_scans,
@@ -693,6 +693,42 @@ def test_the_first_accessible_pairs_read_builds_only_pos(tmp_path):
     _assert_built_permutations_hold_the_store(store)
 
 
+def test_a_query_lists_the_members_of_only_the_sets_it_matched(tmp_path, monkeypatch):
+    """After a load in extension, the first read builds each set from its
+    runs; a query lists the members of the sets its patterns matched, and
+    stats lists the rest."""
+    params = ScenarioParams(buildings=30, stations=8, versions=40, branch_prob=0.0,
+                            churn=0.1, seed=11)
+    generate(params, tmp_path)
+    store, dag = load_repository(tmp_path, encoding="extension")
+    matched: set = set()
+    match = AnnotatedStore.match
+
+    def recorded_match(self, *args, **kwargs):
+        for triple, vset in match(self, *args, **kwargs):
+            matched.add(triple)
+            yield triple, vset
+
+    monkeypatch.setattr(AnnotatedStore, "match", recorded_match)
+    text, domain = QUERIES["accessible-pairs"]
+    assert eval_annotated(store, dag, parse_query(text), domain).rows
+
+    def listed(vset) -> bool:
+        try:  # the slot's own descriptor, which lists nothing
+            ExtensionSet._members.__get__(vset, ExtensionSet)
+        except AttributeError:
+            return False
+        return True
+
+    assert matched and len(matched) < len(store._sets)
+    assert {x for x, vset in store._sets.items() if listed(vset)} == matched
+    reference, _ = load_repository(tmp_path, encoding="extension")
+    assert all(list(vset) for _, vset in reference.match())
+    assert all(listed(vset) for vset in reference._sets.values())
+    assert store.stats() == reference.stats()
+    assert all(listed(vset) for vset in store._sets.values())
+
+
 @pytest.mark.parametrize("encoding", ["extension", "interval"])
 def test_match_finds_what_a_commit_after_a_read_or_a_repack_stored(encoding):
     store, dag = random_repo(random.Random(5), encoding=encoding)
@@ -731,16 +767,23 @@ def _linear_store(rng: random.Random, encoding: str, n_triples: int, versions: i
 @pytest.mark.parametrize("encoding", ["extension", "interval"])
 def test_concurrent_first_reads_write_open_runs_once(encoding, monkeypatch):
     """Eight threads make the first read after a replay at the same time,
-    and again after more commits."""
+    and again after more commits.  A run is written by an insert into a
+    stored triple's set, or handed to _from_runs with the other runs of a
+    triple new to the store."""
     set_cls = set_class(encoding)
     writes: list = []
-    insert = set_cls.insert
+    insert, from_runs = set_cls.insert, set_cls._from_runs
 
     def counted_insert(self, *args):
         writes.append(args)  # list.append is atomic, so no count is lost
         insert(self, *args)
 
+    def counted_from_runs(runs):
+        writes.extend([tuple(run) for run in runs])  # so is extend by a list
+        return from_runs(runs)
+
     monkeypatch.setattr(set_cls, "insert", counted_insert)
+    monkeypatch.setattr(set_cls, "_from_runs", staticmethod(counted_from_runs))
     indexed: list = []
     add = TripleIndex.add
 

@@ -1,6 +1,8 @@
 """Version set encodings against a plain python-set oracle."""
 
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +11,9 @@ from vgstore.versionsets import ENCODINGS, ExtensionSet, IntervalSet, set_class
 
 members = st.sets(st.integers(0, 80), max_size=40)
 encodings = st.sampled_from([ExtensionSet, IntervalSet])
+# each run as (gap after the previous run's end, width): a gap of at least 2
+# keeps runs disjoint and non-adjacent
+run_steps = st.lists(st.tuples(st.integers(2, 6), st.integers(0, 6)), max_size=8)
 
 
 def runs_of(s: set[int]) -> int:
@@ -233,3 +238,99 @@ def test_set_class_lookup():
     assert set(ENCODINGS) == {"extension", "interval"}
     with pytest.raises(ValueError):
         set_class("bitmap")
+
+
+def runs_from_steps(steps: list[tuple[int, int]]) -> list[list[int]]:
+    """Ascending, disjoint, non-adjacent [lo, hi] runs from 0 on."""
+    runs, hi = [], -2
+    for gap, width in steps:
+        lo = hi + gap
+        hi = lo + width
+        runs.append([lo, hi])
+    return runs
+
+
+def members_of(runs: list[list[int]]) -> set[int]:
+    return {v for lo, hi in runs for v in range(lo, hi + 1)}
+
+
+@given(encodings, encodings, run_steps, run_steps, members, st.integers(0, 90))
+def test_a_set_from_runs_equals_the_set_of_its_members(cls, other_cls, steps, other_steps,
+                                                        other, probe):
+    """Every read of a set built from runs, each made first on a fresh set,
+    agrees with from_iterable of its members, also beside a set of the
+    other encoding built either way."""
+    runs = runs_from_steps(steps)
+    s = members_of(runs)
+    oracle = cls.from_iterable(s)
+
+    def built():
+        return cls._from_runs([run.copy() for run in runs])
+
+    assert built().contains(probe) == oracle.contains(probe) == (probe in s)
+    assert list(built()) == list(oracle) == sorted(s)
+    assert built().cardinality() == oracle.cardinality() == len(s)
+    assert built().scalar_cost() == oracle.scalar_cost()
+    assert bool(built()) == bool(oracle) == bool(s)
+    assert built() == oracle and oracle == built() and built() == built()
+    assert repr(built()) == repr(oracle)
+    other_runs = runs_from_steps(other_steps)
+    for b, b_oracle in ((other_cls.from_iterable(other), other_cls.from_iterable(other)),
+                        (other_cls._from_runs(other_runs),
+                         other_cls.from_iterable(members_of(other_runs)))):
+        assert built().intersect(b) == oracle.intersect(b_oracle)
+        assert b.intersect(built()) == b_oracle.intersect(oracle)
+        assert built().union(b) == oracle.union(b_oracle)
+        assert b.union(built()) == b_oracle.union(oracle)
+
+
+@given(encodings, run_steps, st.integers(0, 90), st.integers(0, 12))
+def test_an_insert_into_a_set_from_runs_keeps_its_members(cls, steps, lo, width):
+    runs = runs_from_steps(steps)
+    built = cls._from_runs(runs)
+    built.insert(lo, lo + width)
+    expected = members_of(runs) | set(range(lo, lo + width + 1))
+    assert list(built) == sorted(expected)
+    assert built == cls.from_iterable(expected)
+
+
+def test_a_listed_extension_set_is_a_plain_one():
+    """Once its members are listed, a set from runs reads attributes as any
+    other ExtensionSet does, with no __getattr__ on its class."""
+    built = ExtensionSet._from_runs([[1, 3], [7, 7]])
+    assert type(built) is not ExtensionSet
+    assert built.contains(7)
+    assert type(built) is ExtensionSet and list(built) == [1, 2, 3, 7]
+
+
+@pytest.mark.parametrize("cls", [ExtensionSet, IntervalSet])
+def test_concurrent_first_reads_of_a_set_from_runs_see_equal_members(cls):
+    """Eight threads make the first read of one set built from runs, with a
+    thread switch as often as the interpreter allows."""
+    runs = [[lo, lo + 40] for lo in range(0, 40_000, 50)]
+    expected = sorted(members_of(runs))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            built = cls._from_runs([run.copy() for run in runs])
+            barrier = threading.Barrier(8, timeout=30)
+            seen: list = []
+
+            def first_read(i):
+                barrier.wait()
+                if i % 2:
+                    seen.append((built.cardinality(), built.contains(expected[-1]), list(built)))
+                else:
+                    seen.append((len(list(built)), expected[-1] in built, list(built)))
+
+            threads = [threading.Thread(target=first_read, args=(i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in threads)
+            assert seen == [(len(expected), True, expected)] * 8
+            assert built == cls.from_iterable(expected)
+    finally:
+        sys.setswitchinterval(interval)
