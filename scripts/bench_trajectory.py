@@ -19,7 +19,7 @@ It measures the vgstore sources of the checkout it lives in, and writes:
   copy and `vg log`, on linear 400, linear 2,000 and branching 2,000
   (buildings=500, stations=50, churn=0.01, generator seed 42), and for
   `python -S -c pass` and `python -S -c "import vgstore.cli"`.  One process
-  per linear scenario also splits that query into load, evaluation and TSV
+  per scenario also splits that query into load, evaluation and TSV
   formatting.  Beside each *.wall_ms metric, *.wall_scaled holds its
   samples divided by the median of startup.python-S.wall_ms, the same run's
   bare interpreter start, so files refreshed on hosts of other speeds can be
@@ -227,11 +227,10 @@ def cold_start(work: Path, scenarios: dict, startup_runs: int) -> dict:
             record(f"commit.{name}", vg + ["commit", "--repo", str(copy), "--branch", "main",
                                            "--patch", str(patch)], runs, fresh_copy)
             record(f"log.{name}", vg + ["log", "--repo", str(repo)], runs)
-            if name.startswith("linear"):
-                for _ in range(runs):
-                    split = json.loads(_output([sys.executable, "-c", LAYERS, str(repo)]))
-                    for layer, ms in split.items():
-                        samples.setdefault(f"layers.{name}.{layer}", []).append(ms)
+            for _ in range(runs):
+                split = json.loads(_output([sys.executable, "-c", LAYERS, str(repo)]))
+                for layer, ms in split.items():
+                    samples.setdefault(f"layers.{name}.{layer}", []).append(ms)
     startup = summary(samples["startup.python-S.wall_ms"], "ms")["median"]
     for name in [name for name in samples if name.endswith(".wall_ms")]:
         samples[name.removesuffix("_ms") + "_scaled"] = [ms / startup for ms in samples[name]]

@@ -14,14 +14,14 @@ read.  So a command that only writes, such as vg commit on a linear history,
 builds no set.
 
 Applying a commit also records the version's delta against the union of its
-parents, which a save writes, by one rule over the parents' content.  The
-content of the version applied last is the keys of the open runs, so a
-commit whose only parent is that version looks up each triple of its delta
-there, costs O(|delta|), and changes the open runs by its recorded delta.
-Every other branch head keeps a frozen snapshot, taken when it stops being
-the version applied last, so a commit on it costs time in proportion to its
-content and not to the whole store.  A parent without a snapshot, such as an
-old version a new branch starts from, is rebuilt by scanning the store.
+parents, which a save writes, and its step from its first parent: that
+parent, the delta and an extra, empty unless the version is a merge, whose
+xor is content ^ the parent's content.  A parent's number is below its
+child's, so content(a) ^ content(b) is the xor of the steps up from the
+higher of the two until they meet.  A read of any version, and a commit,
+walk from the keys of the open runs, the content of the version applied
+last; a commit on that version walks nothing and costs O(|delta|).  No
+version is copied whole, and the store keeps nothing per branch head.
 
 Only apply_commit changes what the store holds; a read only writes out the
 runs commits closed or left open and builds the permutations it reads.
@@ -59,6 +59,8 @@ from .versionsets import VersionSet, set_class
 log = logging.getLogger(__name__)
 
 _Index = dict[int, dict[int, dict[int, object]]]
+
+_NOTHING: frozenset[Triple] = frozenset()
 
 # each permutation by name, with the triple positions of its three levels
 _ORDERS = {"spo": (0, 1, 2), "pos": (1, 2, 0), "osp": (2, 0, 1)}
@@ -184,8 +186,9 @@ class AnnotatedStore:
         self._sets: dict[Triple, VersionSet] = {}
         self._index = TripleIndex(self._sets)
         self._n_versions = 0
-        self._deltas: dict[int, Delta] = {}
-        self._snapshots: dict[int, frozenset[Triple]] = {}
+        # for each version, its first parent (-1 for the root), its recorded
+        # delta, and what its content ^ that parent's holds beyond the delta
+        self._steps: list[tuple[int, Delta, frozenset[Triple]]] = []
         # for each triple of the version applied last, a version from which
         # the triple is in every version up to it; then the runs commits
         # closed, as (triple, first, last).  The versions of those runs from
@@ -202,11 +205,6 @@ class AnnotatedStore:
     def __contains__(self, triple: Triple) -> bool:
         self._flush()
         return triple in self._sets
-
-    def version_set(self, triple: Triple) -> VersionSet | None:
-        """The live version set of a triple, or None if never stored."""
-        self._flush()
-        return self._sets.get(triple)
 
     def apply_commit(
         self,
@@ -229,7 +227,11 @@ class AnnotatedStore:
         warning.  Adding a triple some parent already holds is fine either
         way.  Returns the new version number.  A dag that already records
         the new version, as a loaded one does, keeps its record, which must
-        have these parents and branch; only the branch's head moves to it.
+        have these parents and branch, and its branch map as it is.
+
+        One rule serves every commit: with d the parents' union ^ last, the
+        version applied last, the new version ^ last is the recorded delta's
+        triples ^ d, and d is empty when last is the only parent.
         """
         n = self._n_versions
         record = dag.commit_meta(n) if len(dag) > n else None
@@ -237,18 +239,24 @@ class AnnotatedStore:
             raise StateError(f"store knows {n} versions but dag has {len(dag)}")
         for p in parents:
             self._check_version(p)
-        last, open_ = self._n_versions - 1, self._open
-        on_last = len(parents) == 1 and parents[0] == last
-        # the parents' content; that of the version applied last is the keys
-        # of _open, which difference() probes once per element: O(|delta|)
-        content = open_ if on_last else set().union(*map(self.materialize, parents))
-        spurious = delta.removals.difference(content)
-        recorded = Delta(delta.additions.difference(content), delta.removals - spurious)
-        if on_last:
-            leaving, arriving = recorded.removals, recorded.additions
-        else:
-            present = (content - delta.removals) | delta.additions
-            leaving, arriving = open_.keys() - present, present.difference(open_)
+        last, open_ = n - 1, self._open
+        changes = [self._changed(last, p) for p in parents]
+        # d, the parents' union ^ last: what some parent holds and last lacks,
+        # and what last holds and every parent lacks (all of it, with no
+        # parent).  It is empty on last alone, where the ifs below do nothing
+        d = (set().union(*changes).difference(open_) | set.intersection(*changes)
+             if changes else set(open_))
+        spurious = delta.removals.difference(open_)
+        added = delta.additions.difference(open_)
+        if d:
+            spurious ^= delta.removals & d
+            added ^= delta.additions & d
+        recorded = Delta(added, delta.removals - spurious)
+        leaving, arriving = recorded.removals, recorded.additions
+        if d:
+            changed = (leaving | arriving) ^ d
+            arriving = changed.difference(open_)
+            leaving = changed - arriving
         if spurious:
             if strict:
                 sample = next(iter(spurious))
@@ -257,37 +265,37 @@ class AnnotatedStore:
                     f"e.g. {format_triple(sample, self.dictionary)}"
                 )
             log.warning("ignoring %d removal(s) absent from all parents", len(spurious))
-        if record is None:
-            seq = dag.commit(parents, branch, message=message, author=author,
-                             timestamp=timestamp, provenance=provenance)
-        else:  # as dag.commit would, move the branch head
-            seq = dag._branches[branch] = n
-        heads = dag.heads()
-        if last in heads:
-            self._snapshots[last] = frozenset(open_)
+        seq = n if record else dag.commit(parents, branch, message=message, author=author,
+                                          timestamp=timestamp, provenance=provenance)
         # a triple that leaves closes its run at last, the old version; the
         # first read writes it
         self._closed.extend((triple, open_.pop(triple), last) for triple in leaving)
         open_.update(dict.fromkeys(arriving, seq))
         self._n_versions = seq + 1
-        self._deltas[seq] = recorded
-        self._prune_snapshots(heads)
+        # a merge's extra: the union ^ its first parent
+        extra = frozenset(d ^ changes[0]) if len(changes) > 1 else _NOTHING
+        self._steps.append((parents[0] if parents else -1, recorded, extra))
         return seq
 
-    def materialize(self, v: int) -> set[Triple]:
-        """The plain triple set of version v, as a fresh mutable set.
+    def _changed(self, a: int, b: int) -> set[Triple]:
+        """content(a) ^ content(b), as a fresh set: the xor of the steps on
+        the tree path between a and b.  A parent's number is below its
+        child's, so stepping up from the higher of the two meets the other."""
+        out: set[Triple] = set()
+        while a != b:
+            if a < b:
+                a, b = b, a
+            a, recorded, extra = self._steps[a]  # step up to a's first parent
+            out ^= recorded.additions
+            out ^= recorded.removals
+            out ^= extra
+        return out
 
-        It is copied from the open runs if v was applied last, from v's
-        snapshot if there is one, else reconstructed by scanning the store.
-        """
+    def materialize(self, v: int) -> set[Triple]:
+        """The plain triple set of version v, as a fresh mutable set: the open
+        runs' keys ^ the steps between v and the version applied last."""
         self._check_version(v)
-        if v == self._n_versions - 1:
-            return set(self._open)
-        snapshot = self._snapshots.get(v)
-        if snapshot is not None:
-            return set(snapshot)
-        self._flush()
-        return {t for t, vset in self._sets.items() if vset.contains(v)}
+        return self._open.keys() ^ self._changed(self._n_versions - 1, v)
 
     def delta(self, v: int) -> Delta:
         """What version v added to and removed from the union of its parents.
@@ -296,16 +304,11 @@ class AnnotatedStore:
         are not part of it, so it is the same whatever input produced v.
         """
         self._check_version(v)
-        return self._deltas[v]
+        return self._steps[v][1]
 
     def _check_version(self, v: int) -> None:
         if not is_int(v) or not 0 <= v < self._n_versions:
             raise NotFoundError(f"unknown version: {v}")
-
-    def _prune_snapshots(self, heads: set[int]) -> None:
-        """Keep the snapshots of branch heads other than the version applied last."""
-        last = self._n_versions - 1
-        self._snapshots = {v: s for v, s in self._snapshots.items() if v in heads and v != last}
 
     def match(
         self,
@@ -365,12 +368,9 @@ def replay(
 ) -> None:
     """Apply each recorded delta on its meta's parents, with the meta's branch
     and metadata but not its seq, after what the store already holds; a new
-    branch starts at its first commit's first parent.  Then branches becomes
-    the branch map, and only its heads keep snapshots.  A dag that records
-    the commits to come, as a load's does, keeps its records, and its branch
-    map is rebuilt as they are applied, as onto an empty dag."""
-    if len(dag) > store.n_versions:
-        dag._branches = {meta.branch: meta.seq for meta in dag.commits()[: store.n_versions]}
+    branch starts at its first commit's first parent.  A dag that records
+    the commits to come, as a load's does, keeps its records.  Then branches
+    becomes the branch map."""
     for meta, delta in history:
         dag.start_branch(meta.branch, meta.parents)
         store.apply_commit(
@@ -378,7 +378,6 @@ def replay(
             author=meta.author, timestamp=meta.timestamp, provenance=meta.provenance,
         )
     dag._set_branches(branches)
-    store._prune_snapshots(dag.heads())
 
 
 def repack(dag: VersionDag, store: AnnotatedStore) -> dict[int, int]:

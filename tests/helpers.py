@@ -132,16 +132,18 @@ def scan_version(store: AnnotatedStore, v: int) -> set[Triple]:
     return {triple for triple, vset in store.match() if v in vset}
 
 
-def assert_snapshots_are_heads_and_scans(store: AnnotatedStore, dag: VersionDag) -> None:
-    """Every kept snapshot is of a branch head other than the version applied
-    last and equals a full scan, and the version applied last materializes
-    as a full scan."""
-    last = store.n_versions - 1
-    assert set(store._snapshots) <= dag.heads() - {last}
-    for v, snapshot in store._snapshots.items():
-        assert snapshot == scan_version(store, v)
-    if last >= 0:
-        assert store.materialize(last) == scan_version(store, last)
+def version_set(store: AnnotatedStore, triple: Triple):
+    """The live version set of a triple, or None if never stored."""
+    return dict(store.match(*triple)).get(triple)
+
+
+def assert_versions_are_scans(store: AnnotatedStore) -> None:
+    """Every version materializes as a full scan, into a fresh set."""
+    for v in range(store.n_versions):
+        content = store.materialize(v)
+        assert content == scan_version(store, v)
+        content.add(None)
+        assert None not in store.materialize(v)
 
 
 def parse_statement(text: str, line: int = 1) -> tuple[Term, Term, Term]:

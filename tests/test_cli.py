@@ -26,7 +26,7 @@ from vgstore.store import AnnotatedStore, TripleIndex
 from vgstore.versionsets import ExtensionSet, IntervalSet, set_class
 from vgstore.cli import run as vg
 
-from helpers import INVALID_CONSTANTS, assert_snapshots_are_heads_and_scans
+from helpers import INVALID_CONSTANTS, assert_versions_are_scans
 
 XSD = "http://www.w3.org/2001/XMLSchema#"
 BOOL = f"^^<{XSD}boolean>"
@@ -320,7 +320,7 @@ def test_commit_with_a_parent_moves_the_branch_off_its_old_head(tmp_path, capsys
     assert out == "committed urn:vg:version:2 on main\n"
     store, dag = load_repository(r)
     assert dag.branches == {"main": 2} and dag.commit_meta(2).parents == (0,)
-    assert_snapshots_are_heads_and_scans(store, dag)
+    assert_versions_are_scans(store)
     out = ok(capsys, "query", "--repo", r, "--inline", "SELECT ?v WHERE { GRAPH ?v { } }",
              "--versions", "heads")
     assert out == "?v\n<urn:vg:version:2>\n"
@@ -462,7 +462,7 @@ def _files(repo_dir):
 
 @pytest.fixture
 def long_repo(tmp_path, capsys, patches):
-    """Versions 0-3 on main, so version 1 is no head and has no snapshot."""
+    """Versions 0-3 on main, so version 1 is no head."""
     r = str(tmp_path / "long")
     ok(capsys, "init", "--repo", r, "--patch", patches["city0"])
     ok(capsys, "commit", "--repo", r, "--branch", "main", "--patch", patches["city1"])
@@ -491,7 +491,7 @@ def test_branch_from_an_old_version_commits_and_merges_back(
 
     monkeypatch.setattr(AnnotatedStore, "materialize", counted)
     ok(capsys, "commit", "--repo", r, "--branch", "side", "--patch", str(low))
-    assert scans == [1]  # only the snapshot-less branch point is rebuilt
+    assert scans == []  # a commit reads no version's content
     monkeypatch.undo()
     ok(capsys, "merge", "--repo", r, "--branch", "main", "--from", "4")
     _store, dag = load_repository(r)

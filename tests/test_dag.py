@@ -27,7 +27,7 @@ from vgstore import (
 from vgstore.repo import holds_history
 from vgstore.store import replay
 
-from helpers import EPOCH, assert_snapshots_are_heads_and_scans
+from helpers import EPOCH, assert_versions_are_scans, version_set
 
 
 def chain(n: int) -> VersionDag:
@@ -251,10 +251,10 @@ def runs_of(members) -> int:
 
 def test_repack_interleaved_branches_drops_interval_cost():
     store, dag, t_root, t_a, t_b = alternating_two_branch_repo()
-    assert set(store.version_set(t_a)) == {1, 3, 5}
-    assert set(store.version_set(t_b)) == {2, 4, 6}
-    assert store.version_set(t_a).scalar_cost() == 2 * runs_of({1, 3, 5}) == 6
-    assert store.version_set(t_root).scalar_cost() == 2
+    assert set(version_set(store, t_a)) == {1, 3, 5}
+    assert set(version_set(store, t_b)) == {2, 4, 6}
+    assert version_set(store, t_a).scalar_cost() == 2 * runs_of({1, 3, 5}) == 6
+    assert version_set(store, t_root).scalar_cost() == 2
 
     before = {v: store.materialize(v) for v in range(7)}
     mapping = repack(dag, store)
@@ -262,10 +262,10 @@ def test_repack_interleaved_branches_drops_interval_cost():
     assert sorted(mapping) == list(range(7))
     assert sorted(mapping.values()) == list(range(7))
     # each branch now occupies one consecutive run
-    assert set(store.version_set(t_a)) == {mapping[v] for v in (1, 3, 5)}
-    assert store.version_set(t_a).scalar_cost() == 2
-    assert store.version_set(t_b).scalar_cost() == 2
-    assert store.version_set(t_root).scalar_cost() == 2
+    assert set(version_set(store, t_a)) == {mapping[v] for v in (1, 3, 5)}
+    assert version_set(store, t_a).scalar_cost() == 2
+    assert version_set(store, t_b).scalar_cost() == 2
+    assert version_set(store, t_root).scalar_cost() == 2
     # contents per version survive the renumbering
     for old, new in mapping.items():
         assert store.materialize(new) == before[old]
@@ -355,18 +355,19 @@ def random_history(rng: random.Random, numbering: VersionDag, store: AnnotatedSt
 
 
 def test_snapshots_after_repack_and_reload_are_heads_and_full_scans(tmp_path):
-    """random_dag commits merges onto a branch whose head is neither parent,
-    so a replay in repack order leaves other heads than the branch map."""
+    """Every version materializes as a full scan after a replay, a repack
+    and a reload; random_dag commits merges onto a branch whose head is
+    neither parent."""
     for seed in range(300):
         rng = random.Random(seed)
         numbering = random_dag(rng, 14)
         store, dag = AnnotatedStore(), VersionDag()
         replay(store, dag, random_history(rng, numbering, store), numbering.branches)
-        assert_snapshots_are_heads_and_scans(store, dag)
+        assert_versions_are_scans(store)
         repack(dag, store)
-        assert_snapshots_are_heads_and_scans(store, dag)
+        assert_versions_are_scans(store)
         save_repository(store, dag, tmp_path / str(seed))
-        assert_snapshots_are_heads_and_scans(*load_repository(tmp_path / str(seed)))
+        assert_versions_are_scans(load_repository(tmp_path / str(seed))[0])
 
 
 @pytest.mark.parametrize("encoding", ["extension", "interval"])
@@ -384,7 +385,7 @@ def test_a_replay_continued_after_a_prefix_equals_one_replay(tmp_path, encoding)
         saved = tmp_path / f"{encoding}{seed}"
         save_repository(once, once_dag, saved)
         # the runs as a replay leaves them, before a read writes them
-        runs = (once._open, once._closed, once._written, once._snapshots)
+        runs = (once._open, once._closed, once._written, once._steps)
         stats, sets = once.stats(), {t: list(vset) for t, vset in once.match()}
         for k in range(1, len(history) + 1):
             # random_dag commits on every branch it creates, so the branch
@@ -395,7 +396,7 @@ def test_a_replay_continued_after_a_prefix_equals_one_replay(tmp_path, encoding)
             replay(store, split, history[k:], dag.branches)
             assert split.commits() == once_dag.commits()
             assert split.branches == once_dag.branches
-            assert (store._open, store._closed, store._written, store._snapshots) == runs
+            assert (store._open, store._closed, store._written, store._steps) == runs
             assert all(store.delta(v) == once.delta(v) for v in range(len(history)))
             assert store.stats() == stats
             assert {t: list(vset) for t, vset in store.match()} == sets

@@ -38,10 +38,11 @@ from vgstore.store import TripleIndex
 from vgstore.versionsets import ExtensionSet, set_class
 
 from helpers import (
-    assert_snapshots_are_heads_and_scans,
+    assert_versions_are_scans,
     random_repo,
     reference_delta,
     triple_pool,
+    version_set,
 )
 
 
@@ -74,7 +75,7 @@ def test_root_commit():
     assert store.n_versions == 1
     assert store.materialize(0) == {t1, t2}
     assert t1 in store and t2 in store
-    assert set(store.version_set(t1)) == {0}
+    assert set(version_set(store, t1)) == {0}
 
 
 def test_child_is_parent_minus_removals_plus_additions():
@@ -83,9 +84,9 @@ def test_child_is_parent_minus_removals_plus_additions():
     store.apply_commit(dag, [], "main", adds(t1, t2))
     store.apply_commit(dag, [0], "main", Delta(frozenset({t3}), frozenset({t1})))
     assert store.materialize(1) == {t2, t3}
-    assert set(store.version_set(t1)) == {0}
-    assert set(store.version_set(t2)) == {0, 1}
-    assert set(store.version_set(t3)) == {1}
+    assert set(version_set(store, t1)) == {0}
+    assert set(version_set(store, t2)) == {0, 1}
+    assert set(version_set(store, t3)) == {1}
 
 
 def test_merge_unions_parents_before_the_delta():
@@ -104,7 +105,7 @@ def test_re_adding_a_present_triple_is_fine():
     t1 = t(store, "1")
     store.apply_commit(dag, [], "main", adds(t1))
     store.apply_commit(dag, [0], "main", adds(t1))
-    assert set(store.version_set(t1)) == {0, 1}
+    assert set(version_set(store, t1)) == {0, 1}
 
 
 def test_strict_spurious_removal_fails_and_leaves_state_alone():
@@ -116,9 +117,8 @@ def test_strict_spurious_removal_fails_and_leaves_state_alone():
 
     def state():
         return (
-            dict(store._deltas), dict(store._snapshots), dict(store._open),
-            list(store._closed), store._written, store.n_versions, dag.commits(),
-            dag.branches,
+            list(store._steps), dict(store._open), list(store._closed), store._written,
+            store.n_versions, dag.commits(), dag.branches,
         )
 
     before = state()
@@ -160,23 +160,28 @@ def test_delta_is_relative_to_the_parents_union():
         store.delta(2)
 
 
-def test_snapshots_are_kept_for_heads_only():
+def test_every_version_materializes_its_content_as_a_fresh_set():
     store, dag = fresh()
     t1, t2, t3 = t(store, "1"), t(store, "2"), t(store, "3")
-    store.apply_commit(dag, [], "main", adds(t1))
-    assert store._snapshots == {}  # 0 is read from the open runs
+    contents = []
+
+    def commit(parents, branch, delta, content):
+        store.apply_commit(dag, parents, branch, delta)
+        contents.append(content)
+        for v, expected in enumerate(contents):
+            got = store.materialize(v)
+            assert got == expected
+            got.add(t(store, "4"))  # a fresh set: the open runs and steps are not touched
+            assert store.materialize(v) == expected
+
+    commit([], "main", adds(t1), {t1})
     dag.create_branch("side", at=0)
-    store.apply_commit(dag, [0], "main", adds(t2))
-    assert store._snapshots == {0: {t1}}  # 0 is still side's head
-    store.apply_commit(dag, [1], "main", EMPTY_DELTA)
-    assert store._snapshots == {0: {t1}}  # 1 is no head
-    store.apply_commit(dag, [0], "side", adds(t3))
-    assert store._snapshots == {2: {t1, t2}}  # 0 is no head, 2 is main's
-    for v, content in ((2, {t1, t2}), (3, {t1, t3})):
-        got = store.materialize(v)
-        got.add(t(store, "4"))  # a fresh set: the snapshot or runs are not touched
-        assert store.materialize(v) == content
-    assert_snapshots_are_heads_and_scans(store, dag)
+    commit([0], "main", adds(t2), {t1, t2})
+    commit([1], "main", EMPTY_DELTA, {t1, t2})
+    commit([0], "side", adds(t3), {t1, t3})
+    commit([2, 3], "main", Delta(frozenset(), frozenset({t1})), {t2, t3})
+    commit([3], "side", Delta(frozenset({t1}), frozenset({t3})), {t1})
+    assert_versions_are_scans(store)
 
 
 def _linear_commit_peak_bytes(n_triples: int, encoding: str) -> int:
@@ -234,7 +239,7 @@ def test_version_set_unknown_triple_is_none():
     store, dag = fresh()
     store.apply_commit(dag, [], "main", adds(t(store, "1")))
     stranger = t(store, "stranger")
-    assert store.version_set(stranger) is None
+    assert version_set(store, stranger) is None
     assert stranger not in store
 
 
@@ -273,7 +278,7 @@ def test_stats_invariants_on_random_repos(seed, encoding):
     assert got.versions == len(dag) == store.n_versions
     assert got.distinct_triples <= got.triples_sum_over_versions
     per_triple_cost = sum(
-        store.version_set(triple).scalar_cost()
+        version_set(store, triple).scalar_cost()
         for triple, _ in store.match()
     )
     assert got.scalar_cost_total == per_triple_cost
@@ -299,7 +304,7 @@ def test_materialize_matches_delta_replay_oracle(seed):
         present |= expected
     # a triple's version set is exactly the versions whose graph holds it
     for triple in present:
-        assert set(store.version_set(triple)) == {
+        assert set(version_set(store, triple)) == {
             v for v, mat in enumerate(mats) if triple in mat
         }
     assert store.stats().distinct_triples == len(present)
@@ -343,7 +348,7 @@ def test_indexes_share_one_version_set_object():
     sets = {id(vset) for _, vset in store.match(s=t1.s)}
     sets |= {id(vset) for _, vset in store.match(p=t1.p)}
     sets |= {id(vset) for _, vset in store.match(o=t1.o)}
-    assert sets == {id(store.version_set(t1))}
+    assert sets == {id(version_set(store, t1))}
 
 
 def test_all_arity_patterns_on_a_small_store():
@@ -413,7 +418,7 @@ def test_recorded_deltas_and_snapshots_match_full_scans(seed, encoding):
             }
         for v in range(store.n_versions):
             assert store.delta(v) == reference_delta(store, dag, v)
-        assert_snapshots_are_heads_and_scans(store, dag)
+        assert_versions_are_scans(store)
 
 
 def _reference_sets(model: dict[int, set[Triple]]) -> dict[Triple, set[int]]:
@@ -466,6 +471,9 @@ STEPS = ("commit", "branch", "merge", "permissive", "strict-fail", "read", "repa
 # random steps seldom renumber a saved version: this seed's repack does
 @example("extension", 5, ["branch", "commit", "commit", "save", "repack", "save", "commit", "save"])
 @example("interval", 5, ["branch", "commit", "commit", "save", "repack", "save", "commit", "save"])
+# two repacks renumber a saved version between saves of one length of history
+@example("extension", 127, ["branch", "commit", "commit", "save", "repack", "commit", "save",
+                            "repack", "save"])
 @settings(max_examples=80, deadline=None)
 def test_open_runs_agree_with_a_reference_model(encoding, seed, steps):
     """Commits leave runs open; whatever the order of commits, branches,
@@ -513,7 +521,7 @@ def _run_reference_model(encoding, seed, steps, tmp: Path):
             }
         elif kind == "version_set":
             probe = rng.choice(pool)
-            got = store.version_set(probe)
+            got = version_set(store, probe)
             assert (set(got) if got is not None else None) == expected.get(probe)
         elif kind == "in":
             probe = rng.choice(pool)
@@ -542,7 +550,9 @@ def _run_reference_model(encoding, seed, steps, tmp: Path):
             with pytest.raises(StateError):
                 save_repository(store, dag, target)
             assert files(target) == before
-            target, saved, patches, stale = tmp / str(len(dag)), 0, {}, False
+            # the next directory name: two repacks between saves of one
+            # length of history would otherwise reuse the stale one
+            target, saved, patches, stale = tmp / str(int(target.name) + 1), 0, {}, False
         save_repository(store, dag, target)
         now = files(target / "deltas")
         assert sorted(now) == sorted(f"{v}.patch" for v in range(len(dag)))
@@ -550,7 +560,7 @@ def _run_reference_model(encoding, seed, steps, tmp: Path):
         saved, patches = len(dag), now
         loaded, loaded_dag = load_repository(target, encoding=encoding)
         assert loaded_dag.branches == dag.branches
-        assert_snapshots_are_heads_and_scans(loaded, loaded_dag)
+        assert_versions_are_scans(loaded)
         assert loaded.n_versions == len(model)
         for v, content in model.items():
             assert serialize_ntriples(loaded.materialize(v), loaded.dictionary) == (
@@ -593,16 +603,14 @@ def _run_reference_model(encoding, seed, steps, tmp: Path):
         elif step == "save":
             save()
         assert _pending_view(store) == _reference_sets(model)
-        # the snapshot invariant, taken without a read so that runs stay open
-        last = store.n_versions - 1
-        assert set(store._snapshots) <= dag.heads() - {last}
-        assert all(snapshot == model[v] for v, snapshot in store._snapshots.items())
-        assert store._open.keys() == model[last]
+        # every version's content, taken without a read so that runs stay open
+        assert store._open.keys() == model[store.n_versions - 1]
+        assert all(store.materialize(v) == content for v, content in model.items())
         assert store._index._leaves is store._sets
         for held in _built(store).values():
             assert held.keys() == store._sets.keys()
             assert all(vset is store._sets[x] for x, vset in held.items())
-    assert_snapshots_are_heads_and_scans(store, dag)
+    assert_versions_are_scans(store)
     assert {x: set(vset) for x, vset in store.match()} == _reference_sets(model)
 
 
@@ -629,9 +637,9 @@ def _assert_built_permutations_hold_the_store(store: AnnotatedStore) -> None:
         assert all(vset is store._sets[x] for x, vset in held.items())
 
 
-@pytest.mark.parametrize("first_read", ["match", "version_set", "stats"])
+@pytest.mark.parametrize("first_read", ["match", "contains", "stats"])
 def test_a_load_indexes_nothing_before_the_first_read(tmp_path, first_read):
-    store, dag = fresh()  # a linear history, whose load scans no version
+    store, dag = fresh()
     for v in range(5):
         gone = frozenset({t(store, str(v - 1))} if v else ())
         delta = Delta(frozenset({t(store, str(v))}), gone)
@@ -641,8 +649,8 @@ def test_a_load_indexes_nothing_before_the_first_read(tmp_path, first_read):
     assert _built(store) == {} and store._sets == {}
     if first_read == "match":
         next(store.match())
-    elif first_read == "version_set":
-        store.version_set(next(iter(store._open)))
+    elif first_read == "contains":
+        assert next(iter(store._open)) in store
     else:
         store.stats()
     # a full scan reads SPO; the other reads read no permutation
@@ -657,11 +665,11 @@ def test_a_load_indexes_nothing_before_the_first_read(tmp_path, first_read):
 
 @pytest.mark.parametrize("encoding", ["extension", "interval"])
 def test_a_load_or_a_commit_builds_no_permutation(tmp_path, encoding):
-    # a branching history, whose load scans a version without a snapshot
+    # a branching history, whose load writes no run
     store, dag = random_repo(random.Random(5), encoding=encoding, allow_blanks=True)
     save_repository(store, dag, tmp_path)
     store, dag = load_repository(tmp_path, encoding=encoding)
-    assert store._written > 0  # the scan wrote the open runs
+    assert store._written == 0
     assert _built(store) == {}
     main = dag.branch_head("main")
     store.apply_commit(dag, [main], "main", adds(t(store, "a")))
@@ -679,6 +687,23 @@ def test_a_load_or_a_commit_builds_no_permutation(tmp_path, encoding):
     assert new in _built(store)["pos"]
     assert set(_built(store)) == {"pos"}
     _assert_built_permutations_hold_the_store(store)
+
+
+@pytest.mark.parametrize("encoding", ["extension", "interval"])
+def test_a_commit_on_an_old_version_and_a_merge_read_no_version_set(tmp_path, encoding):
+    store, dag = random_repo(random.Random(5), encoding=encoding, allow_blanks=True)
+    save_repository(store, dag, tmp_path)
+    store, dag = load_repository(tmp_path, encoding=encoding)
+    old = min(set(range(store.n_versions)) - dag.heads())
+    main, new = dag.branch_head("main"), t(store, "past")
+    dag.create_branch("past", at=old)
+    content = {old: store.materialize(old), main: store.materialize(main)}
+    v = store.apply_commit(dag, [old], "past", adds(new))
+    merged = store.apply_commit(dag, [main, v], "main", EMPTY_DELTA)
+    assert store._sets == {} and store._written == 0
+    assert store.materialize(v) == content[old] | {new}
+    assert store.materialize(merged) == content[main] | content[old] | {new}
+    assert_versions_are_scans(store)
 
 
 def test_the_first_accessible_pairs_read_builds_only_pos(tmp_path):
@@ -736,7 +761,7 @@ def test_match_finds_what_a_commit_after_a_read_or_a_repack_stored(encoding):
     new = t(store, "new")
     store.apply_commit(dag, [dag.branch_head("main")], "main", adds(new))
     assert [x for x, _ in store.match(s=new.s)] == [new]
-    repack(dag, store)  # its scans of merge parents read the store on the way
+    repack(dag, store)  # a replay onto the emptied store
     newer = t(store, "newer")
     store.apply_commit(dag, [dag.branch_head("main")], "main", adds(newer))
     assert {x for x, _ in store.match()} == before | {new, newer}
@@ -813,7 +838,7 @@ def test_concurrent_first_reads_write_open_runs_once(encoding, monkeypatch):
         def first_read(i):
             barrier.wait()
             if i % 2:
-                got = {x: set(store.version_set(x)) for x in expected}
+                got = {x: set(version_set(store, x)) for x in expected}
             elif i == 0:
                 got = {x: set(vset) for x, vset in store.match()}
             else:
