@@ -113,7 +113,7 @@ class ExtensionSet(VersionSet):
 
 
 class _Unlisted(ExtensionSet):
-    """An ExtensionSet whose first read lists its runs and makes it a plain one,
+    """An ExtensionSet listed when its members are first read, then a plain one,
     since __getattr__ slows every read; racing readers list equal members."""
 
     __slots__ = ()
@@ -127,6 +127,11 @@ class _Unlisted(ExtensionSet):
         self._members = members
         self.__class__ = ExtensionSet
         return members
+
+    def cardinality(self) -> int:  # from the runs: stats lists no set
+        return sum(hi - lo + 1 for lo, hi in self._runs)
+
+    scalar_cost = cardinality
 
 
 class IntervalSet(VersionSet):

@@ -5,12 +5,14 @@ internals, and byte-level comparisons against the library wherever the
 output is specified to round-trip.
 """
 
+import gc
 import json
 import os
 import shutil
 import signal
 import subprocess
 import sys
+import threading
 import time
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -212,6 +214,112 @@ def test_an_internal_fault_exits_4_not_the_usage_code(repo, capsys, monkeypatch)
     monkeypatch.setattr(vgstore.cli, "_cmd_log", broken)
     err = fails(capsys, 4, "log", "--repo", repo)
     assert err == "vg: internal error: RuntimeError: boom\n"
+
+
+def test_a_command_leaves_no_cyclic_garbage(repo, tmp_path, capsys, monkeypatch):
+    """Whatever exit a command takes, reference counting frees all it built,
+    so the raised collector threshold it runs under defers no collection."""
+    patch = tmp_path / "new.patch"
+    patch.write_text("A " + stmt("b3", "height", f'"3.5"{DEC}') + "\n", encoding="utf-8")
+
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(vgstore.cli, "_cmd_stats", broken)
+    cases = [
+        (0, ["query", "--repo", repo, "--inline", ACCESSIBLE_Q]),
+        (0, ["commit", "--repo", repo, "--branch", "main", "--patch", str(patch)]),
+        (0, ["log", "--repo", repo]),
+        (1, ["query", "--repo", repo]),
+        (2, ["log", "--repo", str(tmp_path / "nowhere")]),
+        (3, ["query", "--repo", repo, "--inline", "SELECT ?v WHERE {"]),
+        (4, ["stats", "--repo", repo]),
+    ]
+    for code, argv in cases:
+        gc.collect()
+        assert vg(argv) == code
+        assert gc.collect() == 0, argv
+    capsys.readouterr()
+
+
+def test_two_runs_build_the_parser_once(repo, capsys):
+    vgstore.cli._parser.cache_clear()
+    ok(capsys, "log", "--repo", repo)
+    fails(capsys, 1, "log")
+    info = vgstore.cli._parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
+@pytest.mark.parametrize("command", [None, "init", "commit", "branch", "merge", "checkout",
+                                     "query", "log", "stats", "bench"])
+def test_help_from_the_shared_parser_matches_a_fresh_parser(capsys, command):
+    argv = ["--help"] if command is None else [command, "--help"]
+    fails(capsys, 1, "log")  # the shared parser has parsed before
+    assert vg(argv) == 0
+    shared = capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        vgstore.cli.build_parser().parse_args(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr() == shared and shared.out.startswith("usage: vg")
+
+
+def test_a_command_runs_with_a_first_generation_threshold_of_50000(repo, capsys, monkeypatch):
+    seen = []
+    monkeypatch.setattr(vgstore.cli, "_cmd_log",
+                        lambda args: seen.append(gc.get_threshold()[0]) or 0)
+    ok(capsys, "log", "--repo", repo)
+    assert seen == [50_000]
+
+
+def test_nested_and_concurrent_runs_leave_the_collector_as_they_found_it(
+        repo, tmp_path, capsys, monkeypatch):
+    """The last command to end, nested in another or in another thread,
+    restores the thresholds the first one found; exit codes are those of a
+    serial run."""
+    argvs = [
+        ["query", "--repo", repo, "--inline", ACCESSIBLE_Q],
+        ["log", "--repo", repo],
+        ["log"],
+        ["checkout", "--repo", str(tmp_path / "nowhere"), "--version", "0"],
+        ["query", "--repo", repo, "--inline", "SELECT ?v WHERE {"],
+    ]
+    serial = [vg(argv) for argv in argvs]
+    assert serial == [0, 0, 1, 2, 3]
+    stats = vgstore.cli._cmd_stats
+    nested = []
+
+    def stats_running_others(args):
+        for argv in argvs:
+            nested.append((vg(argv), gc.get_threshold()[0]))
+        return stats(args)
+
+    monkeypatch.setattr(vgstore.cli, "_cmd_stats", stats_running_others)
+    threshold, interval = gc.get_threshold(), sys.getswitchinterval()
+    gc.set_threshold(500, 7, 9)
+    sys.setswitchinterval(1e-6)
+    try:
+        assert vg(["stats", "--repo", repo]) == 0
+        assert nested == [(code, 50_000) for code in serial]
+        assert (gc.isenabled(), gc.get_threshold()) == (True, (500, 7, 9))
+        barrier = threading.Barrier(2, timeout=30)
+        codes: dict[int, list[int]] = {0: [], 1: []}
+
+        def commands(i):
+            barrier.wait()
+            codes[i].extend(vg(argv) for argv in argvs * 4)
+
+        threads = [threading.Thread(target=commands, args=(i,)) for i in codes]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+            assert not thread.is_alive()
+        assert codes == {0: serial * 4, 1: serial * 4}
+        assert (gc.isenabled(), gc.get_threshold()) == (True, (500, 7, 9))
+    finally:
+        sys.setswitchinterval(interval)
+        gc.set_threshold(*threshold)
+    capsys.readouterr()
 
 
 def test_log_is_newest_first_with_branch_markers(repo, capsys):

@@ -718,10 +718,18 @@ def test_the_first_accessible_pairs_read_builds_only_pos(tmp_path):
     _assert_built_permutations_hold_the_store(store)
 
 
+def listed(vset) -> bool:
+    try:  # the slot's own descriptor, which lists nothing
+        ExtensionSet._members.__get__(vset, ExtensionSet)
+    except AttributeError:
+        return False
+    return True
+
+
 def test_a_query_lists_the_members_of_only_the_sets_it_matched(tmp_path, monkeypatch):
     """After a load in extension, the first read builds each set from its
     runs; a query lists the members of the sets its patterns matched, and
-    stats lists the rest."""
+    stats lists no other."""
     params = ScenarioParams(buildings=30, stations=8, versions=40, branch_prob=0.0,
                             churn=0.1, seed=11)
     generate(params, tmp_path)
@@ -738,20 +746,28 @@ def test_a_query_lists_the_members_of_only_the_sets_it_matched(tmp_path, monkeyp
     text, domain = QUERIES["accessible-pairs"]
     assert eval_annotated(store, dag, parse_query(text), domain).rows
 
-    def listed(vset) -> bool:
-        try:  # the slot's own descriptor, which lists nothing
-            ExtensionSet._members.__get__(vset, ExtensionSet)
-        except AttributeError:
-            return False
-        return True
-
     assert matched and len(matched) < len(store._sets)
-    assert {x for x, vset in store._sets.items() if listed(vset)} == matched
+    by_query = {x for x, vset in store._sets.items() if listed(vset)}
+    assert by_query == matched
     reference, _ = load_repository(tmp_path, encoding="extension")
     assert all(list(vset) for _, vset in reference.match())
     assert all(listed(vset) for vset in reference._sets.values())
     assert store.stats() == reference.stats()
-    assert all(listed(vset) for vset in store._sets.values())
+    assert {x for x, vset in store._sets.items() if listed(vset)} == by_query
+
+
+def test_stats_on_a_fresh_load_lists_no_set(tmp_path):
+    """stats counts an extension set built from runs from the runs, and
+    reads what a store whose every set is listed reads."""
+    generate(ScenarioParams(buildings=30, stations=8, versions=40, branch_prob=0.2,
+                            churn=0.1, seed=11), tmp_path)
+    store, _ = load_repository(tmp_path, encoding="extension")
+    stats = store.stats()
+    assert store._sets and not any(listed(vset) for vset in store._sets.values())
+    reference, _ = load_repository(tmp_path, encoding="extension")
+    assert all(list(vset) for _, vset in reference.match())
+    assert all(listed(vset) for vset in reference._sets.values())
+    assert stats == reference.stats()
 
 
 @pytest.mark.parametrize("encoding", ["extension", "interval"])

@@ -294,6 +294,18 @@ def test_an_insert_into_a_set_from_runs_keeps_its_members(cls, steps, lo, width)
     assert built == cls.from_iterable(expected)
 
 
+@given(run_steps)
+def test_an_unlisted_extension_set_counts_its_members_from_its_runs(steps):
+    runs = runs_from_steps(steps)
+    built = ExtensionSet._from_runs(runs)
+    oracle = ExtensionSet.from_iterable(members_of(runs))
+    assert built.cardinality() == oracle.cardinality() == len(members_of(runs))
+    assert built.scalar_cost() == oracle.scalar_cost()
+    assert len(built) == len(oracle)
+    assert type(built) is not ExtensionSet  # counting listed nothing
+    assert list(built) == list(oracle)
+
+
 def test_a_listed_extension_set_is_a_plain_one():
     """Once its members are listed, a set from runs reads attributes as any
     other ExtensionSet does, with no __getattr__ on its class."""
