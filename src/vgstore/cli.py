@@ -21,10 +21,10 @@ import argparse
 import fcntl
 import gc
 import sys
-import threading
 from contextlib import contextmanager
 from functools import cache
 from pathlib import Path
+from typing import Callable
 
 from .dag import Provenance, VersionDag, version_iri
 from .engine import eval_annotated, eval_checkout, format_results
@@ -35,13 +35,6 @@ from .repo import read_history, save_repository
 from .sparql import parse_query
 from .store import EMPTY_DELTA, AnnotatedStore
 from .versionsets import ENCODINGS
-
-
-class _Formatter(argparse.HelpFormatter):
-    def format_help(self) -> str:  # argparse links a formatter and its sections in a cycle
-        text = super().format_help()
-        self._root_section = self._current_section = None
-        return text
 
 
 class _Parser(argparse.ArgumentParser):
@@ -99,18 +92,17 @@ def _add_commit_meta(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="vg", description="versioned RDF graph repositories",
-                     formatter_class=_Formatter)
+    parser = _Parser(prog="vg", description="versioned RDF graph repositories")
     sub = parser.add_subparsers(metavar="COMMAND", required=True)
 
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text, formatter_class=_Formatter)
-        p.set_defaults(command=name)  # run looks up _cmd_<name> when it runs it
+    def add(name: str, help_text: str, handler: Callable) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler.__name__)  # run looks it up when it runs it
         p.add_argument("--repo", required=True, help="repository directory")
         return p
 
-    def add_store(name: str, help_text: str) -> argparse.ArgumentParser:
-        p = add(name, help_text)  # a command that builds a store picks its encoding
+    def add_store(name: str, help_text: str, handler: Callable) -> argparse.ArgumentParser:
+        p = add(name, help_text, handler)  # a command that builds a store picks its encoding
         p.add_argument(
             "--encoding",
             choices=tuple(ENCODINGS),
@@ -119,11 +111,11 @@ def build_parser() -> argparse.ArgumentParser:
         )
         return p
 
-    p = add_store("init", "create a repository with a root version from a patch")
+    p = add_store("init", "create a repository with a root version from a patch", _cmd_init)
     p.add_argument("--patch", required=True, help="patch file for version 0")
     _add_commit_meta(p)
 
-    p = add_store("commit", "apply a patch as a new version on a branch")
+    p = add_store("commit", "apply a patch as a new version on a branch", _cmd_commit)
     p.add_argument("--branch", required=True, help="branch to commit to")
     p.add_argument("--patch", required=True, help="patch file to apply")
     _add_commit_meta(p)
@@ -141,21 +133,21 @@ def build_parser() -> argparse.ArgumentParser:
         help="warn instead of failing on removals absent from every parent",
     )
 
-    p = add("branch", "create a branch pointing at an existing version")
+    p = add("branch", "create a branch pointing at an existing version", _cmd_branch)
     p.add_argument("name", help="new branch name")
     p.add_argument("--at", required=True, type=int, metavar="SEQ", help="version to branch from")
 
-    p = add_store("merge", "merge another version into a branch (two-parent commit)")
+    p = add_store("merge", "merge another version into a branch (two-parent commit)", _cmd_merge)
     p.add_argument("--branch", required=True, help="branch receiving the merge")
     p.add_argument("--from", dest="from_seq", required=True, type=int, metavar="SEQ")
     p.add_argument("--patch", default=None, help="optional patch applied on top of the union")
     _add_commit_meta(p)
 
-    p = add_store("checkout", "write one version's triples as N-Triples")
+    p = add_store("checkout", "write one version's triples as N-Triples", _cmd_checkout)
     p.add_argument("--version", required=True, type=int, metavar="SEQ")
     p.add_argument("--out", default=None, help="output file (default: stdout)")
 
-    p = add_store("query", "evaluate a query against the repository")
+    p = add_store("query", "evaluate a query against the repository", _cmd_query)
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--file", help="file containing the query")
     src.add_argument("--inline", help="query text on the command line")
@@ -164,11 +156,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="domain version variables range over")
     p.add_argument("--format", choices=("tsv", "csv"), default="tsv")
 
-    add("log", "print commit metadata, newest first")
+    add("log", "print commit metadata, newest first", _cmd_log)
 
-    add_store("stats", "print store statistics")
+    add_store("stats", "print store statistics", _cmd_stats)
 
-    p = add("bench", "time the canonical queries under every configuration")
+    p = add("bench", "time the canonical queries under every configuration", _cmd_bench)
     p.add_argument("--out", default=None, help="CSV report path (default: stdout)")
     p.add_argument("--runs", type=int, default=3, help="timed runs per configuration")
 
@@ -282,28 +274,19 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-# with one parser per process (a tree per command took ~1.4 ms), a command
-# makes no cycles, so while commands run the collector waits for 50,000 new
-# objects, not 700, instead of walking their stores
+# one parser per process: a tree took ~1.4 ms to build, and the cycles
+# argparse left were the only cyclic garbage a command made
 _parser = cache(build_parser)
-_commands_lock = threading.Lock()
-_commands_running, _caller_threshold = 0, gc.get_threshold()
 
 
 def run(argv: list[str] | None = None) -> int:
     """Parse argv, execute one command, and return the exit code."""
-    global _commands_running, _caller_threshold
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    with _commands_lock:
-        if not _commands_running:
-            _caller_threshold = gc.get_threshold()
-            gc.set_threshold(50_000)
-        _commands_running += 1
     try:
-        return globals()[f"_cmd_{args.command}"](args)
+        return getattr(sys.modules[__name__], args.handler)(args)
     except QueryError as exc:
         print(f"vg: query error: {exc}", file=sys.stderr)
         return 3
@@ -313,14 +296,11 @@ def run(argv: list[str] | None = None) -> int:
     except Exception as exc:  # a fault of vg itself, told apart from usage errors
         print(f"vg: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4
-    finally:
-        with _commands_lock:
-            _commands_running -= 1
-            if not _commands_running:
-                gc.set_threshold(*_caller_threshold)
 
 
 def main() -> None:
-    # one command per process: the collector skips the imported modules
+    # one command per process: the collector skips the imported modules and
+    # waits for 50,000 new objects, not 700, yet still collects cycles
     gc.freeze()
+    gc.set_threshold(50_000)
     sys.exit(run())

@@ -217,8 +217,8 @@ def test_an_internal_fault_exits_4_not_the_usage_code(repo, capsys, monkeypatch)
 
 
 def test_a_command_leaves_no_cyclic_garbage(repo, tmp_path, capsys, monkeypatch):
-    """Whatever exit a command takes, reference counting frees all it built,
-    so the raised collector threshold it runs under defers no collection."""
+    """With one parser per process, reference counting frees all that a
+    command which reaches its handler built, whatever exit it takes."""
     patch = tmp_path / "new.patch"
     patch.write_text("A " + stmt("b3", "height", f'"3.5"{DEC}') + "\n", encoding="utf-8")
 
@@ -230,7 +230,6 @@ def test_a_command_leaves_no_cyclic_garbage(repo, tmp_path, capsys, monkeypatch)
         (0, ["query", "--repo", repo, "--inline", ACCESSIBLE_Q]),
         (0, ["commit", "--repo", repo, "--branch", "main", "--patch", str(patch)]),
         (0, ["log", "--repo", repo]),
-        (1, ["query", "--repo", repo]),
         (2, ["log", "--repo", str(tmp_path / "nowhere")]),
         (3, ["query", "--repo", repo, "--inline", "SELECT ?v WHERE {"]),
         (4, ["stats", "--repo", repo]),
@@ -263,19 +262,25 @@ def test_help_from_the_shared_parser_matches_a_fresh_parser(capsys, command):
     assert capsys.readouterr() == shared and shared.out.startswith("usage: vg")
 
 
-def test_a_command_runs_with_a_first_generation_threshold_of_50000(repo, capsys, monkeypatch):
+def test_vg_runs_a_command_with_a_first_generation_threshold_of_50000(repo, capsys, monkeypatch):
     seen = []
     monkeypatch.setattr(vgstore.cli, "_cmd_log",
                         lambda args: seen.append(gc.get_threshold()[0]) or 0)
-    ok(capsys, "log", "--repo", repo)
-    assert seen == [50_000]
+    monkeypatch.setattr(gc, "freeze", lambda: None)  # leave this process's objects collectable
+    monkeypatch.setattr(sys, "argv", ["vg", "log", "--repo", repo])
+    threshold = gc.get_threshold()
+    try:
+        with pytest.raises(SystemExit) as exc:
+            vgstore.cli.main()
+    finally:
+        gc.set_threshold(*threshold)
+    assert exc.value.code == 0 and seen == [50_000]
 
 
-def test_nested_and_concurrent_runs_leave_the_collector_as_they_found_it(
-        repo, tmp_path, capsys, monkeypatch):
-    """The last command to end, nested in another or in another thread,
-    restores the thresholds the first one found; exit codes are those of a
-    serial run."""
+def test_nested_and_concurrent_runs_share_the_parser(repo, tmp_path, capsys, monkeypatch):
+    """A handler that runs other commands, and two threads running commands
+    at once, get the exit codes of a serial run and leave the collector as
+    they found it."""
     argvs = [
         ["query", "--repo", repo, "--inline", ACCESSIBLE_Q],
         ["log", "--repo", repo],
@@ -289,18 +294,16 @@ def test_nested_and_concurrent_runs_leave_the_collector_as_they_found_it(
     nested = []
 
     def stats_running_others(args):
-        for argv in argvs:
-            nested.append((vg(argv), gc.get_threshold()[0]))
+        nested.extend(vg(argv) for argv in argvs)
         return stats(args)
 
     monkeypatch.setattr(vgstore.cli, "_cmd_stats", stats_running_others)
-    threshold, interval = gc.get_threshold(), sys.getswitchinterval()
-    gc.set_threshold(500, 7, 9)
+    collector = (gc.isenabled(), gc.get_threshold())
+    interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         assert vg(["stats", "--repo", repo]) == 0
-        assert nested == [(code, 50_000) for code in serial]
-        assert (gc.isenabled(), gc.get_threshold()) == (True, (500, 7, 9))
+        assert nested == serial
         barrier = threading.Barrier(2, timeout=30)
         codes: dict[int, list[int]] = {0: [], 1: []}
 
@@ -315,10 +318,9 @@ def test_nested_and_concurrent_runs_leave_the_collector_as_they_found_it(
             thread.join(timeout=120)
             assert not thread.is_alive()
         assert codes == {0: serial * 4, 1: serial * 4}
-        assert (gc.isenabled(), gc.get_threshold()) == (True, (500, 7, 9))
     finally:
         sys.setswitchinterval(interval)
-        gc.set_threshold(*threshold)
+    assert (gc.isenabled(), gc.get_threshold()) == collector
     capsys.readouterr()
 
 
