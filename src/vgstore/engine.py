@@ -6,13 +6,14 @@ in.  Joining two patterns intersects those sets; an empty intersection kills
 the row.
 
 eval_checkout is the baseline with identical semantics by construction: it
-materializes every candidate version, evaluates the query with the version
-variables fixed, and unions the row multisets.  Agreement between the two is
-the core correctness check of the whole package; divergence is a bug.
+evaluates the query on the full content of each assignment of versions to
+the version variables, and unions the row multisets.  Agreement between the
+two is the core correctness check of the whole package; divergence is a bug.
 
 Both evaluators extend rows through the one join step, _join, over a
-store.TripleIndex (the store's own, or one per checked-out version, which
-builds only the permutations the query probes).
+store.TripleIndex (the store's own, or in a checkout one per constant
+version and one per version variable, stepped from version to version),
+which builds only the permutations the query probes, each once.
 They differ only in how a matched triple's leaf changes a row's version
 annotation: a contains test for a constant version, an intersection for a
 version variable, and no change at all in a checkout.  Every row at one step
@@ -585,10 +586,12 @@ def eval_checkout(
     query: Query,
     version_domain: str = "all",
 ) -> SolutionTable:
-    """Materialize each candidate version and evaluate against it directly.
+    """Check out each assignment of candidate versions and evaluate against it.
 
     This is the reference implementation the annotated evaluator is checked
-    against, and the cost baseline the benchmark compares with.
+    against, and the cost baseline the benchmark compares with.  A constant
+    version is materialized once; a version variable's index is materialized
+    at its first version, then stepped to the next by their content difference.
     """
     _check_domain(version_domain)
     dictionary = store.dictionary
@@ -597,14 +600,21 @@ def eval_checkout(
     heads = dag.heads()
     domain = sorted(heads) if version_domain == "heads" else list(range(store.n_versions))
     version_names = sorted(query.version_vars())
-    graphs: dict[int, TripleIndex] = {}
+    constant = _Memo(lambda seq: _EMPTY_INDEX if seq is None
+                     else TripleIndex(dict.fromkeys(store.materialize(seq), True)))
+    held: dict[str, list] = {}  # a version variable's [version, leaves, index]
 
-    def graph_at(seq: int | None) -> TripleIndex:
-        if seq is None:
-            return _EMPTY_INDEX
-        g = graphs.get(seq)
-        if g is None:
-            g = graphs[seq] = TripleIndex(dict.fromkeys(store.materialize(seq), True))
+    def graph_of(name: str, seq: int) -> TripleIndex:
+        if name not in held:
+            leaves = dict.fromkeys(store.materialize(seq), True)
+            held[name] = [seq, leaves, TripleIndex(leaves)]
+        at, leaves, g = state = held[name]
+        for t in store.changed(at, seq):
+            if t in leaves:
+                g.discard(t)
+            else:
+                g.add(t, True)
+        state[0] = seq
         return g
 
     main_head = dag.branches.get("main")
@@ -623,13 +633,13 @@ def eval_checkout(
             if not rows:
                 break
             if isinstance(element, TriplePattern):
-                match = graph_at(main_head).match
+                match = constant[main_head].match
                 rows = _join(rows, element, ids, match, _keep, checks[0])
             elif isinstance(element, GraphBlock):
                 if isinstance(element.name, Var):
-                    g = graph_at(assign[element.name.name])
+                    g = graph_of(element.name.name, assign[element.name.name])
                 else:
-                    g = graph_at(_graph_version(element, store.n_versions))
+                    g = constant[_graph_version(element, store.n_versions)]
                 for pattern, check in zip(element.patterns, checks):
                     rows = _join(rows, pattern, ids, g.match, _keep, check)
                     if not rows:

@@ -38,7 +38,8 @@ that reads it, so a query pays only for the permutations it probes.  The
 store's leaves dict is its own dict of live VersionSets, shared by every
 permutation, and the first read stores a new triple through the index's add,
 so every permutation built holds every stored triple; the checkout evaluator
-indexes one materialized version with the leaf True.
+indexes a version with the leaf True and steps it to another version through
+discard and add, by the triples of changed, their content difference.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ class TripleIndex:
     permutations, each built from the leaves by the first match that needs it.
 
     leaves, if given, is the triple -> leaf dict the index reads and add
-    writes.
+    and discard write.
     """
 
     def __init__(self, leaves: dict[Triple, object] | None = None):
@@ -86,6 +87,19 @@ class TripleIndex:
         for name, perm in self._built.items():
             i, j, k = _ORDERS[name]
             perm.setdefault(t[i], {}).setdefault(t[j], {})[t[k]] = leaf
+
+    def discard(self, t: Triple) -> None:
+        """Unindex t, which the index holds, in every permutation built so
+        far, dropping the levels it leaves empty, as a fresh build would."""
+        del self._leaves[t]
+        for name, perm in self._built.items():
+            i, j, k = _ORDERS[name]
+            level2 = perm[t[i]]
+            del level2[t[j]][t[k]]
+            if not level2[t[j]]:
+                del level2[t[j]]
+                if not level2:
+                    del perm[t[i]]
 
     def _permutation(self, name: str) -> _Index:
         """The permutation, built on first use under a lock, so that
@@ -291,11 +305,16 @@ class AnnotatedStore:
             out ^= extra
         return out
 
+    def changed(self, a: int, b: int) -> set[Triple]:
+        """content(a) ^ content(b), as a fresh set."""
+        self._check_version(a)
+        self._check_version(b)
+        return self._changed(a, b)
+
     def materialize(self, v: int) -> set[Triple]:
         """The plain triple set of version v, as a fresh mutable set: the open
         runs' keys ^ the steps between v and the version applied last."""
-        self._check_version(v)
-        return self._open.keys() ^ self._changed(self._n_versions - 1, v)
+        return self._open.keys() ^ self.changed(v, self._n_versions - 1)
 
     def delta(self, v: int) -> Delta:
         """What version v added to and removed from the union of its parents.

@@ -374,6 +374,8 @@ _IDS = st.integers(0, 3)  # few ids, so that triples share prefixes and recur
 _INDEX_OPS = st.lists(
     st.one_of(
         st.tuples(st.just("add"), st.tuples(_IDS, _IDS, _IDS), st.integers(0, 2)),
+        # the i-th held triple, modulo their count, in sorted order
+        st.tuples(st.just("discard"), st.integers(0, 11)),
         st.tuples(st.just("match"), st.tuples(_IDS, _IDS, _IDS)),
     ),
     max_size=30,
@@ -382,9 +384,14 @@ _INDEX_OPS = st.lists(
 
 @given(st.dictionaries(st.tuples(_IDS, _IDS, _IDS), st.integers(0, 2), max_size=12), _INDEX_OPS)
 @settings(max_examples=200, deadline=None)
+@example({(0, 1, 2): 0}, [("discard", 0), ("add", (0, 1, 2), 1), ("discard", 0)])
+@example({(0, 1, 2): 0, (0, 1, 3): 0, (1, 1, 2): 0},
+         [("discard", 0), ("discard", 0), ("discard", 0)])
 def test_triple_index_agrees_with_a_scan_of_its_leaves(leaves, ops):
-    """Adds, some replacing a leaf, interleaved with matches of every
-    bound/unbound mask, against a scan of a plain dict."""
+    """Adds, some replacing a leaf, and discards, some emptying a level of a
+    permutation, each followed by matches of every bound/unbound mask against
+    a scan of a plain dict.  Every permutation built equals that of an index
+    built afresh from the leaves, so a discard leaves no empty level behind."""
     reference = {Triple(*x): leaf for x, leaf in leaves.items()}
     index = TripleIndex(dict(reference))
     for op in ops:
@@ -392,16 +399,25 @@ def test_triple_index_agrees_with_a_scan_of_its_leaves(leaves, ops):
             x, leaf = Triple(*op[1]), op[2]
             index.add(x, leaf)
             reference[x] = leaf
-            continue
+        elif op[0] == "discard":
+            if not reference:
+                continue
+            x = sorted(reference)[op[1] % len(reference)]
+            index.discard(x)
+            del reference[x]
+        else:
+            x = Triple(*op[1])
         for mask in itertools.product([False, True], repeat=3):
-            pattern = [value if bound else None for bound, value in zip(mask, op[1])]
+            pattern = [value if bound else None for bound, value in zip(mask, x)]
             got = list(index.match(*pattern))
             expected = [
-                (x, leaf)
-                for x, leaf in reference.items()
-                if all(want is None or have == want for want, have in zip(pattern, x))
+                (t, leaf)
+                for t, leaf in reference.items()
+                if all(want is None or have == want for want, have in zip(pattern, t))
             ]
             assert sorted(got) == sorted(expected)
+        fresh = TripleIndex(dict(reference))
+        assert {name: fresh._permutation(name) for name in index._built} == index._built
     assert index._leaves == reference
 
 
